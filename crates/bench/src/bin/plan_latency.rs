@@ -9,7 +9,9 @@
 //! The default run sweeps every scale at the paper's batch size and writes
 //! `BENCH_plan_latency.json`. `--smoke` runs one reduced scale with CI
 //! assertions (plan latency under a generous bound, warm cache hit rate
-//! above zero) and writes no report; it exits nonzero on failure.
+//! above zero) and writes no report. Both modes exit nonzero when a warm
+//! repeat is less than 10x faster than its cold sweep or when the analytic
+//! and simulated searches pick different configurations.
 
 use varuna_bench::plan_latency::{measure, report, run, Row};
 use varuna_bench::util::{f1, f3, print_table};
@@ -49,11 +51,36 @@ fn table(rows: &[Row]) {
     );
 }
 
+/// The bar every scale must clear: a memoized repeat runs no emulation
+/// and no analytic estimate, so it must beat the cold sweep by this much.
+const MIN_MEMO_SPEEDUP: f64 = 10.0;
+
+/// Failures shared by the smoke and full runs.
+fn gate(rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for r in rows {
+        let scale = format!("{} at {} GPUs", r.model, r.gpus);
+        if r.memo_speedup < MIN_MEMO_SPEEDUP {
+            failures.push(format!(
+                "{scale}: memoized repeat only {:.1}x faster than cold (< {MIN_MEMO_SPEEDUP}x)",
+                r.memo_speedup
+            ));
+        }
+        if !r.paths_agree() {
+            failures.push(format!(
+                "{scale}: analytic pick {}x{} != simulated pick {}x{}",
+                r.analytic_pd.0, r.analytic_pd.1, r.sim_pd.0, r.sim_pd.1
+            ));
+        }
+    }
+    failures
+}
+
 fn smoke() {
     println!("Plan-latency smoke: GPT-2 2.5B at 24 GPUs, reduced batch\n");
     let row = measure(&ModelZoo::gpt2_2_5b(), 24, 768);
     table(std::slice::from_ref(&row));
-    let mut failures = Vec::new();
+    let mut failures = gate(std::slice::from_ref(&row));
     if row.cold_ms > 60_000.0 {
         failures.push(format!(
             "cold sim sweep took {:.0} ms (> 60 s)",
@@ -64,7 +91,10 @@ fn smoke() {
         failures.push("second morph event had a zero cache hit rate".to_string());
     }
     if failures.is_empty() {
-        println!("\nsmoke OK: warm hit rate {:.2}", row.warm_hit_rate);
+        println!(
+            "\nsmoke OK: warm hit rate {:.2}, memoized repeat {:.0}x faster",
+            row.warm_hit_rate, row.memo_speedup
+        );
     } else {
         for f in &failures {
             eprintln!("PLAN LATENCY SMOKE FAILED: {f}");
@@ -102,8 +132,11 @@ fn main() {
         rep.schema
     );
 
-    if min < 5.0 {
-        eprintln!("PLAN LATENCY FAILED: memoized search less than 5x faster than cold");
+    let failures = gate(&rows);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("PLAN LATENCY FAILED: {f}");
+        }
         std::process::exit(1);
     }
 }

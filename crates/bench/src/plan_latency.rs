@@ -4,7 +4,8 @@
 //! this bench prices that loop across Table-3 model scales. Three numbers
 //! per scale: the closed-form analytic sweep, a cold simulator-in-the-loop
 //! sweep (every candidate emulated), and a warm repeat of the same morph
-//! event (every candidate served from the memo table). The headline claim
+//! event (every candidate served from the memo table, so no candidate
+//! pays for an emulation or an analytic estimate). The headline claim
 //! is that the memoized repeat is orders of magnitude faster than the cold
 //! sweep — re-planning during a preemption burst costs the emulation only
 //! once.
@@ -149,9 +150,9 @@ mod tests {
         assert!(row.candidates > 0);
         assert_eq!(row.warm_memo_hits, row.candidates);
         assert!(row.warm_hit_rate > 0.99);
-        // The 5x acceptance bar is asserted by the release binary at the
-        // full Table-3 scales; a debug micro-run only has to show the memo
-        // actually bypassing the emulator.
+        // The 10x acceptance bar is asserted by the release binary; a
+        // debug micro-run only has to show the memo actually bypassing
+        // the emulator.
         assert!(
             row.memo_speedup > 1.0,
             "memoized repeat not faster ({:.2}x)",

@@ -112,12 +112,16 @@ impl<'a> Planner<'a> {
         self.m_total
     }
 
-    /// Evaluates one explicit `(p, d)` configuration.
+    /// The candidate step shared by every evaluation path: builds the
+    /// `(p, d)` shape (`m`, `N_m`, the balanced stage assignment) and runs
+    /// every feasibility check, but leaves it unscored
+    /// (`est_minibatch_time` is NaN until [`Planner::estimate`] or an
+    /// emulation fills it in).
     ///
     /// # Errors
     ///
     /// Fails when the shape is invalid or a stage cannot fit GPU memory.
-    pub fn evaluate(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
+    pub(crate) fn candidate(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
         let k = self.calib.graph.len();
         if p == 0 || p > k {
             return Err(VarunaError::InvalidConfig(format!("p={p} not in 1..={k}")));
@@ -139,15 +143,9 @@ impl<'a> Planner<'a> {
         // weighting is handled by the accumulation, as in `varuna-train`).
         let n_micro = self.m_total.div_ceil(m * d);
         let assignment = balanced_partition(&self.calib.graph, p);
-        let input = SimInput {
-            calib: self.calib,
-            assignment: &assignment,
-            d,
-            m,
-            n_micro,
-            offload: self.offload,
-        };
-        let est = estimate_minibatch_time(&input)?;
+        for &(lo, hi) in &assignment {
+            self.calib.window(lo, hi, m, self.offload)?;
+        }
         Ok(Config {
             p,
             d,
@@ -155,26 +153,59 @@ impl<'a> Planner<'a> {
             n_micro,
             assignment,
             offload: self.offload,
-            est_minibatch_time: est,
+            est_minibatch_time: f64::NAN,
             examples: self.m_total,
         })
     }
 
-    /// Sweeps every feasible pipeline depth for `g` GPUs, returning all
-    /// candidate configs (used by the Table 3 sensitivity study).
-    pub fn sweep(&self, g: usize) -> Vec<Config> {
+    /// The scoring step: the closed-form mini-batch time of a candidate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`estimate_minibatch_time`] failures.
+    pub(crate) fn estimate(&self, cfg: &Config) -> Result<f64, VarunaError> {
+        estimate_minibatch_time(&SimInput {
+            calib: self.calib,
+            assignment: &cfg.assignment,
+            d: cfg.d,
+            m: cfg.m,
+            n_micro: cfg.n_micro,
+            offload: cfg.offload,
+        })
+    }
+
+    /// Evaluates one explicit `(p, d)` configuration: the candidate step,
+    /// then the analytic score.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the shape is invalid or a stage cannot fit GPU memory.
+    pub fn evaluate(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
+        let mut cfg = self.candidate(p, d)?;
+        cfg.est_minibatch_time = self.estimate(&cfg)?;
+        Ok(cfg)
+    }
+
+    /// Every feasible pipeline depth for `g` GPUs as an unscored candidate
+    /// (see [`Planner::candidate`]), in increasing `p`.
+    pub(crate) fn candidates(&self, g: usize) -> Vec<Config> {
         let k = self.calib.graph.len();
-        let mut out = Vec::new();
-        for p in 1..=k.min(g) {
-            let d = g / p;
-            if d == 0 {
-                break;
-            }
-            if let Ok(cfg) = self.evaluate(p, d) {
-                out.push(cfg);
-            }
-        }
-        out
+        (1..=k.min(g))
+            .filter_map(|p| self.candidate(p, g / p).ok())
+            .collect()
+    }
+
+    /// Sweeps every feasible pipeline depth for `g` GPUs, returning all
+    /// candidate configs with their analytic scores (used by the Table 3
+    /// sensitivity study).
+    pub fn sweep(&self, g: usize) -> Vec<Config> {
+        self.candidates(g)
+            .into_iter()
+            .filter_map(|mut cfg| {
+                cfg.est_minibatch_time = self.estimate(&cfg).ok()?;
+                Some(cfg)
+            })
+            .collect()
     }
 
     /// The best configuration for `g` GPUs by total throughput.

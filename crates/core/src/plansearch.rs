@@ -3,8 +3,9 @@
 //! The analytic planner ranks `(p, d, m)` candidates with a closed-form
 //! estimate; the paper's job manager instead scores each candidate with
 //! its *simulator* before morphing. [`SimSearch`] reproduces that loop:
-//! every candidate from [`Planner::sweep`] is re-scored by running the
-//! `varuna-exec` discrete-event emulator at zero jitter, with
+//! it takes the same candidates as [`Planner::sweep`], unscored, and scores
+//! each one exactly once by running the `varuna-exec` discrete-event
+//! emulator at zero jitter, with
 //!
 //! - a **scoped-thread fan-out** so candidates are emulated in parallel,
 //! - a **memo table** keyed on `(p, d, m, N_m, offload, fingerprint)` —
@@ -12,9 +13,11 @@
 //!   calibrated primitive, so repeated morph events during a preemption
 //!   burst reuse prior evaluations even when total capacity differs, and
 //! - a **plan budget** (simulation count and/or wall-clock deadline) so
-//!   manager re-planning stays bounded; candidates left unscored when the
-//!   budget runs out keep their analytic estimate, degrading the search
-//!   to the paper's `O(G)` analytic ranking rather than failing.
+//!   manager re-planning stays bounded. The analytic estimate is computed
+//!   only for candidates the budget leaves unscored (budget exhausted,
+//!   deadline passed, or emulator error), degrading the search to the
+//!   paper's `O(G)` analytic ranking rather than failing; a warm revisit
+//!   served entirely from the memo runs no estimate at all.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,7 +86,8 @@ impl PlanBudget {
 /// How a candidate's mini-batch time was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvalPath {
-    /// The closed-form estimate (budget exhausted or emulator error).
+    /// The closed-form estimate (budget exhausted, deadline passed, or
+    /// emulator error).
     Analytic,
     /// A fresh discrete-event emulation.
     Simulated,
@@ -303,7 +307,7 @@ impl SimSearch {
         Ok(res.total_time)
     }
 
-    /// Sweeps `g` GPUs like [`Planner::sweep`], re-scoring every candidate
+    /// Sweeps `g` GPUs like [`Planner::sweep`], scoring every candidate
     /// with the emulator (subject to budget), and tags each with how its
     /// score was obtained.
     pub fn sweep_scored(
@@ -337,10 +341,27 @@ impl SimSearch {
         sims_left: &mut usize,
     ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
         let calib = planner.calibration();
-        let fingerprint = search_fingerprint(calib);
         let template = ClusterTemplate::from_calibration(calib);
+        self.score_candidates(planner, g, deadline, sims_left, &|cfg: &Config| {
+            Self::simulate_candidate(calib, template, cfg)
+        })
+    }
+
+    /// Scores each of `planner`'s candidates for `g` GPUs exactly once: a
+    /// memo hit, else an emulation through `simulate`, else — only when the
+    /// budget, the deadline or the emulator leaves it unscored — the
+    /// analytic estimate.
+    fn score_candidates(
+        &self,
+        planner: &Planner<'_>,
+        g: usize,
+        deadline: Option<Instant>,
+        sims_left: &mut usize,
+        simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
+    ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
+        let fingerprint = search_fingerprint(planner.calibration());
         let mut scored: Vec<(Config, EvalPath)> = planner
-            .sweep(g)
+            .candidates(g)
             .into_iter()
             .map(|c| (c, EvalPath::Analytic))
             .collect();
@@ -365,7 +386,7 @@ impl SimSearch {
         }
 
         // Budget pass: only the first `sims_left` misses get emulated; the
-        // rest keep their analytic estimate.
+        // rest fall back to their analytic estimate.
         if misses.len() > *sims_left {
             metrics.budget_exhausted = true;
             metrics.analytic_fallbacks += (misses.len() - *sims_left) as u64;
@@ -391,7 +412,7 @@ impl SimSearch {
                         if deadline.is_some_and(|dl| Instant::now() >= dl) {
                             break;
                         }
-                        let outcome = Self::simulate_candidate(calib, template, &miss_cfgs[k]);
+                        let outcome = simulate(&miss_cfgs[k]);
                         *results[k].lock().expect("result slot poisoned") = Some(outcome);
                     });
                 }
@@ -410,8 +431,8 @@ impl SimSearch {
                     memo.insert(MemoKey::of(cfg, fingerprint), t);
                 }
                 Some(Err(_)) => {
-                    // The analytic sweep accepted it but the emulator
-                    // could not run it; keep the analytic score.
+                    // The planner accepted it but the emulator could not
+                    // run it; fall back to the analytic score.
                     *sims_left = sims_left.saturating_sub(1);
                     metrics.analytic_fallbacks += 1;
                 }
@@ -422,6 +443,26 @@ impl SimSearch {
                 }
             }
         }
+        drop(memo);
+
+        // Analytic pass, for the unscored candidates only. One whose
+        // estimate fails is dropped, exactly as `Planner::sweep` drops it.
+        scored.retain_mut(|(cfg, path)| {
+            if *path != EvalPath::Analytic {
+                return true;
+            }
+            match planner.estimate(cfg) {
+                Ok(t) => {
+                    cfg.est_minibatch_time = t;
+                    true
+                }
+                Err(_) => {
+                    metrics.candidates -= 1;
+                    metrics.analytic_fallbacks -= 1;
+                    false
+                }
+            }
+        });
         (scored, metrics)
     }
 
@@ -468,7 +509,7 @@ impl SimSearch {
     /// The emulator-scored counterpart of
     /// [`Planner::best_config_with_fallback`]: the same recovery ladder
     /// (halve the micro-batch to 1, then offload at `m = 1`), with every
-    /// rung's sweep re-scored by the emulator. The budget spans the whole
+    /// rung's sweep scored by the emulator. The budget spans the whole
     /// ladder, not each rung.
     ///
     /// # Errors
@@ -689,6 +730,193 @@ mod tests {
         );
         assert_eq!(ClusterTemplate::Commodity4Gpu.build(6).gpus(), 8);
         assert_eq!(ClusterTemplate::Hypercluster.build(17).gpus(), 32);
+    }
+
+    /// The search as it was before the analytic estimate went lazy:
+    /// `planner.sweep(g)` scores every candidate analytically up front,
+    /// then memo hits and emulations overwrite those scores.
+    fn reference_sweep(
+        search: &SimSearch,
+        planner: &Planner<'_>,
+        g: usize,
+        sims_left: &mut usize,
+        simulate: &dyn Fn(&Config) -> Result<f64, VarunaError>,
+    ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
+        let fingerprint = search_fingerprint(planner.calibration());
+        let mut scored: Vec<(Config, EvalPath)> = planner
+            .sweep(g)
+            .into_iter()
+            .map(|c| (c, EvalPath::Analytic))
+            .collect();
+        let mut metrics = PlanMetrics {
+            candidates: scored.len() as u64,
+            ..PlanMetrics::default()
+        };
+        let mut memo = search.memo.lock().unwrap();
+        let mut misses = Vec::new();
+        for (i, (cfg, path)) in scored.iter_mut().enumerate() {
+            if let Some(&t) = memo.get(&MemoKey::of(cfg, fingerprint)) {
+                cfg.est_minibatch_time = t;
+                *path = EvalPath::Memoized;
+                metrics.memo_hits += 1;
+            } else {
+                misses.push(i);
+            }
+        }
+        if misses.len() > *sims_left {
+            metrics.budget_exhausted = true;
+            metrics.analytic_fallbacks += (misses.len() - *sims_left) as u64;
+            misses.truncate(*sims_left);
+        }
+        for idx in misses {
+            match simulate(&scored[idx].0) {
+                Ok(t) => {
+                    *sims_left -= 1;
+                    metrics.simulated += 1;
+                    let (cfg, path) = &mut scored[idx];
+                    cfg.est_minibatch_time = t;
+                    *path = EvalPath::Simulated;
+                    memo.insert(MemoKey::of(cfg, fingerprint), t);
+                }
+                Err(_) => {
+                    *sims_left = sims_left.saturating_sub(1);
+                    metrics.analytic_fallbacks += 1;
+                }
+            }
+        }
+        (scored, metrics)
+    }
+
+    /// Runs `gs` as consecutive planning events through both the search
+    /// and the reference (each with its own memo), asserting the same
+    /// candidates in the same order, the same paths, bit-identical scores
+    /// and the same counters at every step. Returns the search's results.
+    fn assert_matches_reference(
+        planner: &Planner<'_>,
+        budget: PlanBudget,
+        gs: &[usize],
+        simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
+    ) -> Vec<(Vec<(Config, EvalPath)>, PlanMetrics)> {
+        let search = SimSearch::new(budget).threads(2);
+        let reference = SimSearch::new(budget);
+        let mut out = Vec::new();
+        for &g in gs {
+            let mut left = budget.max_simulations.unwrap_or(usize::MAX);
+            let mut ref_left = left;
+            let (got, metrics) = search.score_candidates(planner, g, None, &mut left, simulate);
+            let (want, ref_metrics) =
+                reference_sweep(&reference, planner, g, &mut ref_left, simulate);
+            let shape = |v: &[(Config, EvalPath)]| -> Vec<_> {
+                v.iter()
+                    .map(|(c, path)| {
+                        let mut c = c.clone();
+                        c.est_minibatch_time = 0.0;
+                        (c, *path)
+                    })
+                    .collect()
+            };
+            let bits = |v: &[(Config, EvalPath)]| -> Vec<u64> {
+                v.iter()
+                    .map(|(c, _)| c.est_minibatch_time.to_bits())
+                    .collect()
+            };
+            assert_eq!(shape(&got), shape(&want), "candidates/paths at g={g}");
+            assert_eq!(bits(&got), bits(&want), "scores at g={g}");
+            assert_eq!(metrics, ref_metrics, "counters at g={g}");
+            assert_eq!(left, ref_left, "budget left at g={g}");
+            assert_eq!(search.memo_len(), reference.memo_len());
+            out.push((got, metrics));
+        }
+        out
+    }
+
+    fn emulate(calib: &Calibration) -> impl Fn(&Config) -> Result<f64, VarunaError> + Sync + '_ {
+        let template = ClusterTemplate::from_calibration(calib);
+        move |cfg: &Config| SimSearch::simulate_candidate(calib, template, cfg)
+    }
+
+    #[test]
+    fn lazy_analytic_scoring_matches_the_eager_reference_under_every_budget() {
+        let calib = setup(24);
+        let planner = Planner::new(&calib.model, &calib)
+            .batch_size(768)
+            .micro_batch(4);
+        // 24 -> 12 -> 24: cold, partly memoized, fully memoized.
+        let gs = [24, 12, 24];
+        for budget in [
+            PlanBudget::unlimited(),
+            PlanBudget::simulations(0),
+            PlanBudget::simulations(3),
+        ] {
+            let runs = assert_matches_reference(&planner, budget, &gs, &emulate(&calib));
+            let paths = |i: usize, want: EvalPath| {
+                runs[i].0.iter().filter(|(_, p)| *p == want).count() as u64
+            };
+            assert!(runs[0].1.candidates > 3);
+            match budget.max_simulations {
+                None => assert_eq!(runs[2].1.memo_hits, runs[2].1.candidates),
+                Some(0) => assert_eq!(paths(0, EvalPath::Analytic), runs[0].1.candidates),
+                Some(n) => assert_eq!(paths(0, EvalPath::Simulated), n as u64),
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_analytic_scoring_matches_the_reference_on_both_fallback_rungs() {
+        // 8.3B does not fit at m = 32 on 16 GPUs: a reduced-m rung carries
+        // the plan.
+        let model = ModelZoo::gpt2_8_3b();
+        let calib = Calibration::profile(&model, &VarunaCluster::commodity_1gpu(128));
+        let planner = Planner::new(&model, &calib).batch_size(64).micro_batch(32);
+        assert!(planner.candidates(16).is_empty());
+        let (_, level) = planner.best_config_with_fallback(16).unwrap();
+        let FallbackLevel::ReducedMicroBatch(m) = level else {
+            panic!("expected a reduced-m rung, got {level:?}");
+        };
+        let reduced = planner.clone().micro_batch(m);
+        let runs =
+            assert_matches_reference(&reduced, PlanBudget::unlimited(), &[16], &emulate(&calib));
+        assert!(runs[0].1.simulated > 0);
+
+        // 200B only fits offloaded at m = 1: the last rung.
+        let model = ModelZoo::gpt2_200b();
+        let calib = Calibration::profile(&model, &VarunaCluster::commodity_1gpu(102));
+        let planner = Planner::new(&model, &calib).batch_size(16).micro_batch(1);
+        let (_, level) = planner.best_config_with_fallback(102).unwrap();
+        assert_eq!(level, FallbackLevel::Offload);
+        let offloaded = planner.clone().offload(true);
+        for budget in [PlanBudget::simulations(0), PlanBudget::simulations(3)] {
+            let runs = assert_matches_reference(&offloaded, budget, &[102], &emulate(&calib));
+            assert!(runs[0].0.iter().all(|(c, _)| c.offload));
+        }
+    }
+
+    #[test]
+    fn a_candidate_the_emulator_rejects_keeps_its_analytic_estimate() {
+        let calib = setup(24);
+        let planner = Planner::new(&calib.model, &calib)
+            .batch_size(768)
+            .micro_batch(4);
+        let real = emulate(&calib);
+        let rejected = planner.candidates(24)[1].p;
+        let flaky = |cfg: &Config| {
+            if cfg.p == rejected {
+                Err(VarunaError::InvalidConfig("emulator rejected".to_string()))
+            } else {
+                real(cfg)
+            }
+        };
+        let runs = assert_matches_reference(&planner, PlanBudget::unlimited(), &[24], &flaky);
+        let (scored, metrics) = &runs[0];
+        assert_eq!(metrics.analytic_fallbacks, 1);
+        assert_eq!(metrics.simulated + 1, metrics.candidates);
+        let (cfg, path) = scored.iter().find(|(c, _)| c.p == rejected).unwrap();
+        assert_eq!(*path, EvalPath::Analytic);
+        let analytic = planner.evaluate(cfg.p, cfg.d).unwrap();
+        assert_eq!(
+            cfg.est_minibatch_time.to_bits(),
+            analytic.est_minibatch_time.to_bits()
+        );
     }
 
     #[test]

@@ -433,6 +433,8 @@ fn needs_rec(disc: Discipline, last: bool) -> bool {
 pub struct VarunaPolicy {
     order: Vec<Op>,
     executed: Vec<bool>,
+    /// Position in `order` of each micro-batch's (first) forward.
+    fwd_at: Vec<Option<usize>>,
     cursor: usize,
     opportunistic: bool,
 }
@@ -446,9 +448,22 @@ impl VarunaPolicy {
     pub fn for_stage(schedule: &StaticSchedule, stage: usize) -> Self {
         let order = schedule.per_stage[stage].clone();
         let executed = vec![false; order.len()];
+        // Forwards run in micro-batch order, so with `F` forwards listed
+        // only micro-batches `0..F` can ever be the next legal forward;
+        // entries beyond that (or repeats) are never looked up.
+        let forwards = order.iter().filter(|o| o.kind == OpKind::Forward).count();
+        let mut fwd_at = vec![None; forwards];
+        for (i, op) in order.iter().enumerate() {
+            if op.kind == OpKind::Forward {
+                if let Some(slot) = fwd_at.get_mut(op.micro) {
+                    slot.get_or_insert(i);
+                }
+            }
+        }
         VarunaPolicy {
             order,
             executed,
+            fwd_at,
             cursor: 0,
             opportunistic: true,
         }
@@ -505,21 +520,17 @@ impl SchedulePolicy for VarunaPolicy {
         }
         // The designated op is blocked: opportunistic deviation, restricted
         // to forwards (paper §3.2). The strict ablation variant idles
-        // instead.
-        if !self.opportunistic {
+        // instead. Forwards run in micro-batch order, so the only forward
+        // that can be legal is the one for `forwards_done`.
+        if !self.opportunistic || !view.forward_ready() {
             return None;
         }
-        for i in self.cursor + 1..self.order.len() {
-            if self.executed[i] {
-                continue;
-            }
-            let op = self.order[i];
-            if op.kind == OpKind::Forward && view.is_legal(op) {
-                self.executed[i] = true;
-                return Some(op);
-            }
+        let i = self.fwd_at.get(view.forwards_done).copied().flatten()?;
+        if self.executed[i] {
+            return None;
         }
-        None
+        self.executed[i] = true;
+        Some(self.order[i])
     }
 }
 
@@ -648,6 +659,41 @@ mod tests {
             Box::new(VarunaPolicy::strict_for_stage(&s, stage))
         });
         assert_eq!(s.per_stage, replayed.per_stage);
+    }
+
+    #[test]
+    fn malformed_orders_do_not_panic_the_policy() {
+        // Forward 0 listed twice, forward 1 missing, forward 7 beyond the
+        // mini-batch: the opportunistic lookup must stay in bounds.
+        let f = |m| Op::new(OpKind::Forward, m);
+        let schedule = StaticSchedule {
+            p: 1,
+            n_micro: 2,
+            per_stage: vec![vec![f(0), f(0), f(7), Op::new(OpKind::Backward, 0)]],
+            makespan: 0.0,
+        };
+        let mut policy = VarunaPolicy::for_stage(&schedule, 0);
+        let no = [false; 2];
+        let view = |forwards_done| StageView {
+            stage: 0,
+            p: 1,
+            last_stage: true,
+            n_micro: 2,
+            forwards_done,
+            next_forward_ready: true,
+            grads_ready: &no,
+            recomputes_done: &no,
+            backwards_done: &no,
+            live_acts: None,
+            pending_recompute: None,
+            stash_len: 0,
+            stash_window: usize::MAX,
+            recompute_enabled: false,
+        };
+        assert_eq!(policy.pick(&view(0)), Some(f(0)));
+        for forwards_done in [1, 2, 7] {
+            assert_eq!(policy.pick(&view(forwards_done)), None);
+        }
     }
 
     #[test]
