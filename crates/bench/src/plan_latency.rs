@@ -158,7 +158,7 @@ mod tests {
             "memoized repeat not faster ({:.2}x)",
             row.memo_speedup
         );
-        let rep = report(&[row.clone()]);
+        let rep = report(std::slice::from_ref(&row));
         assert!(rep.is_current_schema());
         assert_eq!(rep.summary["min_memo_speedup"], row.memo_speedup);
     }

@@ -112,16 +112,16 @@ pub fn tiled_trace(tiles: usize) -> Vec<Event> {
     let mut tile: Vec<Event> = Vec::new();
     let mut tile_end = 0.0f64;
     for r in 0..D {
-        let mut lane_free = vec![0.0f64; P];
-        let mut f_end = vec![vec![0.0f64; N_MICRO]; P];
-        let mut b_end = vec![vec![0.0f64; N_MICRO]; P];
-        for m in 0..N_MICRO {
+        let mut lane_free = [0.0f64; P];
+        let mut f_end = vec![vec![0.0f64; P]; N_MICRO];
+        let mut b_end = vec![vec![0.0f64; P]; N_MICRO];
+        for (m, f_row) in f_end.iter_mut().enumerate() {
             for s in 0..P {
-                let dep = if s == 0 { 0.0 } else { f_end[s - 1][m] };
+                let dep = if s == 0 { 0.0 } else { f_row[s - 1] };
                 let start = lane_free[s].max(dep);
                 let end = start + fwd[s];
                 lane_free[s] = end;
-                f_end[s][m] = end;
+                f_row[s] = end;
                 tile.push(Event::exec(
                     end,
                     EventKind::OpEnd {
@@ -137,14 +137,14 @@ pub fn tiled_trace(tiles: usize) -> Vec<Event> {
         for m in 0..N_MICRO {
             for s in (0..P).rev() {
                 let dep = if s == P - 1 {
-                    f_end[s][m]
+                    f_end[m][s]
                 } else {
-                    b_end[s + 1][m]
+                    b_end[m][s + 1]
                 };
                 let start = lane_free[s].max(dep);
                 let end = start + bwd[s];
                 lane_free[s] = end;
-                b_end[s][m] = end;
+                b_end[m][s] = end;
                 tile.push(Event::exec(
                     end,
                     EventKind::OpEnd {
@@ -232,7 +232,7 @@ pub fn run(target_events: usize) -> StreamBench {
         prof.observe(e);
     }
     let partial = prof.into_partial();
-    let counters = partial.counters().clone();
+    let counters = *partial.counters();
     let streamed = partial.into_report().to_json();
     let stream_eps = n as f64 / t0.elapsed().as_secs_f64();
 

@@ -588,7 +588,7 @@ mod tests {
         );
         assert_eq!(
             digest_control_events(&[r.clone(), a.clone()]),
-            digest_control_events(&[a.clone()]),
+            digest_control_events(std::slice::from_ref(&a)),
             "recovery-sourced events must not affect the control digest"
         );
         assert_ne!(digest_events(&[r, a.clone()]), digest_events(&[a]));

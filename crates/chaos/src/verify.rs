@@ -138,15 +138,11 @@ pub fn check_invariants(events: &[Event]) -> Vec<String> {
                     ));
                 }
             }
-            EventKind::VmExcluded { vm, .. } => {
-                if !excluded.insert(*vm) {
-                    violations.push(format!("event {i}: VM {vm} excluded twice"));
-                }
+            EventKind::VmExcluded { vm, .. } if !excluded.insert(*vm) => {
+                violations.push(format!("event {i}: VM {vm} excluded twice"));
             }
-            EventKind::VmReadmitted { vm } => {
-                if !excluded.remove(vm) {
-                    violations.push(format!("event {i}: VM {vm} readmitted but not excluded"));
-                }
+            EventKind::VmReadmitted { vm } if !excluded.remove(vm) => {
+                violations.push(format!("event {i}: VM {vm} readmitted but not excluded"));
             }
             EventKind::Preemption { vm } => {
                 // A preempted VM's exclusion episode ends with the VM.
@@ -188,33 +184,27 @@ pub fn check_invariants(events: &[Event]) -> Vec<String> {
                     ));
                 }
             }
-            EventKind::CheckpointFallback { from_step, to_step } => {
-                if to_step > from_step {
-                    violations.push(format!(
-                        "event {i}: fallback advances the durable point \
-                         ({from_step} -> {to_step})"
-                    ));
-                }
+            EventKind::CheckpointFallback { from_step, to_step } if to_step > from_step => {
+                violations.push(format!(
+                    "event {i}: fallback advances the durable point \
+                     ({from_step} -> {to_step})"
+                ));
             }
             EventKind::PlanSearch {
                 candidates,
                 simulated,
                 memo_hits,
                 analytic_fallbacks,
-            } => {
-                if simulated + memo_hits + analytic_fallbacks != *candidates {
-                    violations.push(format!(
-                        "event {i}: plan search loses candidates \
-                         ({simulated} + {memo_hits} + {analytic_fallbacks} != {candidates})"
-                    ));
-                }
+            } if simulated + memo_hits + analytic_fallbacks != *candidates => {
+                violations.push(format!(
+                    "event {i}: plan search loses candidates \
+                     ({simulated} + {memo_hits} + {analytic_fallbacks} != {candidates})"
+                ));
             }
             EventKind::MorphRetry {
                 backoff_seconds, ..
-            } => {
-                if !(backoff_seconds.is_finite() && *backoff_seconds > 0.0) {
-                    violations.push(format!("event {i}: bad retry backoff {backoff_seconds}"));
-                }
+            } if !(backoff_seconds.is_finite() && *backoff_seconds > 0.0) => {
+                violations.push(format!("event {i}: bad retry backoff {backoff_seconds}"));
             }
             _ => {}
         }

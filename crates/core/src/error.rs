@@ -2,6 +2,8 @@
 
 use varuna_exec::oom::OomError;
 
+use crate::wal::WalError;
+
 /// Errors surfaced by planning, calibration, and job management.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VarunaError {
@@ -16,6 +18,9 @@ pub enum VarunaError {
     OutOfMemory(OomError),
     /// The requested configuration is shape-invalid.
     InvalidConfig(String),
+    /// A write-ahead log being recovered does not match the run replaying
+    /// it (see [`crate::wal::WalError::Diverged`]).
+    Wal(WalError),
 }
 
 impl std::fmt::Display for VarunaError {
@@ -26,11 +31,18 @@ impl std::fmt::Display for VarunaError {
             }
             VarunaError::OutOfMemory(e) => write!(f, "{e}"),
             VarunaError::InvalidConfig(s) => write!(f, "invalid configuration: {s}"),
+            VarunaError::Wal(e) => write!(f, "write-ahead log: {e}"),
         }
     }
 }
 
 impl std::error::Error for VarunaError {}
+
+impl From<WalError> for VarunaError {
+    fn from(e: WalError) -> Self {
+        VarunaError::Wal(e)
+    }
+}
 
 impl From<OomError> for VarunaError {
     fn from(e: OomError) -> Self {

@@ -4,9 +4,9 @@
 //! replaying a cluster trace ([`Manager::replay_on_bus`]). Under a fleet
 //! control plane the *arbiter* owns capacity: it leases and revokes VMs
 //! across jobs, and drives each job's grow/shrink morphs by calling
-//! [`Manager::on_external_capacity`] with the capacity it decided. The
-//! hook runs the same plan/degrade/recover machine as trace replay and
-//! emits the same event vocabulary, so downstream consumers (timeline
+//! [`Manager::on_external_capacity_walled`] with the capacity it decided.
+//! The hook runs the same plan/degrade/recover machine as trace replay
+//! and emits the same event vocabulary, so downstream consumers (timeline
 //! collectors, the profiler, the chaos invariant checkers) cannot tell
 //! the two drivers apart.
 
@@ -14,7 +14,7 @@ use varuna_obs::EventBus;
 
 use super::Manager;
 use crate::morph::MorphDecision;
-use crate::wal::{ManagerWal, WalIo};
+use crate::wal::WalIo;
 
 impl Manager<'_> {
     /// Applies an externally arbitrated capacity level of `gpus` at
@@ -28,36 +28,16 @@ impl Manager<'_> {
     /// [`super::ManagerState::Degraded`] exactly like trace replay; the
     /// caller retries by calling again at a later `t_hours`.
     ///
-    /// The method is deterministic: same call sequence, same events. Runs
-    /// against a throwaway write-ahead log; fleet control planes that
-    /// need crash recovery call
-    /// [`Manager::on_external_capacity_walled`] instead.
-    pub fn on_external_capacity(
-        &mut self,
-        t_hours: f64,
-        gpus: usize,
-        step: u64,
-        durable_step: u64,
-        bus: &mut EventBus,
-    ) -> Option<MorphDecision> {
-        self.on_external_capacity_walled(
-            t_hours,
-            gpus,
-            step,
-            durable_step,
-            bus,
-            &mut ManagerWal::new(),
-        )
-    }
-
-    /// [`Manager::on_external_capacity`] driven through a write-ahead
-    /// log: pending plan-attempt records for this job replay from the log
-    /// (crash recovery), and fresh decisions are appended to it before
-    /// their events are emitted.
+    /// The attempt runs through a write-ahead log: pending plan-attempt
+    /// records for this job replay from the log (crash recovery), and
+    /// fresh decisions are appended to it before their events are
+    /// emitted. `wal` is any [`WalIo`] view — a [`crate::ManagerWal`] for
+    /// a single job (a fresh one when no recovery is needed), or a fleet
+    /// log's per-job view that interleaves records from many jobs into
+    /// one shared sequence. A log that disagrees with the call sequence
+    /// records the divergence in the log itself ([`crate::Wal::check`]).
     ///
-    /// `wal` is any [`WalIo`] view — a [`ManagerWal`] for a single job,
-    /// or a fleet log's per-job view that interleaves records from many
-    /// jobs into one shared sequence.
+    /// The method is deterministic: same call sequence, same events.
     pub fn on_external_capacity_walled<W: WalIo>(
         &mut self,
         t_hours: f64,
@@ -67,21 +47,15 @@ impl Manager<'_> {
         bus: &mut EventBus,
         wal: &mut W,
     ) -> Option<MorphDecision> {
-        // Take/put the episode marker so the walled step can hold it
-        // mutably alongside `self`.
-        let mut since = self.ext_degraded_since.take();
-        let attempt = self.walled_plan_attempt(
+        self.walled_plan_attempt(
             t_hours,
             gpus,
-            step,
-            durable_step,
+            (step, durable_step),
             "arbiter allocated zero GPUs",
-            &mut since,
             wal,
             bus,
-        );
-        self.ext_degraded_since = since;
-        attempt.decision
+        )
+        .decision
     }
 }
 
@@ -92,6 +66,7 @@ mod tests {
 
     use crate::calibrate::Calibration;
     use crate::manager::{Manager, ManagerState};
+    use crate::wal::ManagerWal;
     use crate::VarunaCluster;
 
     fn calib() -> Calibration {
@@ -104,23 +79,28 @@ mod tests {
         let mut mgr = Manager::new(&c, 8192, 4).with_fallback();
         let sink = VecSink::new();
         let mut bus = EventBus::with_sink(Box::new(sink.clone()));
+        let mut wal = ManagerWal::new();
 
-        let d1 = mgr.on_external_capacity(0.0, 64, 0, 0, &mut bus);
+        let d1 = mgr.on_external_capacity_walled(0.0, 64, 0, 0, &mut bus, &mut wal);
         assert!(d1.as_ref().is_some_and(|d| d.reconfigured));
         assert_eq!(mgr.state(), ManagerState::Running);
         assert!(mgr.current_config().is_some());
 
         // The arbiter takes everything away: degraded, job suspended.
-        assert!(mgr.on_external_capacity(1.0, 0, 10, 8, &mut bus).is_none());
+        assert!(mgr
+            .on_external_capacity_walled(1.0, 0, 10, 8, &mut bus, &mut wal)
+            .is_none());
         assert_eq!(mgr.state(), ManagerState::Degraded);
         assert!(mgr.current_config().is_none());
 
         // Still degraded on a second zero-capacity round: one enter event,
         // two retries.
-        assert!(mgr.on_external_capacity(1.5, 0, 10, 8, &mut bus).is_none());
+        assert!(mgr
+            .on_external_capacity_walled(1.5, 0, 10, 8, &mut bus, &mut wal)
+            .is_none());
 
         // Capacity returns: exit prices the full pause.
-        let d2 = mgr.on_external_capacity(2.0, 36, 10, 8, &mut bus);
+        let d2 = mgr.on_external_capacity_walled(2.0, 36, 10, 8, &mut bus, &mut wal);
         assert!(d2.is_some());
         assert_eq!(mgr.state(), ManagerState::Running);
 
@@ -156,8 +136,16 @@ mod tests {
             let mut mgr = Manager::new(&c, 8192, 4).with_fallback();
             let sink = VecSink::new();
             let mut bus = EventBus::with_sink(Box::new(sink.clone()));
+            let mut wal = ManagerWal::new();
             for (i, &g) in [64usize, 40, 0, 0, 72, 36].iter().enumerate() {
-                mgr.on_external_capacity(i as f64 * 0.5, g, i as u64 * 4, i as u64 * 2, &mut bus);
+                mgr.on_external_capacity_walled(
+                    i as f64 * 0.5,
+                    g,
+                    i as u64 * 4,
+                    i as u64 * 2,
+                    &mut bus,
+                    &mut wal,
+                );
             }
             sink.take()
         };
@@ -170,8 +158,11 @@ mod tests {
         let mut mgr = Manager::new(&c, 8192, 4);
         let sink = VecSink::new();
         let mut bus = EventBus::with_sink(Box::new(sink.clone()));
-        mgr.on_external_capacity(0.0, 64, 0, 0, &mut bus);
-        let again = mgr.on_external_capacity(0.5, 64, 4, 4, &mut bus).unwrap();
+        let mut wal = ManagerWal::new();
+        mgr.on_external_capacity_walled(0.0, 64, 0, 0, &mut bus, &mut wal);
+        let again = mgr
+            .on_external_capacity_walled(0.5, 64, 4, 4, &mut bus, &mut wal)
+            .unwrap();
         assert!(!again.reconfigured);
         let morphs: Vec<bool> = sink
             .take()

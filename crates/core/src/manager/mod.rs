@@ -13,7 +13,13 @@
 //! - [`timeline`](self): the [`TimelinePoint`] samples and
 //!   [`ManagerState`] machine states,
 //! - `heartbeats`: fail-stutter detection and re-admission,
-//! - `replay`: the discrete-event trace replay and recovery loop.
+//! - `replay`: the discrete-event trace replay and recovery loop,
+//! - `external`: the fleet-arbiter hook, the second driver,
+//! - `walled`: the plan/degrade/recover attempt both drivers share.
+//!
+//! Every decision takes one path: build its [`crate::WalRecord`], replay
+//! or append it through the write-ahead log, apply its state effect, then
+//! emit the event [`crate::WalRecord::event`] maps it to.
 //!
 //! # Recovery state machine
 //!
@@ -29,9 +35,12 @@
 //!      └──── backoff reset, paused time priced) ◀────┘ backoff
 //! ```
 //!
-//! While `Degraded`, training is paused (no progress, no checkpoints) and
-//! replanning retries follow [`MorphBackoff`]'s exponential schedule, plus
-//! an immediate retry whenever new trace events arrive. Heartbeat silence
+//! The episode's start is one clock, shared by both drivers and moved only
+//! by applying `DegradedEnter`/`DegradedExit` records; trace replay resets
+//! it on entry. While `Degraded`, training is paused (no progress, no
+//! checkpoints) and replanning retries follow [`MorphBackoff`]'s
+//! exponential schedule, plus an immediate retry whenever new trace
+//! events arrive. Heartbeat silence
 //! is tolerated for a grace window before the VM is treated as lost
 //! ([`GracePolicy::silence_grace_seconds`]), and silent VMs that resume
 //! are re-admitted. Checkpoint writes during a storage outage fail (the
@@ -72,10 +81,9 @@ pub struct Manager<'a> {
     excluded: Vec<VmId>,
     miss_streak: BTreeMap<VmId, u32>,
     healthy_streak: BTreeMap<VmId, u32>,
-    /// When the current externally-driven degraded episode began (hours),
-    /// used only by [`Manager::on_external_capacity`] — trace replay keeps
-    /// its own episode clock local to the replay loop.
-    ext_degraded_since: Option<f64>,
+    /// When the current degraded episode began (hours) — the one episode
+    /// clock both drivers share. Trace replay resets it on entry.
+    degraded_since: Option<f64>,
 }
 
 impl<'a> Manager<'a> {
@@ -91,7 +99,7 @@ impl<'a> Manager<'a> {
             excluded: Vec::new(),
             miss_streak: BTreeMap::new(),
             healthy_streak: BTreeMap::new(),
-            ext_degraded_since: None,
+            degraded_since: None,
         }
     }
 

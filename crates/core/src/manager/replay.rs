@@ -1,10 +1,11 @@
 //! Discrete-event trace replay: morphing, checkpointing, and recovery.
 //!
 //! Every externally visible control decision flows through a
-//! [`ManagerWal`]: the record is appended (durably, in a real
-//! deployment) *before* its event is emitted, and
-//! [`Manager::recover_on_bus`] rebuilds a killed run by replaying the
-//! log prefix against the same trace — see DESIGN.md §6h.
+//! [`ManagerWal`] along one path: build the [`WalRecord`], replay or
+//! append it ([`crate::wal::Wal::step`]), apply its state effect, then
+//! emit [`WalRecord::event`]. [`Manager::recover_on_bus`] rebuilds a
+//! killed run by replaying the log prefix against the same trace — see
+//! DESIGN.md §6h.
 
 use std::collections::{BTreeMap, BTreeSet};
 use varuna_cluster::trace::{ClusterEventKind, ClusterTrace};
@@ -12,32 +13,146 @@ use varuna_obs::{Event, EventBus, EventKind};
 
 use varuna_exec::{BackgroundLane, LaneCharge};
 
+use super::walled::AttemptAt;
 use super::{Manager, ManagerState, TimelinePoint};
-use crate::checkpoint::{CheckpointError, CheckpointKind, PartialWrite};
+use crate::checkpoint::{CheckpointKind, PartialWrite};
 use crate::error::VarunaError;
 use crate::observe::TimelineCollector;
-use crate::wal::{ManagerWal, RecoveryReport, WalRecord, REPLAY_SECONDS_PER_RECORD};
+use crate::planner::Config;
+use crate::wal::{ManagerWal, RecoveryReport, WalError, WalRecord};
 
-/// Replays the next pending WAL record at a decision site, or computes
-/// the decision live and logs it first. A pending record that fails
-/// `expect` means the deterministic decision loop diverged from the log
-/// — a bug, caught loudly in debug builds.
-fn wal_step(
-    wal: &mut ManagerWal,
-    expect: fn(&WalRecord) -> bool,
-    live: impl FnOnce() -> WalRecord,
-) -> WalRecord {
-    if let Some(rec) = wal.replay_next_if(expect) {
-        return rec;
+/// The trace-replay loop's own state; the manager holds the rest (plan,
+/// backoff, degraded-episode clock).
+#[derive(Default)]
+struct ReplayState {
+    /// GPUs granted per VM.
+    held: BTreeMap<u64, usize>,
+    /// VMs omitted from scheduling as fail-stutter outliers.
+    stuttering: BTreeSet<u64>,
+    /// Silent-but-still-granted VMs and when their silence began.
+    silent_since: BTreeMap<u64, f64>,
+    /// Silent VMs whose grace window expired: treated as lost capacity.
+    lost_to_silence: BTreeSet<u64>,
+    storage_outage: bool,
+    /// Mini-batch progress; monotone, never rolled back.
+    step: f64,
+    /// Schedule pointer for periodic checkpoints (interval multiples).
+    last_ckpt_step: u64,
+    /// The step a resume would actually restart from.
+    durable_step: u64,
+    /// Periodic/proactive checkpoints committed; the next one's 1-based
+    /// ordinal, minus one, feeds `CheckpointPolicy::kind_for`'s cadence.
+    ckpt_ordinal: u64,
+    /// Step of the newest durable *full* checkpoint — the anchor every
+    /// delta chains to, and the fallback for a torn delta.
+    last_full_step: u64,
+    /// Overlapped-write lane (paper §4.5): with `overlap_writes` the
+    /// foreground pays only the backpressure stall; the write itself
+    /// drains behind compute. Restored identically from replayed
+    /// records, so recovery preserves the lane horizon.
+    lane: BackgroundLane,
+    /// The previous action point, hours.
+    last_t: f64,
+    next_retry_at: Option<f64>,
+    grace_wakeups: Vec<f64>,
+}
+
+impl ReplayState {
+    /// Replays or logs one decision at a trace-replay site at `t_hours`
+    /// (a pending record must be of the `kind` the site makes, logged at
+    /// that time), applies its effect on the loop's checkpoint anchors,
+    /// and emits its event.
+    fn decide(
+        &mut self,
+        wal: &mut ManagerWal,
+        bus: &mut EventBus,
+        t_hours: f64,
+        kind: fn(&WalRecord) -> bool,
+        live: impl FnOnce(&mut Self) -> WalRecord,
+    ) -> Result<(), WalError> {
+        let rec = wal.step(|r| kind(r) && r.t_hours() == t_hours, || live(self))?;
+        match rec {
+            WalRecord::Checkpoint {
+                t_hours,
+                step,
+                write_seconds,
+                overlapped_seconds,
+                kind,
+                ..
+            } => {
+                self.durable_step = self.durable_step.max(step);
+                self.ckpt_ordinal += 1;
+                if kind.is_full() {
+                    self.last_full_step = self.last_full_step.max(step);
+                }
+                // Idempotent with a live `submit`: either path leaves the
+                // lane draining at `t + stall + overlapped`.
+                self.lane.restore(
+                    t_hours * 3600.0,
+                    LaneCharge {
+                        stall_seconds: write_seconds,
+                        overlapped_seconds,
+                    },
+                );
+            }
+            WalRecord::DeltaFlush { step, .. } => self.durable_step = self.durable_step.max(step),
+            WalRecord::CheckpointFallback { to_step, .. } => self.durable_step = to_step,
+            _ => {}
+        }
+        bus.emit_with(|| rec.event());
+        Ok(())
     }
-    debug_assert!(
-        !wal.replaying(),
-        "WAL replay diverged from the decision loop at {:?}",
-        wal.peek()
-    );
-    let rec = live();
-    wal.append(rec.clone());
-    rec
+
+    /// The newest checkpoint stopped short mid-write (`expected` bytes,
+    /// `fraction` landed): surface the typed partial write, then fall
+    /// back to `to_step`.
+    fn torn(
+        &mut self,
+        wal: &mut ManagerWal,
+        bus: &mut EventBus,
+        t: f64,
+        expected: u64,
+        fraction: f64,
+        to_step: u64,
+    ) -> Result<(), WalError> {
+        self.decide(
+            wal,
+            bus,
+            t,
+            |r| matches!(r, WalRecord::CheckpointTorn { .. }),
+            |rs| WalRecord::CheckpointTorn {
+                t_hours: t,
+                step: rs.durable_step,
+                partial: PartialWrite {
+                    bytes_written: (expected as f64 * fraction.clamp(0.0, 1.0)) as u64,
+                    bytes_expected: expected,
+                },
+            },
+        )?;
+        self.fall_back(wal, bus, t, to_step)
+    }
+
+    /// The durable point falls back to `to_step` (corrupt or torn newest
+    /// checkpoint).
+    fn fall_back(
+        &mut self,
+        wal: &mut ManagerWal,
+        bus: &mut EventBus,
+        t: f64,
+        to_step: u64,
+    ) -> Result<(), WalError> {
+        self.decide(
+            wal,
+            bus,
+            t,
+            |r| matches!(r, WalRecord::CheckpointFallback { .. }),
+            |rs| WalRecord::CheckpointFallback {
+                t_hours: t,
+                from_step: rs.durable_step,
+                to_step,
+            },
+        )
+    }
 }
 
 impl Manager<'_> {
@@ -45,11 +160,59 @@ impl Manager<'_> {
     /// `cfg` — the policy's local-SSD cost model over this config's
     /// per-stage shard. Infeasible inputs price as zero rather than
     /// failing the replay.
-    fn checkpoint_write_seconds(&self, cfg: &crate::planner::Config) -> f64 {
+    fn checkpoint_write_seconds(&self, cfg: &Config) -> f64 {
         let stage_params = self.morph.calibration().model.total_params() / cfg.p.max(1) as u64;
         self.checkpoint
             .pause_seconds(stage_params, cfg.d)
             .unwrap_or(0.0)
+    }
+
+    /// Bytes of one full checkpoint of the model.
+    fn checkpoint_bytes(&self) -> u64 {
+        self.morph
+            .calibration()
+            .model
+            .total_params()
+            .saturating_mul(16)
+    }
+
+    /// A periodic (or, on an eviction notice, proactive) checkpoint of
+    /// `cfg` covering `step` at `t_hours`: full or delta per the policy's
+    /// cadence, its write priced in the foreground or on the overlapped
+    /// lane.
+    fn checkpoint_record(
+        &self,
+        rs: &mut ReplayState,
+        cfg: &Config,
+        t_hours: f64,
+        step: u64,
+        gpus_held: usize,
+        proactive: bool,
+    ) -> WalRecord {
+        let kind = self
+            .checkpoint
+            .kind_for(rs.ckpt_ordinal + 1, rs.last_full_step);
+        let cost = self.checkpoint_write_seconds(cfg) * self.checkpoint.write_fraction(kind);
+        let (write_seconds, overlapped_seconds) = if self.checkpoint.overlap_writes {
+            let c = rs.lane.submit(t_hours * 3600.0, cost);
+            (c.stall_seconds, c.overlapped_seconds)
+        } else {
+            (cost, 0.0)
+        };
+        WalRecord::Checkpoint {
+            t_hours,
+            step,
+            gpus_held,
+            gpus_used: cfg.gpus_used(),
+            p: cfg.p,
+            d: cfg.d,
+            examples_per_sec: cfg.throughput(),
+            examples_per_sec_per_gpu: cfg.throughput_per_gpu(),
+            write_seconds,
+            overlapped_seconds,
+            kind,
+            proactive,
+        }
     }
 
     /// Replays a cluster trace, morphing on every capacity change, and
@@ -108,19 +271,14 @@ impl Manager<'_> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Manager::replay_on_bus`].
+    /// Same contract as [`Manager::replay_walled`].
     pub fn recover_on_bus(
         &mut self,
         trace: &ClusterTrace,
         bus: &mut EventBus,
         wal: &mut ManagerWal,
     ) -> Result<RecoveryReport, VarunaError> {
-        let report = RecoveryReport {
-            replayed_records: wal.remaining(),
-            torn: wal.torn(),
-            dropped_bytes: wal.dropped_bytes(),
-            replay_seconds: wal.remaining() as f64 * REPLAY_SECONDS_PER_RECORD,
-        };
+        let report = wal.recovery_report();
         self.replay_walled(trace, bus, wal)?;
         Ok(report)
     }
@@ -150,7 +308,9 @@ impl Manager<'_> {
     ///
     /// Infeasible capacity parks the manager in
     /// [`ManagerState::Degraded`] rather than failing; errors are
-    /// reserved for invalid inputs.
+    /// reserved for invalid inputs and for a log that does not belong to
+    /// this run ([`VarunaError::Wal`] wrapping
+    /// [`WalError::Diverged`]).
     pub fn replay_walled(
         &mut self,
         trace: &ClusterTrace,
@@ -161,58 +321,13 @@ impl Manager<'_> {
         // prefix is priced as control-plane downtime, tagged
         // `Source::Recovery` so digests of the *decision* stream are
         // unaffected.
-        let pending = wal.remaining();
-        if pending > 0 || wal.torn().is_some() {
-            let crash_t_sec = wal
-                .records()
-                .last()
-                .map(|r| r.t_hours() * 3600.0)
-                .unwrap_or(0.0);
-            let torn = wal.torn().is_some();
-            let dropped_bytes = wal.dropped_bytes();
-            bus.emit_with(|| {
-                Event::recovery(
-                    crash_t_sec,
-                    EventKind::RecoveryReplay {
-                        wal_records: pending as u64,
-                        torn,
-                        dropped_bytes,
-                        replay_seconds: pending as f64 * REPLAY_SECONDS_PER_RECORD,
-                    },
-                )
-            });
-        }
+        wal.announce_recovery(bus, WalRecord::t_hours);
 
-        let mut held: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut stuttering: BTreeSet<u64> = BTreeSet::new();
-        // Silent-but-still-granted VMs and when their silence began.
-        let mut silent_since: BTreeMap<u64, f64> = BTreeMap::new();
-        // Silent VMs whose grace window expired: treated as lost capacity.
-        let mut lost_to_silence: BTreeSet<u64> = BTreeSet::new();
-        let mut storage_outage = false;
-        let mut step: f64 = 0.0;
-        // Schedule pointer for periodic checkpoints (interval multiples).
-        let mut last_ckpt_step: u64 = 0;
-        // The step a resume would actually restart from.
-        let mut durable_step: u64 = 0;
-        // 1-based ordinal of the next periodic/proactive write, input to
-        // `CheckpointPolicy::kind_for`'s full/delta cadence.
-        let mut ckpt_ordinal: u64 = 0;
-        // Step of the newest durable *full* checkpoint — the anchor every
-        // delta chains to, and the fallback for a torn delta.
-        let mut last_full_step: u64 = 0;
-        // Overlapped-write lane (paper §4.5): with `overlap_writes` the
-        // foreground pays only the backpressure stall; the write itself
-        // drains behind compute. Restored identically from replayed
-        // records, so recovery preserves the lane horizon.
-        let mut lane = BackgroundLane::new();
-        let mut last_t = 0.0f64;
-        let mut degraded_since: Option<f64> = None;
-        let mut next_retry_at: Option<f64> = None;
-        let mut grace_wakeups: Vec<f64> = Vec::new();
+        let mut rs = ReplayState::default();
         let duration = trace.duration_hours;
         let grace_hours = self.grace.silence_grace_seconds / 3600.0;
         self.state = ManagerState::Running;
+        self.degraded_since = None;
 
         let mut i = 0;
         loop {
@@ -221,12 +336,12 @@ impl Manager<'_> {
             if i < trace.events.len() {
                 t = trace.events[i].time_hours;
             }
-            for &w in &grace_wakeups {
+            for &w in &rs.grace_wakeups {
                 if w < t {
                     t = w;
                 }
             }
-            if let Some(r) = next_retry_at {
+            if let Some(r) = rs.next_retry_at {
                 if r < t {
                     t = r;
                 }
@@ -239,127 +354,46 @@ impl Manager<'_> {
             // config, emitting periodic checkpoint markers. During a
             // storage outage the write fails and the durable step stays.
             if let Some(cfg) = self.morph.current().cloned() {
-                let dt_sec = (t - last_t) * 3600.0;
-                let steps_done = dt_sec / cfg.est_minibatch_time;
-                step += steps_done;
+                let last_t = rs.last_t;
+                let steps_done = (t - last_t) * 3600.0 / cfg.est_minibatch_time;
+                rs.step += steps_done;
                 let interval = self.checkpoint.interval_minibatches;
-                while step as u64 >= last_ckpt_step + interval {
-                    last_ckpt_step += interval;
+                while rs.step as u64 >= rs.last_ckpt_step + interval {
+                    rs.last_ckpt_step += interval;
+                    let s = rs.last_ckpt_step;
                     let t_ckpt = last_t
                         + (t - last_t)
-                            * ((last_ckpt_step as f64 - (step - steps_done))
-                                / steps_done.max(1e-9));
-                    if storage_outage {
-                        let rec = wal_step(
+                            * ((s as f64 - (rs.step - steps_done)) / steps_done.max(1e-9));
+                    if rs.storage_outage {
+                        rs.decide(
                             wal,
+                            bus,
+                            t_ckpt,
                             |r| matches!(r, WalRecord::CheckpointFailed { .. }),
-                            || WalRecord::CheckpointFailed {
+                            |_| WalRecord::CheckpointFailed {
                                 t_hours: t_ckpt,
-                                step: last_ckpt_step,
+                                step: s,
                             },
-                        );
-                        if let WalRecord::CheckpointFailed {
-                            t_hours: rt,
-                            step: s,
-                        } = rec
-                        {
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointWriteFailed { step: s },
-                                )
-                            });
-                        }
+                        )?;
                     } else {
-                        let rec = wal_step(
+                        let held = rs.held.values().sum();
+                        rs.decide(
                             wal,
+                            bus,
+                            t_ckpt,
                             |r| matches!(r, WalRecord::Checkpoint { .. }),
-                            || {
-                                let kind =
-                                    self.checkpoint.kind_for(ckpt_ordinal + 1, last_full_step);
-                                let cost = self.checkpoint_write_seconds(&cfg)
-                                    * self.checkpoint.write_fraction(kind);
-                                let (write_seconds, overlapped_seconds) =
-                                    if self.checkpoint.overlap_writes {
-                                        let c = lane.submit(t_ckpt * 3600.0, cost);
-                                        (c.stall_seconds, c.overlapped_seconds)
-                                    } else {
-                                        (cost, 0.0)
-                                    };
-                                WalRecord::Checkpoint {
-                                    t_hours: t_ckpt,
-                                    step: last_ckpt_step,
-                                    gpus_held: held.values().sum(),
-                                    gpus_used: cfg.gpus_used(),
-                                    p: cfg.p,
-                                    d: cfg.d,
-                                    examples_per_sec: cfg.throughput(),
-                                    examples_per_sec_per_gpu: cfg.throughput_per_gpu(),
-                                    write_seconds,
-                                    overlapped_seconds,
-                                    kind,
-                                    proactive: false,
-                                }
-                            },
-                        );
-                        if let WalRecord::Checkpoint {
-                            t_hours: rt,
-                            step: s,
-                            gpus_held,
-                            gpus_used,
-                            p,
-                            d,
-                            examples_per_sec,
-                            examples_per_sec_per_gpu,
-                            write_seconds,
-                            overlapped_seconds,
-                            kind,
-                            ..
-                        } = rec
-                        {
-                            durable_step = durable_step.max(s);
-                            ckpt_ordinal += 1;
-                            if kind.is_full() {
-                                last_full_step = last_full_step.max(s);
-                            }
-                            // Idempotent with the live `submit` above:
-                            // either path leaves the lane draining at
-                            // `t + stall + overlapped`.
-                            lane.restore(
-                                rt * 3600.0,
-                                LaneCharge {
-                                    stall_seconds: write_seconds,
-                                    overlapped_seconds,
-                                },
-                            );
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::Checkpoint {
-                                        step: s,
-                                        gpus_held,
-                                        gpus_used,
-                                        p,
-                                        d,
-                                        examples_per_sec,
-                                        examples_per_sec_per_gpu,
-                                        write_seconds,
-                                        overlapped_seconds,
-                                        full: kind.is_full(),
-                                    },
-                                )
-                            });
-                        }
+                            |rs| self.checkpoint_record(rs, &cfg, t_ckpt, s, held, false),
+                        )?;
                     }
                 }
             }
-            last_t = t;
+            rs.last_t = t;
 
             // Snapshot capacity before applying this timestamp's events:
             // proactive checkpoints emitted mid-application must describe
             // the state the active config was planned against, not a
             // half-applied one.
-            let held_before: usize = held.values().sum();
+            let held_before: usize = rs.held.values().sum();
 
             // Apply all trace events at this timestamp.
             let mut applied = false;
@@ -368,13 +402,13 @@ impl Manager<'_> {
                 let e = &trace.events[i];
                 match e.kind {
                     ClusterEventKind::Granted { gpus } => {
-                        held.insert(e.vm, gpus);
+                        rs.held.insert(e.vm, gpus);
                     }
                     ClusterEventKind::Preempted => {
-                        held.remove(&e.vm);
-                        stuttering.remove(&e.vm);
-                        silent_since.remove(&e.vm);
-                        lost_to_silence.remove(&e.vm);
+                        rs.held.remove(&e.vm);
+                        rs.stuttering.remove(&e.vm);
+                        rs.silent_since.remove(&e.vm);
+                        rs.lost_to_silence.remove(&e.vm);
                         self.monitor.forget(e.vm);
                         bus.emit_with(|| {
                             Event::manager(t * 3600.0, EventKind::Preemption { vm: e.vm })
@@ -384,10 +418,10 @@ impl Manager<'_> {
                     // from scheduling; it counts as lost capacity until it
                     // recovers or is replaced.
                     ClusterEventKind::StutterStart { .. } => {
-                        stuttering.insert(e.vm);
+                        rs.stuttering.insert(e.vm);
                     }
                     ClusterEventKind::StutterEnd => {
-                        stuttering.remove(&e.vm);
+                        rs.stuttering.remove(&e.vm);
                     }
                     ClusterEventKind::EvictionNotice { lead_hours } => {
                         bus.emit_with(|| {
@@ -401,302 +435,80 @@ impl Manager<'_> {
                         });
                         // §4.5: use the warning to checkpoint proactively,
                         // moving the durable point up to "now".
-                        if !storage_outage {
-                            if let Some(cfg) = self.morph.current().cloned() {
-                                let at = step as u64;
-                                if at > durable_step {
-                                    let rec = wal_step(
-                                        wal,
-                                        |r| matches!(r, WalRecord::Checkpoint { .. }),
-                                        || {
-                                            let kind = self
-                                                .checkpoint
-                                                .kind_for(ckpt_ordinal + 1, last_full_step);
-                                            let cost = self.checkpoint_write_seconds(&cfg)
-                                                * self.checkpoint.write_fraction(kind);
-                                            let (write_seconds, overlapped_seconds) =
-                                                if self.checkpoint.overlap_writes {
-                                                    let c = lane.submit(t * 3600.0, cost);
-                                                    (c.stall_seconds, c.overlapped_seconds)
-                                                } else {
-                                                    (cost, 0.0)
-                                                };
-                                            WalRecord::Checkpoint {
-                                                t_hours: t,
-                                                step: at,
-                                                gpus_held: held_before,
-                                                gpus_used: cfg.gpus_used(),
-                                                p: cfg.p,
-                                                d: cfg.d,
-                                                examples_per_sec: cfg.throughput(),
-                                                examples_per_sec_per_gpu: cfg.throughput_per_gpu(),
-                                                write_seconds,
-                                                overlapped_seconds,
-                                                kind,
-                                                proactive: true,
-                                            }
-                                        },
-                                    );
-                                    if let WalRecord::Checkpoint {
-                                        t_hours: rt,
-                                        step: s,
-                                        gpus_held,
-                                        gpus_used,
-                                        p,
-                                        d,
-                                        examples_per_sec,
-                                        examples_per_sec_per_gpu,
-                                        write_seconds,
-                                        overlapped_seconds,
-                                        kind,
-                                        ..
-                                    } = rec
-                                    {
-                                        durable_step = durable_step.max(s);
-                                        ckpt_ordinal += 1;
-                                        if kind.is_full() {
-                                            last_full_step = last_full_step.max(s);
-                                        }
-                                        lane.restore(
-                                            rt * 3600.0,
-                                            LaneCharge {
-                                                stall_seconds: write_seconds,
-                                                overlapped_seconds,
-                                            },
-                                        );
-                                        bus.emit_with(|| {
-                                            Event::manager(
-                                                rt * 3600.0,
-                                                EventKind::Checkpoint {
-                                                    step: s,
-                                                    gpus_held,
-                                                    gpus_used,
-                                                    p,
-                                                    d,
-                                                    examples_per_sec,
-                                                    examples_per_sec_per_gpu,
-                                                    write_seconds,
-                                                    overlapped_seconds,
-                                                    full: kind.is_full(),
-                                                },
-                                            )
-                                        });
-                                    }
-                                }
+                        let cfg = self.morph.current().filter(|_| !rs.storage_outage);
+                        if let Some(cfg) = cfg.cloned() {
+                            let s = rs.step as u64;
+                            if s > rs.durable_step {
+                                rs.decide(
+                                    wal,
+                                    bus,
+                                    t,
+                                    |r| matches!(r, WalRecord::Checkpoint { .. }),
+                                    |rs| self.checkpoint_record(rs, &cfg, t, s, held_before, true),
+                                )?;
                             }
                         }
                     }
                     ClusterEventKind::SilenceStart => {
-                        silent_since.insert(e.vm, t);
+                        rs.silent_since.insert(e.vm, t);
                         bus.emit_with(|| {
                             Event::cluster(t * 3600.0, EventKind::SilenceStart { vm: e.vm })
                         });
                         let expiry = t + grace_hours;
                         if expiry <= duration {
-                            grace_wakeups.push(expiry);
+                            rs.grace_wakeups.push(expiry);
                         }
                     }
                     ClusterEventKind::SilenceEnd => {
-                        silent_since.remove(&e.vm);
+                        rs.silent_since.remove(&e.vm);
                         bus.emit_with(|| {
                             Event::cluster(t * 3600.0, EventKind::SilenceEnd { vm: e.vm })
                         });
-                        if lost_to_silence.remove(&e.vm) {
-                            let rec = wal_step(
+                        if rs.lost_to_silence.remove(&e.vm) {
+                            rs.decide(
                                 wal,
+                                bus,
+                                t,
                                 |r| matches!(r, WalRecord::VmReadmitted { .. }),
-                                || WalRecord::VmReadmitted {
+                                |_| WalRecord::VmReadmitted {
                                     t_hours: t,
                                     vm: e.vm,
                                 },
-                            );
-                            if let WalRecord::VmReadmitted { t_hours: rt, vm } = rec {
-                                bus.emit_with(|| {
-                                    Event::manager(rt * 3600.0, EventKind::VmReadmitted { vm })
-                                });
-                            }
+                            )?;
                         }
                     }
                     ClusterEventKind::StorageOutageStart => {
-                        storage_outage = true;
+                        rs.storage_outage = true;
                     }
                     ClusterEventKind::StorageOutageEnd => {
-                        storage_outage = false;
+                        rs.storage_outage = false;
                     }
                     ClusterEventKind::CheckpointCorrupt => {
-                        let rec = wal_step(
-                            wal,
-                            |r| matches!(r, WalRecord::CheckpointFallback { .. }),
-                            || WalRecord::CheckpointFallback {
-                                t_hours: t,
-                                from_step: durable_step,
-                                to_step: durable_step
-                                    .saturating_sub(self.checkpoint.interval_minibatches),
-                            },
-                        );
-                        if let WalRecord::CheckpointFallback {
-                            t_hours: rt,
-                            from_step,
-                            to_step,
-                        } = rec
-                        {
-                            durable_step = to_step;
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointFallback { from_step, to_step },
-                                )
-                            });
-                        }
+                        let to = rs
+                            .durable_step
+                            .saturating_sub(self.checkpoint.interval_minibatches);
+                        rs.fall_back(wal, bus, t, to)?;
                     }
+                    // The newest checkpoint stopped short mid-write: fall
+                    // back one interval exactly like corruption.
                     ClusterEventKind::CheckpointTorn { fraction } => {
-                        // The newest checkpoint stopped short mid-write:
-                        // surface the typed partial write, then fall back
-                        // one interval exactly like corruption.
-                        let rec = wal_step(
-                            wal,
-                            |r| matches!(r, WalRecord::CheckpointTorn { .. }),
-                            || {
-                                let expected = self
-                                    .morph
-                                    .calibration()
-                                    .model
-                                    .total_params()
-                                    .saturating_mul(16);
-                                let written = (expected as f64 * fraction.clamp(0.0, 1.0)) as u64;
-                                let partial =
-                                    match self.checkpoint.validate_write(written, expected) {
-                                        Err(CheckpointError::Torn(p)) => p,
-                                        _ => PartialWrite {
-                                            bytes_written: written,
-                                            bytes_expected: expected,
-                                        },
-                                    };
-                                WalRecord::CheckpointTorn {
-                                    t_hours: t,
-                                    step: durable_step,
-                                    partial,
-                                }
-                            },
-                        );
-                        if let WalRecord::CheckpointTorn {
-                            t_hours: rt,
-                            step: s,
-                            partial,
-                        } = rec
-                        {
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointTorn {
-                                        step: s,
-                                        bytes_written: partial.bytes_written,
-                                        bytes_expected: partial.bytes_expected,
-                                    },
-                                )
-                            });
-                        }
-                        let rec = wal_step(
-                            wal,
-                            |r| matches!(r, WalRecord::CheckpointFallback { .. }),
-                            || WalRecord::CheckpointFallback {
-                                t_hours: t,
-                                from_step: durable_step,
-                                to_step: durable_step
-                                    .saturating_sub(self.checkpoint.interval_minibatches),
-                            },
-                        );
-                        if let WalRecord::CheckpointFallback {
-                            t_hours: rt,
-                            from_step,
-                            to_step,
-                        } = rec
-                        {
-                            durable_step = to_step;
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointFallback { from_step, to_step },
-                                )
-                            });
-                        }
+                        let to = rs
+                            .durable_step
+                            .saturating_sub(self.checkpoint.interval_minibatches);
+                        rs.torn(wal, bus, t, self.checkpoint_bytes(), fraction, to)?;
                     }
+                    // A torn *delta* frame. Detection is identical to a
+                    // torn full write, but the broken chain only
+                    // invalidates the frames past the anchor: the durable
+                    // point falls back to the newest full checkpoint, not
+                    // a whole interval back.
                     ClusterEventKind::DeltaTorn { fraction } => {
-                        // A torn *delta* frame. Detection is identical to
-                        // a torn full write, but the broken chain only
-                        // invalidates the frames past the anchor: the
-                        // durable point falls back to the newest full
-                        // checkpoint, not a whole interval back.
-                        let rec = wal_step(
-                            wal,
-                            |r| matches!(r, WalRecord::CheckpointTorn { .. }),
-                            || {
-                                let full = self
-                                    .morph
-                                    .calibration()
-                                    .model
-                                    .total_params()
-                                    .saturating_mul(16);
-                                let expected = (full as f64
-                                    * self.checkpoint.write_fraction(CheckpointKind::Delta {
-                                        base_step: last_full_step,
-                                    })) as u64;
-                                let written = (expected as f64 * fraction.clamp(0.0, 1.0)) as u64;
-                                let partial =
-                                    match self.checkpoint.validate_write(written, expected) {
-                                        Err(CheckpointError::Torn(p)) => p,
-                                        _ => PartialWrite {
-                                            bytes_written: written,
-                                            bytes_expected: expected,
-                                        },
-                                    };
-                                WalRecord::CheckpointTorn {
-                                    t_hours: t,
-                                    step: durable_step,
-                                    partial,
-                                }
-                            },
-                        );
-                        if let WalRecord::CheckpointTorn {
-                            t_hours: rt,
-                            step: s,
-                            partial,
-                        } = rec
-                        {
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointTorn {
-                                        step: s,
-                                        bytes_written: partial.bytes_written,
-                                        bytes_expected: partial.bytes_expected,
-                                    },
-                                )
-                            });
-                        }
-                        let rec = wal_step(
-                            wal,
-                            |r| matches!(r, WalRecord::CheckpointFallback { .. }),
-                            || WalRecord::CheckpointFallback {
-                                t_hours: t,
-                                from_step: durable_step,
-                                to_step: last_full_step.min(durable_step),
-                            },
-                        );
-                        if let WalRecord::CheckpointFallback {
-                            t_hours: rt,
-                            from_step,
-                            to_step,
-                        } = rec
-                        {
-                            durable_step = to_step;
-                            bus.emit_with(|| {
-                                Event::manager(
-                                    rt * 3600.0,
-                                    EventKind::CheckpointFallback { from_step, to_step },
-                                )
-                            });
-                        }
+                        let expected = (self.checkpoint_bytes() as f64
+                            * self.checkpoint.write_fraction(CheckpointKind::Delta {
+                                base_step: rs.last_full_step,
+                            })) as u64;
+                        let to = rs.last_full_step.min(rs.durable_step);
+                        rs.torn(wal, bus, t, expected, fraction, to)?;
                     }
                 }
                 i += 1;
@@ -704,46 +516,34 @@ impl Manager<'_> {
 
             // Expire silence grace windows due at t: the VM is now treated
             // as lost capacity (exactly once per episode).
-            grace_wakeups.retain(|&w| w > t);
-            let mut newly_lost = false;
-            let expired: Vec<u64> = silent_since
+            rs.grace_wakeups.retain(|&w| w > t);
+            let expired: Vec<u64> = rs
+                .silent_since
                 .iter()
-                .filter(|(vm, &since)| t >= since + grace_hours && !lost_to_silence.contains(*vm))
+                .filter(|(vm, &since)| {
+                    t >= since + grace_hours && !rs.lost_to_silence.contains(*vm)
+                })
                 .map(|(vm, _)| *vm)
                 .collect();
+            let newly_lost = !expired.is_empty();
             for vm in expired {
-                lost_to_silence.insert(vm);
-                newly_lost = true;
-                let rec = wal_step(
+                rs.lost_to_silence.insert(vm);
+                rs.decide(
                     wal,
+                    bus,
+                    t,
                     |r| matches!(r, WalRecord::VmExcluded { .. }),
-                    || WalRecord::VmExcluded {
+                    |_| WalRecord::VmExcluded {
                         t_hours: t,
                         vm,
                         consecutive_misses: self.grace.exclude_after,
                     },
-                );
-                if let WalRecord::VmExcluded {
-                    t_hours: rt,
-                    vm,
-                    consecutive_misses,
-                } = rec
-                {
-                    bus.emit_with(|| {
-                        Event::manager(
-                            rt * 3600.0,
-                            EventKind::VmExcluded {
-                                vm,
-                                consecutive_misses,
-                            },
-                        )
-                    });
-                }
+                )?;
             }
 
-            let retry_due = matches!(next_retry_at, Some(r) if t >= r);
+            let retry_due = matches!(rs.next_retry_at, Some(r) if t >= r);
             if retry_due {
-                next_retry_at = None;
+                rs.next_retry_at = None;
             }
             if !(applied || newly_lost || retry_due) {
                 continue;
@@ -751,9 +551,10 @@ impl Manager<'_> {
 
             // Schedulable capacity: granted minus stuttering minus
             // silence-lost VMs.
-            let gpus: usize = held
+            let gpus: usize = rs
+                .held
                 .iter()
-                .filter(|(vm, _)| !stuttering.contains(*vm) && !lost_to_silence.contains(*vm))
+                .filter(|(vm, _)| !rs.stuttering.contains(*vm) && !rs.lost_to_silence.contains(*vm))
                 .map(|(_, g)| *g)
                 .sum();
 
@@ -763,15 +564,20 @@ impl Manager<'_> {
             // (DESIGN.md §6i). The flush gates the morph, so it is never
             // overlapped; it is skipped during a storage outage, exactly
             // like a periodic write.
-            if self.checkpoint.delta_enabled() && !storage_outage && (step as u64) > durable_step {
+            if self.checkpoint.delta_enabled()
+                && !rs.storage_outage
+                && (rs.step as u64) > rs.durable_step
+            {
                 if let Some(cfg) = self.morph.current().cloned() {
-                    let rec = wal_step(
+                    rs.decide(
                         wal,
+                        bus,
+                        t,
                         |r| matches!(r, WalRecord::DeltaFlush { .. }),
-                        || WalRecord::DeltaFlush {
+                        |rs| WalRecord::DeltaFlush {
                             t_hours: t,
-                            step: step as u64,
-                            base_step: last_full_step,
+                            step: rs.step as u64,
+                            base_step: rs.last_full_step,
                             gpus_held: held_before,
                             gpus_used: cfg.gpus_used(),
                             p: cfg.p,
@@ -780,61 +586,28 @@ impl Manager<'_> {
                             examples_per_sec_per_gpu: cfg.throughput_per_gpu(),
                             write_seconds: self.checkpoint_write_seconds(&cfg)
                                 * self.checkpoint.write_fraction(CheckpointKind::Delta {
-                                    base_step: last_full_step,
+                                    base_step: rs.last_full_step,
                                 }),
                         },
-                    );
-                    if let WalRecord::DeltaFlush {
-                        t_hours: rt,
-                        step: s,
-                        gpus_held,
-                        gpus_used,
-                        p,
-                        d,
-                        examples_per_sec,
-                        examples_per_sec_per_gpu,
-                        write_seconds,
-                        ..
-                    } = rec
-                    {
-                        durable_step = durable_step.max(s);
-                        bus.emit_with(|| {
-                            Event::manager(
-                                rt * 3600.0,
-                                EventKind::Checkpoint {
-                                    step: s,
-                                    gpus_held,
-                                    gpus_used,
-                                    p,
-                                    d,
-                                    examples_per_sec,
-                                    examples_per_sec_per_gpu,
-                                    write_seconds,
-                                    overlapped_seconds: 0.0,
-                                    full: false,
-                                },
-                            )
-                        });
-                    }
+                    )?;
                 }
             }
 
             let attempt = self.walled_plan_attempt(
                 t,
                 gpus,
-                step as u64,
-                durable_step,
+                (rs.step as u64, rs.durable_step),
                 "no schedulable GPUs (preempted, silent, or stuttering)",
-                &mut degraded_since,
-                wal,
+                &mut AttemptAt { wal, t_hours: t },
                 bus,
             );
+            wal.check()?;
             if attempt.exited_degraded {
-                next_retry_at = None;
+                rs.next_retry_at = None;
             }
             if let Some(delay) = attempt.retry_delay_seconds {
                 let at = t + delay / 3600.0;
-                next_retry_at = if at <= duration { Some(at) } else { None };
+                rs.next_retry_at = if at <= duration { Some(at) } else { None };
             }
         }
         Ok(())

@@ -13,7 +13,12 @@
 //! as an oracle: at each decision site the loop *consumes* the next
 //! logged record instead of recomputing the decision, then switches
 //! seamlessly to live operation (appending new records) when the log
-//! runs out — even mid-decision. Because every input to the loop is
+//! runs out — even mid-decision. A pending record that is not the site's
+//! decision (wrong kind, or logged at another time) means the log belongs
+//! to another run: [`WalError::Diverged`], never a panic or a silent skip.
+//! Each record maps to its event through one pure function
+//! ([`WalRecord::event`]), so replayed and live decisions emit the same
+//! stream. Because every input to the loop is
 //! deterministic, a run killed at **any** record boundary and recovered
 //! this way produces a byte-identical event stream — and a byte-identical
 //! final log — to the uninterrupted run. The chaos harness
@@ -36,6 +41,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use varuna_obs::{Event, EventBus, EventKind};
 
 use crate::checkpoint::{CheckpointKind, PartialWrite};
 use crate::morph::MorphDecision;
@@ -84,6 +90,14 @@ pub enum WalError {
         /// Decoder diagnostic.
         reason: String,
     },
+    /// A well-formed log disagrees with the decision loop replaying it:
+    /// the pending record is not of the kind (or not at the time) the
+    /// loop's next decision site produces, or the loop went live while
+    /// records were still pending. The log belongs to another run.
+    Diverged {
+        /// Sequence number of the first record the loop could not replay.
+        seq: u64,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -98,6 +112,12 @@ impl fmt::Display for WalError {
             }
             WalError::Decode { seq, reason } => {
                 write!(f, "wal frame {seq} payload does not decode: {reason}")
+            }
+            WalError::Diverged { seq } => {
+                write!(
+                    f,
+                    "wal record {seq} diverges from the decision loop replaying it"
+                )
             }
         }
     }
@@ -126,15 +146,20 @@ pub struct RecoveryReport {
 /// - **live**: [`Wal::append`] logs a fresh decision (the cursor rides
 ///   the tail, so nothing is pending replay);
 /// - **recovery**: a log loaded by [`Wal::from_bytes`] starts with its
-///   cursor at zero, and [`Wal::replay_next_if`] hands logged decisions
-///   back to the loop until the prefix is exhausted, after which
-///   `append` resumes live logging.
+///   cursor at zero, and [`Wal::step`] hands logged decisions back to the
+///   loop until the prefix is exhausted, after which it resumes live
+///   logging.
+///
+/// A pending record the loop cannot replay is a divergence: [`Wal::step`]
+/// returns [`WalError::Diverged`], and [`Wal::append`] records it for
+/// [`Wal::check`].
 #[derive(Debug, Clone)]
 pub struct Wal<R> {
     records: Vec<R>,
     cursor: usize,
     torn: Option<PartialWrite>,
     dropped_bytes: u64,
+    diverged: Option<u64>,
 }
 
 impl<R> Default for Wal<R> {
@@ -151,6 +176,7 @@ impl<R> Wal<R> {
             cursor: 0,
             torn: None,
             dropped_bytes: 0,
+            diverged: None,
         }
     }
 
@@ -169,19 +195,18 @@ impl<R> Wal<R> {
         &self.records
     }
 
-    /// Appends a record, returning its sequence number. Also fast-forwards
-    /// the replay cursor: appending means the decision loop is live, so
-    /// nothing can still be pending replay.
-    pub fn append(&mut self, record: R) -> u64 {
-        let seq = self.records.len() as u64;
-        self.records.push(record);
-        self.cursor = self.records.len();
-        seq
-    }
-
-    /// The next record pending replay, if any.
-    pub fn peek(&self) -> Option<&R> {
-        self.records.get(self.cursor)
+    /// Appends a live decision. Appending means the decision loop is
+    /// live, so nothing may still be pending replay: a log with pending
+    /// records has diverged from the loop (it went live before the log
+    /// ran out), so the record is refused and the divergence kept for
+    /// [`Wal::check`] instead of silently skipping the pending records.
+    pub fn append(&mut self, record: R) {
+        if self.replaying() {
+            self.diverge();
+        } else {
+            self.records.push(record);
+            self.cursor = self.records.len();
+        }
     }
 
     /// Whether records are still pending replay.
@@ -192,11 +217,6 @@ impl<R> Wal<R> {
     /// Records still pending replay.
     pub fn remaining(&self) -> usize {
         self.records.len() - self.cursor
-    }
-
-    /// Records already replayed (or appended).
-    pub fn replayed(&self) -> usize {
-        self.cursor
     }
 
     /// The torn-final-frame truncation detected at load, if any.
@@ -221,7 +241,7 @@ impl<R> Wal<R> {
 
     /// Consumes the next pending record only when `pred` accepts it;
     /// a mismatch (or an exhausted log) returns `None` and leaves the
-    /// cursor alone, telling the decision loop to recompute live.
+    /// cursor alone.
     pub fn replay_next_if(&mut self, pred: impl FnOnce(&R) -> bool) -> Option<R>
     where
         R: Clone,
@@ -230,6 +250,88 @@ impl<R> Wal<R> {
             return self.replay_next();
         }
         None
+    }
+
+    /// Replays or logs one decision: the decision loop's single entry
+    /// into the log.
+    ///
+    /// While records are pending, the next one must be this site's
+    /// decision: `site` checks its kind (and its time, where the site
+    /// knows it), and the accepted record is consumed and returned. Once
+    /// the prefix is exhausted, `live` computes the decision and it is
+    /// appended before the caller acts on it.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Diverged`] when `site` rejects the pending record, or
+    /// when the log already diverged.
+    pub fn step(
+        &mut self,
+        site: impl FnOnce(&R) -> bool,
+        live: impl FnOnce() -> R,
+    ) -> Result<R, WalError>
+    where
+        R: Clone,
+    {
+        self.check()?;
+        if !self.replaying() {
+            let rec = live();
+            self.append(rec.clone());
+            return Ok(rec);
+        }
+        self.replay_next_if(site).ok_or_else(|| self.diverge())
+    }
+
+    /// Whether the decision loop has stayed in step with the log.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Diverged`] naming the first record the loop could not
+    /// replay.
+    pub fn check(&self) -> Result<(), WalError> {
+        match self.diverged {
+            Some(seq) => Err(WalError::Diverged { seq }),
+            None => Ok(()),
+        }
+    }
+
+    fn diverge(&mut self) -> WalError {
+        let seq = *self.diverged.get_or_insert(self.cursor as u64);
+        WalError::Diverged { seq }
+    }
+
+    /// What recovering from this freshly loaded log replays.
+    pub fn recovery_report(&self) -> RecoveryReport {
+        RecoveryReport {
+            replayed_records: self.remaining(),
+            torn: self.torn,
+            dropped_bytes: self.dropped_bytes,
+            replay_seconds: self.remaining() as f64 * REPLAY_SECONDS_PER_RECORD,
+        }
+    }
+
+    /// Announces a recovery on `bus` before the loop re-runs: a
+    /// [`varuna_obs::Source::Recovery`] `RecoveryReplay` event at the last
+    /// logged decision's time (`t_hours`), pricing the replay as
+    /// control-plane downtime. A fresh log (nothing pending, no torn
+    /// tail) announces nothing.
+    pub fn announce_recovery(&self, bus: &mut EventBus, t_hours: impl Fn(&R) -> f64) {
+        if self.remaining() == 0 && self.torn.is_none() {
+            return;
+        }
+        let crash_t_sec = self.records.last().map_or(0.0, t_hours) * 3600.0;
+        let report = self.recovery_report();
+        bus.emit_with(|| {
+            Event::recovery(
+                crash_t_sec,
+                EventKind::RecoveryReplay {
+                    wal_records: report.replayed_records as u64,
+                    torn: report.torn.is_some(),
+                    dropped_bytes: report.dropped_bytes,
+                    replay_seconds: report.replay_seconds,
+                },
+            )
+        });
     }
 }
 
@@ -359,6 +461,7 @@ impl<R: Deserialize> Wal<R> {
             cursor: 0,
             torn,
             dropped_bytes: dropped,
+            diverged: None,
         })
     }
 }
@@ -552,6 +655,144 @@ impl WalRecord {
             | WalRecord::PlanSearch { t_hours, .. }
             | WalRecord::Morph { t_hours, .. } => *t_hours,
         }
+    }
+
+    /// The control event this decision stands for. Pure and total: a
+    /// live decision and its replay emit exactly this, so the manager's
+    /// logged control stream is the image of its log under this map.
+    pub fn event(&self) -> Event {
+        let kind = match *self {
+            WalRecord::Checkpoint {
+                step,
+                gpus_held,
+                gpus_used,
+                p,
+                d,
+                examples_per_sec,
+                examples_per_sec_per_gpu,
+                write_seconds,
+                overlapped_seconds,
+                kind,
+                ..
+            } => EventKind::Checkpoint {
+                step,
+                gpus_held,
+                gpus_used,
+                p,
+                d,
+                examples_per_sec,
+                examples_per_sec_per_gpu,
+                write_seconds,
+                overlapped_seconds,
+                full: kind.is_full(),
+            },
+            // A delta flush gates the morph, so it is never overlapped.
+            WalRecord::DeltaFlush {
+                step,
+                gpus_held,
+                gpus_used,
+                p,
+                d,
+                examples_per_sec,
+                examples_per_sec_per_gpu,
+                write_seconds,
+                ..
+            } => EventKind::Checkpoint {
+                step,
+                gpus_held,
+                gpus_used,
+                p,
+                d,
+                examples_per_sec,
+                examples_per_sec_per_gpu,
+                write_seconds,
+                overlapped_seconds: 0.0,
+                full: false,
+            },
+            WalRecord::CheckpointFailed { step, .. } => EventKind::CheckpointWriteFailed { step },
+            WalRecord::CheckpointTorn { step, partial, .. } => EventKind::CheckpointTorn {
+                step,
+                bytes_written: partial.bytes_written,
+                bytes_expected: partial.bytes_expected,
+            },
+            WalRecord::CheckpointFallback {
+                from_step, to_step, ..
+            } => EventKind::CheckpointFallback { from_step, to_step },
+            WalRecord::VmExcluded {
+                vm,
+                consecutive_misses,
+                ..
+            } => EventKind::VmExcluded {
+                vm,
+                consecutive_misses,
+            },
+            WalRecord::VmReadmitted { vm, .. } => EventKind::VmReadmitted { vm },
+            WalRecord::DegradedEnter {
+                gpus, ref reason, ..
+            } => EventKind::DegradedEnter {
+                gpus,
+                reason: reason.clone(),
+            },
+            WalRecord::DegradedExit {
+                gpus,
+                paused_seconds,
+                ..
+            } => EventKind::DegradedExit {
+                gpus,
+                paused_seconds,
+            },
+            WalRecord::MorphRetry {
+                attempt,
+                backoff_seconds,
+                gpus,
+                ..
+            } => EventKind::MorphRetry {
+                attempt,
+                backoff_seconds,
+                gpus,
+            },
+            WalRecord::LostWork {
+                minibatches,
+                seconds,
+                ..
+            } => EventKind::LostWork {
+                minibatches,
+                seconds,
+            },
+            WalRecord::PlanSearch {
+                candidates,
+                simulated,
+                memo_hits,
+                analytic_fallbacks,
+                ..
+            } => EventKind::PlanSearch {
+                candidates,
+                simulated,
+                memo_hits,
+                analytic_fallbacks,
+            },
+            // The restart/migration pricing travels inside the decision,
+            // so a replayed morph prices identically.
+            WalRecord::Morph {
+                gpus_held,
+                ref decision,
+                ..
+            } => {
+                let cfg = &decision.config;
+                EventKind::Morph {
+                    p: cfg.p,
+                    d: cfg.d,
+                    gpus_held,
+                    gpus_used: cfg.gpus_used(),
+                    examples_per_sec: cfg.throughput(),
+                    examples_per_sec_per_gpu: cfg.throughput_per_gpu(),
+                    reconfigured: decision.reconfigured,
+                    restart_seconds: decision.restart_seconds,
+                    migration_seconds: decision.migration_seconds,
+                }
+            }
+        };
+        Event::manager(self.t_hours() * 3600.0, kind)
     }
 }
 

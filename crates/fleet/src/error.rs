@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use varuna::WalError;
 use varuna_cluster::error::ClusterError;
 
 /// Everything that can go wrong assembling or running a fleet.
@@ -22,6 +23,9 @@ pub enum FleetError {
     /// A cluster-layer operation (trace handling, lease bookkeeping)
     /// failed.
     Cluster(ClusterError),
+    /// A fleet log being recovered does not match the run replaying it
+    /// (see [`varuna::WalError::Diverged`]).
+    Wal(WalError),
 }
 
 impl fmt::Display for FleetError {
@@ -32,6 +36,7 @@ impl fmt::Display for FleetError {
             }
             FleetError::InvalidConfig { reason } => write!(f, "invalid fleet config: {reason}"),
             FleetError::Cluster(e) => write!(f, "cluster error: {e}"),
+            FleetError::Wal(e) => write!(f, "fleet write-ahead log: {e}"),
         }
     }
 }
@@ -41,5 +46,11 @@ impl std::error::Error for FleetError {}
 impl From<ClusterError> for FleetError {
     fn from(e: ClusterError) -> Self {
         FleetError::Cluster(e)
+    }
+}
+
+impl From<WalError> for FleetError {
+    fn from(e: WalError) -> Self {
+        FleetError::Wal(e)
     }
 }

@@ -16,7 +16,7 @@
 //!   spot with on-demand fallback up to each job's throughput floor,
 //! - [`sim`] — the deterministic discrete-event fleet loop over a
 //!   shared [`varuna_cluster::trace::ClusterTrace`], driving each
-//!   manager through [`varuna::Manager::on_external_capacity`],
+//!   manager through [`varuna::Manager::on_external_capacity_walled`],
 //! - [`chaos`] — fleet-level fault scenarios (correlated preemption
 //!   bursts across jobs) reusing the `varuna-chaos` injector on the
 //!   shared market,

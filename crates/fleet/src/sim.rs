@@ -9,7 +9,7 @@
 //! to jobs below it. The provisioning layer
 //! ([`crate::ProvisionPolicy`]) tops jobs up with on-demand capacity
 //! where the policy allows, and each job's own [`Manager`] is driven
-//! through [`Manager::on_external_capacity`] so it re-plans, morphs,
+//! through [`Manager::on_external_capacity_walled`] so it re-plans, morphs,
 //! degrades and recovers exactly as it would under single-job trace
 //! replay.
 //!
@@ -20,14 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use varuna::wal::REPLAY_SECONDS_PER_RECORD;
 use varuna::{Calibration, Manager, ManagerState, Oracle, RecoveryReport, VarunaCluster};
 use varuna_chaos::{digest_control_events, digest_events};
 use varuna_cluster::trace::{ClusterEventKind, ClusterTrace};
 use varuna_cluster::{LeaseBook, VmSku};
-use varuna_obs::{
-    profile, Event, EventBus, EventKind, PartialReport, StreamConfig, StreamSink, VecSink,
-};
+use varuna_obs::{profile, Event, EventBus, PartialReport, StreamConfig, StreamSink, VecSink};
 
 use crate::arbiter::{fair_shares, ArbiterConfig, JobDemand};
 use crate::error::FleetError;
@@ -301,89 +298,20 @@ fn advance_progress(
     }
 }
 
-/// Replay-or-log one fleet decision: a pending record replays (crash
-/// recovery), a live decision is computed and logged before its event is
-/// emitted. The loop is deterministic, so during recovery the cursor is
-/// always exactly at the expected record; the `debug_assert` pins that.
-fn fleet_step(
+/// Replays or logs one fleet decision at `t` hours ([`varuna::Wal::step`]:
+/// a pending record must be the one `site` expects, logged at `t`), then
+/// emits its event.
+fn decide(
     wal: &mut FleetWal,
-    expect: impl FnOnce(&FleetWalRecord) -> bool,
+    bus: &mut EventBus,
+    t: f64,
+    site: impl FnOnce(&FleetWalRecord) -> bool,
     live: impl FnOnce() -> FleetWalRecord,
-) -> FleetWalRecord {
-    if let Some(rec) = wal.replay_next_if(expect) {
-        return rec;
+) -> Result<(), FleetError> {
+    if let Some(event) = wal.step(|r| r.t_hours() == t && site(r), live)?.event() {
+        bus.emit(event);
     }
-    debug_assert!(
-        !wal.replaying(),
-        "fleet WAL cursor diverged from the deterministic replay"
-    );
-    let rec = live();
-    wal.append(rec.clone());
-    rec
-}
-
-/// Emits the fleet event a logged decision stands for.
-fn emit_fleet_record(bus: &mut EventBus, rec: &FleetWalRecord) {
-    let t_sec = rec.t_hours() * 3600.0;
-    match rec {
-        FleetWalRecord::Allocation {
-            job,
-            spot_gpus,
-            on_demand_gpus,
-            market_gpus,
-            ..
-        } => {
-            let (job, spot, od, market) = (*job, *spot_gpus, *on_demand_gpus, *market_gpus);
-            bus.emit_with(|| {
-                Event::fleet(
-                    t_sec,
-                    EventKind::FleetAllocation {
-                        job,
-                        spot_gpus: spot,
-                        on_demand_gpus: od,
-                        market_gpus: market,
-                    },
-                )
-            });
-        }
-        FleetWalRecord::Preempted {
-            job,
-            gpus_revoked,
-            reason,
-            ..
-        } => {
-            let (job, revoked, reason) = (*job, *gpus_revoked, reason.clone());
-            bus.emit_with(move || {
-                Event::fleet(
-                    t_sec,
-                    EventKind::JobPreempted {
-                        job,
-                        gpus_revoked: revoked,
-                        reason,
-                    },
-                )
-            });
-        }
-        FleetWalRecord::Fallback {
-            job,
-            gpus,
-            total_on_demand,
-            ..
-        } => {
-            let (job, gpus, total) = (*job, *gpus, *total_on_demand);
-            bus.emit_with(|| {
-                Event::fleet(
-                    t_sec,
-                    EventKind::FallbackProvisioned {
-                        job,
-                        gpus,
-                        total_on_demand: total,
-                    },
-                )
-            });
-        }
-        FleetWalRecord::Job { .. } => unreachable!("job records are emitted by the manager"),
-    }
+    Ok(())
 }
 
 /// One arbitration round at `t` hours: entitlements, lease
@@ -400,7 +328,7 @@ fn arbitrate_round(
     job_buses: &mut [EventBus],
     counters: &mut Counters,
     wal: &mut FleetWal,
-) {
+) -> Result<(), FleetError> {
     let n = cfg.jobs.len();
     let capacity = book.capacity_gpus();
     counters.peak_market_gpus = counters.peak_market_gpus.max(capacity);
@@ -456,8 +384,10 @@ fn arbitrate_round(
             } else {
                 "fair_share"
             };
-            let rec = fleet_step(
+            decide(
                 wal,
+                fleet_bus,
+                t,
                 |r| matches!(r, FleetWalRecord::Preempted { job: rj, .. } if *rj == job),
                 || FleetWalRecord::Preempted {
                     t_hours: t,
@@ -465,8 +395,7 @@ fn arbitrate_round(
                     gpus_revoked: revoked,
                     reason: reason.to_string(),
                 },
-            );
-            emit_fleet_record(fleet_bus, &rec);
+            )?;
         }
     }
     // Preemption-of-the-preemptible: only jobs strictly above their
@@ -480,11 +409,11 @@ fn arbitrate_round(
     // entitlement, never leasing past it.
     let free = book.free_vms();
     let mut fi = 0usize;
-    for j in 0..n {
+    for (j, &target) in targets.iter().enumerate() {
         let job = j as u64;
-        while book.job_gpus(job) < targets[j] && fi < free.len() {
+        while book.job_gpus(job) < target && fi < free.len() {
             let (vm, gpus) = free[fi];
-            if book.job_gpus(job) + gpus > targets[j] {
+            if book.job_gpus(job) + gpus > target {
                 break;
             }
             if book.lease(vm, job).is_err() {
@@ -492,7 +421,7 @@ fn arbitrate_round(
             }
             fi += 1;
         }
-        if book.job_gpus(job) > targets[j] {
+        if book.job_gpus(job) > target {
             counters.fairness_violations += 1;
         }
     }
@@ -508,8 +437,10 @@ fn arbitrate_round(
         if od > st[j].od {
             let added = od - st[j].od;
             let job = j as u64;
-            let rec = fleet_step(
+            decide(
                 wal,
+                fleet_bus,
+                t,
                 |r| matches!(r, FleetWalRecord::Fallback { job: rj, .. } if *rj == job),
                 || FleetWalRecord::Fallback {
                     t_hours: t,
@@ -517,8 +448,7 @@ fn arbitrate_round(
                     gpus: added,
                     total_on_demand: od,
                 },
-            );
-            emit_fleet_record(fleet_bus, &rec);
+            )?;
         }
         st[j].od = od;
 
@@ -529,7 +459,11 @@ fn arbitrate_round(
         if st[j].last_total != Some(total) || mgrs[j].state() == ManagerState::Degraded {
             let step = st[j].step_f as u64;
             let durable = step - mgrs[j].checkpoint_policy().lost_minibatches(step);
-            let mut view = JobWalView { wal, job: j as u64 };
+            let mut view = JobWalView {
+                wal,
+                job: j as u64,
+                t_hours: t,
+            };
             if let Some(d) = mgrs[j].on_external_capacity_walled(
                 t,
                 total,
@@ -542,6 +476,7 @@ fn arbitrate_round(
                     st[j].morphs += 1;
                 }
             }
+            wal.check()?;
             st[j].last_total = Some(total);
         }
 
@@ -555,8 +490,10 @@ fn arbitrate_round(
 
         if st[j].last_emitted != Some((spot, od)) {
             let job = j as u64;
-            let rec = fleet_step(
+            decide(
                 wal,
+                fleet_bus,
+                t,
                 |r| matches!(r, FleetWalRecord::Allocation { job: rj, .. } if *rj == job),
                 || FleetWalRecord::Allocation {
                     t_hours: t,
@@ -565,8 +502,7 @@ fn arbitrate_round(
                     on_demand_gpus: od,
                     market_gpus: capacity,
                 },
-            );
-            emit_fleet_record(fleet_bus, &rec);
+            )?;
             st[j].last_emitted = Some((spot, od));
         }
     }
@@ -575,6 +511,7 @@ fn arbitrate_round(
     if book.leased_gpus() > book.capacity_gpus() || book.check_conservation().is_err() {
         counters.capacity_violations += 1;
     }
+    Ok(())
 }
 
 /// Runs the fleet over a shared market trace and returns the aggregate
@@ -611,12 +548,7 @@ pub fn recover_fleet(
     market: &ClusterTrace,
     wal: &mut FleetWal,
 ) -> Result<(FleetRun, RecoveryReport), FleetError> {
-    let report = RecoveryReport {
-        replayed_records: wal.remaining(),
-        torn: wal.torn(),
-        dropped_bytes: wal.dropped_bytes(),
-        replay_seconds: wal.remaining() as f64 * REPLAY_SECONDS_PER_RECORD,
-    };
+    let report = wal.recovery_report();
     let run = run_fleet_walled(cfg, market, wal)?;
     Ok((run, report))
 }
@@ -631,7 +563,8 @@ pub fn recover_fleet(
 /// # Errors
 ///
 /// Returns [`FleetError::InvalidConfig`] for an empty fleet or duplicate
-/// job names.
+/// job names, and [`FleetError::Wal`] when pending records do not match
+/// the decisions the loop replays them at (a log from another run).
 pub fn run_fleet_walled(
     cfg: &FleetConfig,
     market: &ClusterTrace,
@@ -683,23 +616,7 @@ pub fn run_fleet_walled(
 
     // A pending log means this run is a recovery: announce (and price)
     // the replay before re-driving the loop.
-    if wal.remaining() > 0 || wal.torn().is_some() {
-        let crash_t_sec = wal.records().last().map_or(0.0, |r| r.t_hours()) * 3600.0;
-        let pending = wal.remaining() as u64;
-        let torn = wal.torn().is_some();
-        let dropped_bytes = wal.dropped_bytes();
-        fleet_bus.emit_with(|| {
-            Event::recovery(
-                crash_t_sec,
-                EventKind::RecoveryReplay {
-                    wal_records: pending,
-                    torn,
-                    dropped_bytes,
-                    replay_seconds: pending as f64 * REPLAY_SECONDS_PER_RECORD,
-                },
-            )
-        });
-    }
+    wal.announce_recovery(&mut fleet_bus, FleetWalRecord::t_hours);
 
     // Bootstrap round: on-demand fleets provision before any market
     // event, and an empty market parks every spot job as degraded.
@@ -714,7 +631,7 @@ pub fn run_fleet_walled(
         &mut job_buses,
         &mut counters,
         wal,
-    );
+    )?;
 
     let mut t_prev = 0.0f64;
     let evs = &market.events;
@@ -727,17 +644,17 @@ pub fn run_fleet_walled(
         while i < evs.len() && evs[i].time_hours == t {
             let e = &evs[i];
             match e.kind {
-                ClusterEventKind::Granted { gpus } => {
-                    if book.grant(e.vm, gpus).is_ok() {
-                        vm_gpus.insert(e.vm, gpus);
-                    }
+                ClusterEventKind::Granted { gpus } if book.grant(e.vm, gpus).is_ok() => {
+                    vm_gpus.insert(e.vm, gpus);
                 }
                 ClusterEventKind::Preempted => {
                     if let Some(job) = book.preempt(e.vm) {
                         st[job as usize].preemptions += 1;
                         let revoked = vm_gpus.get(&e.vm).copied().unwrap_or(1);
-                        let rec = fleet_step(
+                        decide(
                             wal,
+                            &mut fleet_bus,
+                            t,
                             |r| matches!(r, FleetWalRecord::Preempted { job: rj, .. } if *rj == job),
                             || FleetWalRecord::Preempted {
                                 t_hours: t,
@@ -745,8 +662,7 @@ pub fn run_fleet_walled(
                                 gpus_revoked: revoked,
                                 reason: "market".to_string(),
                             },
-                        );
-                        emit_fleet_record(&mut fleet_bus, &rec);
+                        )?;
                     }
                     vm_gpus.remove(&e.vm);
                 }
@@ -768,7 +684,7 @@ pub fn run_fleet_walled(
             &mut job_buses,
             &mut counters,
             wal,
-        );
+        )?;
         t_prev = t;
     }
     advance_progress(t_prev, market.duration_hours, cfg, &mut st, &mgrs, &book);
@@ -873,6 +789,7 @@ pub fn run_fleet_walled(
 
 #[cfg(test)]
 mod tests {
+    use varuna::{WalError, WalRecord};
     use varuna_cluster::trace::{ClusterEvent, ClusterEventKind, ClusterTrace};
     use varuna_models::ModelZoo;
     use varuna_obs::EventKind;
@@ -1038,6 +955,83 @@ mod tests {
                 events.len()
             );
         }
+    }
+
+    /// A fleet log rebuilt from `records` and reloaded, as recovery sees it.
+    fn reloaded(records: &[FleetWalRecord]) -> FleetWal {
+        let mut wal = FleetWal::new();
+        for r in records {
+            wal.append(r.clone());
+        }
+        FleetWal::from_bytes(&wal.to_bytes()).unwrap()
+    }
+
+    #[test]
+    fn a_log_from_another_run_is_a_typed_divergence() {
+        let market = steady_market(8, 2.0);
+        let cfg = FleetConfig::new(vec![small_job("a", 1.0, 8, 2), small_job("b", 1.0, 8, 2)]);
+        let mut wal = FleetWal::new();
+        run_fleet_walled(&cfg, &market, &mut wal).unwrap();
+        let diverged = |records: &[FleetWalRecord]| {
+            recover_fleet(&cfg, &market, &mut reloaded(records)).unwrap_err()
+        };
+
+        // A foreign job's allocation ahead of the run's own first decision.
+        let foreign = FleetWalRecord::Allocation {
+            t_hours: 0.0,
+            job: 9,
+            spot_gpus: 4,
+            on_demand_gpus: 0,
+            market_gpus: 8,
+        };
+        assert_eq!(
+            diverged(&[foreign]),
+            FleetError::Wal(WalError::Diverged { seq: 0 })
+        );
+
+        // The run's own log with one fleet decision, then one job's
+        // morph, moved half an hour later.
+        let k = wal
+            .records()
+            .iter()
+            .rposition(|r| !matches!(r, FleetWalRecord::Job { .. }))
+            .expect("a fleet decision");
+        let mut moved = wal.records().to_vec();
+        if let FleetWalRecord::Allocation { t_hours, .. }
+        | FleetWalRecord::Preempted { t_hours, .. }
+        | FleetWalRecord::Fallback { t_hours, .. } = &mut moved[k]
+        {
+            *t_hours += 0.5;
+        }
+        assert_eq!(
+            diverged(&moved),
+            FleetError::Wal(WalError::Diverged { seq: k as u64 })
+        );
+        let m = wal
+            .records()
+            .iter()
+            .position(|r| {
+                matches!(
+                    r,
+                    FleetWalRecord::Job {
+                        rec: WalRecord::Morph { .. },
+                        ..
+                    }
+                )
+            })
+            .expect("a job morph");
+        let mut moved = wal.records().to_vec();
+        if let FleetWalRecord::Job {
+            rec: WalRecord::Morph { t_hours, .. },
+            ..
+        } = &mut moved[m]
+        {
+            *t_hours += 0.5;
+        }
+        assert_eq!(
+            diverged(&moved),
+            FleetError::Wal(WalError::Diverged { seq: m as u64 })
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use varuna::wal::{is_plan_attempt_record, Wal};
 use varuna::{WalIo, WalRecord};
+use varuna_obs::{Event, EventKind};
 
 /// One fleet control decision, logged before its event is emitted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,33 +71,78 @@ impl FleetWalRecord {
             FleetWalRecord::Job { rec, .. } => rec.t_hours(),
         }
     }
+
+    /// The fleet event this decision stands for, or `None` for a job
+    /// record — its event ([`WalRecord::event`]) belongs on that job's
+    /// own bus, emitted by the job's manager.
+    pub fn event(&self) -> Option<Event> {
+        let kind = match *self {
+            FleetWalRecord::Allocation {
+                job,
+                spot_gpus,
+                on_demand_gpus,
+                market_gpus,
+                ..
+            } => EventKind::FleetAllocation {
+                job,
+                spot_gpus,
+                on_demand_gpus,
+                market_gpus,
+            },
+            FleetWalRecord::Preempted {
+                job,
+                gpus_revoked,
+                ref reason,
+                ..
+            } => EventKind::JobPreempted {
+                job,
+                gpus_revoked,
+                reason: reason.clone(),
+            },
+            FleetWalRecord::Fallback {
+                job,
+                gpus,
+                total_on_demand,
+                ..
+            } => EventKind::FallbackProvisioned {
+                job,
+                gpus,
+                total_on_demand,
+            },
+            FleetWalRecord::Job { .. } => return None,
+        };
+        Some(Event::fleet(self.t_hours() * 3600.0, kind))
+    }
 }
 
 /// The fleet control plane's write-ahead log.
 pub type FleetWal = Wal<FleetWalRecord>;
 
-/// A per-job [`WalIo`] view into the combined fleet log: replay consumes
-/// only this job's plan-attempt records, and appended decisions are
-/// wrapped in [`FleetWalRecord::Job`] so many jobs interleave into one
-/// shared sequence.
+/// A per-job [`WalIo`] view into the combined fleet log for one plan
+/// attempt at `t_hours`: replay consumes only this job's plan-attempt
+/// records logged at that time, and appended decisions are wrapped in
+/// [`FleetWalRecord::Job`] so many jobs interleave into one shared
+/// sequence. A live append while records are still pending is a
+/// divergence ([`Wal::check`]).
 pub struct JobWalView<'w> {
     /// The shared fleet log.
     pub wal: &'w mut FleetWal,
     /// The job this view belongs to.
     pub job: u64,
+    /// The attempt's decision time, hours.
+    pub t_hours: f64,
 }
 
 impl WalIo for JobWalView<'_> {
     fn replay_next_attempt(&mut self) -> Option<WalRecord> {
-        let job = self.job;
-        self.wal
-            .replay_next_if(|r| {
-                matches!(r, FleetWalRecord::Job { job: j, rec } if *j == job && is_plan_attempt_record(rec))
-            })
-            .map(|r| match r {
-                FleetWalRecord::Job { rec, .. } => rec,
-                other => unreachable!("predicate admits only Job records, got {other:?}"),
-            })
+        let (job, t) = (self.job, self.t_hours);
+        match self.wal.replay_next_if(|r| {
+            matches!(r, FleetWalRecord::Job { job: j, rec }
+                if *j == job && is_plan_attempt_record(rec) && rec.t_hours() == t)
+        })? {
+            FleetWalRecord::Job { rec, .. } => Some(rec),
+            _ => None,
+        }
     }
 
     fn append_record(&mut self, record: WalRecord) {
@@ -162,19 +208,22 @@ mod tests {
         // Job 1's view does not consume job 0's pending record.
         assert!(JobWalView {
             wal: &mut wal,
-            job: 1
+            job: 1,
+            t_hours: 0.25,
         }
         .replay_next_attempt()
         .is_none());
         assert!(JobWalView {
             wal: &mut wal,
-            job: 0
+            job: 0,
+            t_hours: 0.25,
         }
         .replay_next_attempt()
         .is_some());
         assert!(JobWalView {
             wal: &mut wal,
-            job: 1
+            job: 1,
+            t_hours: 0.25,
         }
         .replay_next_attempt()
         .is_some());
@@ -187,6 +236,7 @@ mod tests {
         JobWalView {
             wal: &mut wal,
             job: 7,
+            t_hours: 2.0,
         }
         .append_record(WalRecord::DegradedEnter {
             t_hours: 2.0,

@@ -138,10 +138,10 @@ fn follow_serves_live_reports_and_finishes_byte_identical_to_posthoc() {
             .append(true)
             .open(&capture)
             .expect("append capture");
-        f.write_all(rest[..split].as_bytes()).expect("half write");
+        f.write_all(&rest.as_bytes()[..split]).expect("half write");
         f.sync_all().expect("sync");
         std::thread::sleep(Duration::from_millis(120));
-        f.write_all(rest[split..].as_bytes()).expect("other half");
+        f.write_all(&rest.as_bytes()[split..]).expect("other half");
     }
 
     // The live endpoint converges on the full event count.

@@ -18,15 +18,15 @@ fn gpipe_events(p: usize, d: usize, n_micro: usize, fwd: &[f64], bwd: &[f64]) ->
     let mut events = Vec::new();
     for r in 0..d {
         let mut lane_free = vec![0.0f64; p];
-        let mut f_end = vec![vec![0.0f64; n_micro]; p];
-        let mut b_end = vec![vec![0.0f64; n_micro]; p];
-        for m in 0..n_micro {
+        let mut f_end = vec![vec![0.0f64; p]; n_micro];
+        let mut b_end = vec![vec![0.0f64; p]; n_micro];
+        for (m, f_row) in f_end.iter_mut().enumerate() {
             for s in 0..p {
-                let dep = if s == 0 { 0.0 } else { f_end[s - 1][m] };
+                let dep = if s == 0 { 0.0 } else { f_row[s - 1] };
                 let start = lane_free[s].max(dep);
                 let end = start + fwd[s];
                 lane_free[s] = end;
-                f_end[s][m] = end;
+                f_row[s] = end;
                 events.push(Event::exec(
                     end,
                     EventKind::OpEnd {
@@ -42,14 +42,14 @@ fn gpipe_events(p: usize, d: usize, n_micro: usize, fwd: &[f64], bwd: &[f64]) ->
         for m in 0..n_micro {
             for s in (0..p).rev() {
                 let dep = if s == p - 1 {
-                    f_end[s][m]
+                    f_end[m][s]
                 } else {
-                    b_end[s + 1][m]
+                    b_end[m][s + 1]
                 };
                 let start = lane_free[s].max(dep);
                 let end = start + bwd[s];
                 lane_free[s] = end;
-                b_end[s][m] = end;
+                b_end[m][s] = end;
                 events.push(Event::exec(
                     end,
                     EventKind::OpEnd {

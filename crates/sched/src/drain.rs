@@ -100,10 +100,6 @@ mod tests {
     use super::*;
     use crate::schedule::{enumerate, Discipline};
 
-    fn full(sched: &StaticSchedule) -> Vec<usize> {
-        sched.per_stage.iter().map(Vec::len).collect()
-    }
-
     #[test]
     fn minibatch_boundaries_are_legal_for_every_stage_and_discipline() {
         for disc in [Discipline::Varuna, Discipline::GPipe] {
