@@ -118,14 +118,30 @@ fn build_manager<'a>(calib: &'a Calibration, cfg: &ChaosConfig) -> Manager<'a> {
 /// FNV-1a over the debug rendering of each event: a cheap, dependency-free
 /// fingerprint that changes if any field of any event changes.
 pub fn digest_events(events: &[Event]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in events {
-        for b in format!("{e:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    digest_iter(events)
+}
+
+/// FNV-1a state that hashes text as it is written, so an event's debug
+/// rendering is streamed into the digest without building a `String`.
+struct Fnv(u64);
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        Ok(())
     }
-    h
+}
+
+fn digest_iter<'a>(events: impl IntoIterator<Item = &'a Event>) -> u64 {
+    use std::fmt::Write;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for e in events {
+        write!(h, "{e:?}").expect("hashing never fails");
+    }
+    h.0
 }
 
 /// Runs one full chaos experiment: perturbs `base` with `cfg`, replays it
@@ -230,12 +246,7 @@ pub fn run_chaos(
 /// excluded, so an uninterrupted run and a kill-and-recover run of the
 /// same trace can be compared for the kill-anywhere invariant.
 pub fn digest_control_events(events: &[Event]) -> u64 {
-    let filtered: Vec<Event> = events
-        .iter()
-        .filter(|e| e.source != Source::Recovery)
-        .cloned()
-        .collect();
-    digest_events(&filtered)
+    digest_iter(events.iter().filter(|e| e.source != Source::Recovery))
 }
 
 /// The verdict of one control-plane kill-and-recover experiment.

@@ -11,7 +11,8 @@
 use varuna_exec::job::{PlacedJob, StageSpec};
 use varuna_exec::metrics::Throughput;
 use varuna_exec::pipeline::{
-    simulate_minibatch, simulate_minibatch_on_bus, MinibatchResult, SimOptions,
+    simulate_minibatch, simulate_schedule, simulate_schedule_on_bus, MinibatchResult, SimError,
+    SimOptions,
 };
 use varuna_exec::placement::Placement;
 use varuna_obs::{Event, EventBus, EventKind};
@@ -66,8 +67,10 @@ impl TrainingJob {
     ///
     /// # Errors
     ///
-    /// Fails when the cluster has fewer GPUs than the configuration needs
-    /// or a stage does not fit memory.
+    /// Fails when the cluster has fewer GPUs than the configuration needs,
+    /// a stage does not fit memory, or the calibration yields a stage the
+    /// emulator cannot schedule (a negative or non-finite time or size;
+    /// see [`PlacedJob::try_validate`]) — all as errors, never panics.
     pub fn build(
         calib: &Calibration,
         cluster: &VarunaCluster,
@@ -118,7 +121,7 @@ impl TrainingJob {
             offload_bytes,
             stutter: Vec::new(),
         };
-        job.validate();
+        job.try_validate().map_err(VarunaError::InvalidConfig)?;
         // Enumerate the static schedule from the calibrated stage times
         // (§3.2's offline tool): it accounts for the non-uniform stages a
         // balanced partition produces, unlike a unit-time enumeration.
@@ -198,12 +201,12 @@ impl TrainingJob {
         &self,
         opts: &SimOptions,
     ) -> Result<(MinibatchResult, Throughput), VarunaError> {
-        self.run_with_policy(&self.schedule.factory(), opts)
+        self.with_throughput(simulate_schedule(&self.job, &self.schedule, opts))
     }
 
     /// Runs one mini-batch under the Varuna schedule, reporting every op,
     /// transfer, and allreduce through `bus` (see
-    /// [`simulate_minibatch_on_bus`]).
+    /// [`simulate_schedule_on_bus`]).
     ///
     /// # Errors
     ///
@@ -213,15 +216,12 @@ impl TrainingJob {
         opts: &SimOptions,
         bus: &mut EventBus,
     ) -> Result<(MinibatchResult, Throughput), VarunaError> {
-        let res = simulate_minibatch_on_bus(&self.job, &self.schedule.factory(), opts, bus)
-            .map_err(|e| VarunaError::InvalidConfig(e.to_string()))?;
-        let tput = Throughput::from_time(
-            &self.model,
-            self.config.examples as f64,
-            self.job.gpus(),
-            res.total_time,
-        );
-        Ok((res, tput))
+        self.with_throughput(simulate_schedule_on_bus(
+            &self.job,
+            &self.schedule,
+            opts,
+            bus,
+        ))
     }
 
     /// Emulates a steady-state training run of `minibatches` mini-batches
@@ -282,8 +282,16 @@ impl TrainingJob {
         factory: &PolicyFactory<'_>,
         opts: &SimOptions,
     ) -> Result<(MinibatchResult, Throughput), VarunaError> {
-        let res = simulate_minibatch(&self.job, factory, opts)
-            .map_err(|e| VarunaError::InvalidConfig(e.to_string()))?;
+        self.with_throughput(simulate_minibatch(&self.job, factory, opts))
+    }
+
+    /// Pairs an emulated mini-batch with its throughput, or reports an
+    /// emulator deadlock as [`VarunaError::InvalidConfig`].
+    fn with_throughput(
+        &self,
+        res: Result<MinibatchResult, SimError>,
+    ) -> Result<(MinibatchResult, Throughput), VarunaError> {
+        let res = res.map_err(|e| VarunaError::InvalidConfig(e.to_string()))?;
         // Count `M_total` examples (trailing micro-batches may run short
         // when divisibility forced `n_micro` to round up).
         let tput = Throughput::from_time(
@@ -402,5 +410,28 @@ mod tests {
             .evaluate(9, 3)
             .unwrap();
         assert!(TrainingJob::build(&calib, &small, cfg).is_err());
+    }
+
+    #[test]
+    fn a_corrupt_calibration_is_an_error_not_a_panic() {
+        let (calib, cluster) = setup();
+        let cfg = Planner::new(&calib.model.clone(), &calib)
+            .batch_size(432)
+            .micro_batch(4)
+            .evaluate(9, 3)
+            .unwrap();
+        for x in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut bad = calib.clone();
+            for row in &mut bad.fwd {
+                row.iter_mut().for_each(|t| *t = x);
+            }
+            match TrainingJob::build(&bad, &cluster, cfg.clone()) {
+                Err(VarunaError::InvalidConfig(why)) => assert!(why.contains("fwd_time"), "{why}"),
+                other => panic!(
+                    "expected InvalidConfig for fwd_time {x}, got {:?}",
+                    other.err()
+                ),
+            }
+        }
     }
 }

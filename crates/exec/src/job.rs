@@ -85,7 +85,10 @@ impl PlacedJob {
     ///
     /// Returns a human-readable reason when the job is inconsistent (zero
     /// stages/replicas/micro-batches, a topology with too few GPUs, or a
-    /// placement built for a different shape).
+    /// placement built for a different shape) or carries a value the
+    /// emulator cannot schedule: a stage time or byte size that is
+    /// negative or not finite, or a stutter factor that is not finite and
+    /// positive.
     pub fn try_validate(&self) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err("job needs at least one stage".to_string());
@@ -115,6 +118,42 @@ impl PlacedJob {
         }
         if self.placement.d() < self.d {
             return Err("placement has too few replicas".to_string());
+        }
+        let usable = |x: f64| x.is_finite() && x >= 0.0;
+        for (s, st) in self.stages.iter().enumerate() {
+            let fields = [
+                ("fwd_time", st.fwd_time),
+                ("bwd_time", st.bwd_time),
+                ("recompute_time", st.recompute_time),
+                ("act_bytes", st.act_bytes),
+                ("grad_bytes", st.grad_bytes),
+            ];
+            if let Some((name, x)) = fields.into_iter().find(|&(_, x)| !usable(x)) {
+                return Err(format!(
+                    "stage {s} {name} must be finite and non-negative, got {x}"
+                ));
+            }
+        }
+        if !usable(self.shared_sync_bytes) {
+            return Err(format!(
+                "shared_sync_bytes must be finite and non-negative, got {}",
+                self.shared_sync_bytes
+            ));
+        }
+        if let Some(x) = self.offload_bytes.filter(|&x| !usable(x)) {
+            return Err(format!(
+                "offload_bytes must be finite and non-negative, got {x}"
+            ));
+        }
+        if let Some((e, x)) = self
+            .stutter
+            .iter()
+            .enumerate()
+            .find(|&(_, &x)| !(x.is_finite() && x > 0.0))
+        {
+            return Err(format!(
+                "stutter factor of endpoint {e} must be finite and positive, got {x}"
+            ));
         }
         Ok(())
     }
@@ -260,5 +299,41 @@ mod tests {
         j.m = 4;
         j.d = 0;
         assert!(j.try_validate().is_err());
+    }
+
+    #[test]
+    fn try_validate_rejects_values_the_emulator_cannot_schedule() {
+        let bad_stage: [fn(&mut StageSpec); 6] = [
+            |s| s.fwd_time = f64::NAN,
+            |s| s.bwd_time = -1.0,
+            |s| s.recompute_time = f64::INFINITY,
+            |s| s.act_bytes = f64::NAN,
+            |s| s.grad_bytes = -0.5,
+            |s| s.fwd_time = f64::NEG_INFINITY,
+        ];
+        for corrupt in bad_stage {
+            let mut j = job(6, 2);
+            corrupt(&mut j.stages[3]);
+            let why = j.try_validate().unwrap_err();
+            assert!(why.contains("stage 3"), "{why}");
+        }
+        for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut j = job(6, 2);
+            j.stutter = vec![1.0; 12];
+            j.stutter[7] = x;
+            let why = j.try_validate().unwrap_err();
+            assert!(why.contains("endpoint 7"), "{why}");
+        }
+        let mut j = job(6, 2);
+        j.shared_sync_bytes = f64::NAN;
+        assert!(j.try_validate().is_err());
+        let mut j = job(6, 2);
+        j.offload_bytes = Some(-1.0);
+        assert!(j.try_validate().is_err());
+        // Zero costs and a slow-but-healthy GPU are legal.
+        let mut j = job(6, 2);
+        j.stages[0].act_bytes = 0.0;
+        j.stutter = vec![2.5; 12];
+        assert!(j.try_validate().is_ok());
     }
 }

@@ -48,6 +48,9 @@ pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
 pub use observe::{SpanCollector, StreamingCapture};
-pub use pipeline::{simulate_minibatch, simulate_minibatch_on_bus, MinibatchResult, SimOptions};
+pub use pipeline::{
+    simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule, simulate_schedule_on_bus,
+    MinibatchResult, SimOptions,
+};
 pub use placement::Placement;
 pub use varuna_sched::{GreedyPolicy, OpKind, OpSpan, PolicyFactory, SchedulePolicy, StageView};

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use varuna_net::collective::{allreduce_time, AllreduceSpec};
-use varuna_net::jitter::sample_jitter;
+use varuna_net::jitter::PreparedJitter;
 use varuna_net::transfer::fair_share;
 use varuna_obs::{Event, EventBus, EventKind};
 
@@ -18,7 +18,8 @@ use crate::engine::EventQueue;
 use crate::job::PlacedJob;
 use crate::observe::SpanCollector;
 use varuna_sched::op::{Op, OpKind, OpSpan};
-use varuna_sched::policy::{PolicyFactory, StageView};
+use varuna_sched::policy::{PolicyFactory, SchedulePolicy, StageView};
+use varuna_sched::schedule::{StageOrder, StaticSchedule};
 
 /// Options controlling one simulation run.
 #[derive(Debug, Clone)]
@@ -125,36 +126,91 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A queued emulator event. Payloads are slot indices (`r * p + s`): the
+/// op an `OpDone` completes, and its start time, live in the slot itself,
+/// since a busy slot has exactly one `OpDone` pending.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    OpDone {
-        s: usize,
-        r: usize,
-        op: Op,
-        started: f64,
-    },
-    ActArrive {
-        s: usize,
-        r: usize,
-    },
-    GradArrive {
-        s: usize,
-        r: usize,
-        mb: usize,
-    },
-    SendDone {
-        s: usize,
-        r: usize,
-    },
+    /// The slot's running op finished.
+    OpDone(u32),
+    /// An activation reached the slot from the previous stage.
+    ActArrive(u32),
+    /// Micro-batch `.1`'s gradient reached the slot from the next stage.
+    GradArrive(u32, u32),
+    /// The slot's blocking send finished.
+    SendDone(u32),
 }
 
-struct StageRt {
+/// A message path from one `(stage, replica)` to a neighbouring stage of
+/// the same replica, resolved once per run: the topology, placement and
+/// jitter lookups a transfer needs.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// The sender's node, whose NIC carries the flow when `cross`.
+    node: usize,
+    /// Whether the path leaves the node (and so contends for its NIC).
+    cross: bool,
+    latency: f64,
+    bandwidth: f64,
+    /// Sender-side capacity shared by concurrent flows.
+    bottleneck: f64,
+    bytes: f64,
+    jitter: PreparedJitter,
+}
+
+impl Route {
+    fn new(job: &PlacedJob, s_from: usize, r: usize, s_to: usize, bytes: f64) -> Self {
+        let src = job.placement.endpoint(s_from, r);
+        let dst = job.placement.endpoint(s_to, r);
+        let link = job.topology.link_between(src, dst);
+        let cross = !job.topology.same_node(src, dst);
+        Route {
+            node: job.topology.node_of(src),
+            cross,
+            latency: link.latency,
+            bandwidth: link.bandwidth,
+            bottleneck: if cross {
+                job.topology.nic_bandwidth()
+            } else {
+                link.bandwidth
+            },
+            bytes,
+            jitter: PreparedJitter::new(&link.jitter),
+        }
+    }
+
+    /// Computes (total delivery delay, serialization time) of one message,
+    /// taking a NIC slot for a cross-node flow (contention is sampled at
+    /// send time; [`Route::deliver`] releases it).
+    fn send(&self, inflight: &mut [usize], rng: &mut StdRng) -> (f64, f64) {
+        let flows = if self.cross {
+            inflight[self.node] += 1;
+            inflight[self.node]
+        } else {
+            1
+        };
+        let bw = self.bandwidth.min(fair_share(self.bottleneck, flows));
+        let ser = self.bytes / bw;
+        let jitter = self.jitter.sample(rng);
+        (self.latency + jitter + ser, ser)
+    }
+
+    /// Releases the NIC slot a delivered cross-node message held.
+    fn deliver(&self, inflight: &mut [usize]) {
+        if self.cross {
+            inflight[self.node] = inflight[self.node].saturating_sub(1);
+        }
+    }
+}
+
+/// One `(stage, replica)`'s run-time state: a slot of the emulator's arena.
+/// Its per-micro-batch flags live in [`Emulator::flags`].
+struct Slot {
+    stage: usize,
+    replica: usize,
     busy: bool,
     forwards_done: usize,
     acts_arrived: usize,
-    grads_ready: Vec<bool>,
-    recomputes_done: Vec<bool>,
-    backwards_done: Vec<bool>,
     backwards_count: usize,
     live_acts: Option<usize>,
     pending_recompute: Option<usize>,
@@ -167,7 +223,71 @@ struct StageRt {
     /// the previous stage and the gradient channel from the next stage.
     chan_act_last: f64,
     chan_grad_last: f64,
-    policy: Box<dyn varuna_sched::policy::SchedulePolicy>,
+    /// The op in flight and when it started (meaningful while busy).
+    running: Op,
+    started: f64,
+    stutter: f64,
+    /// Paths to the next stage (activations) and the previous stage
+    /// (gradients); `None` at the pipeline's ends.
+    to_next: Option<Route>,
+    to_prev: Option<Route>,
+}
+
+/// How the emulator asks slot `i` (of stage `s`) for its next op.
+trait Picker {
+    fn pick(&mut self, i: usize, s: usize, view: &StageView<'_>) -> Option<Op>;
+}
+
+/// One boxed policy per slot, built by a [`PolicyFactory`].
+struct Boxed(Vec<Box<dyn SchedulePolicy>>);
+
+impl Picker for Boxed {
+    fn pick(&mut self, i: usize, _s: usize, view: &StageView<'_>) -> Option<Op> {
+        self.0[i].pick(view)
+    }
+}
+
+/// The built-in opportunistic Varuna policy, dispatched directly: every
+/// replica borrows its stage's order, and each slot's progress (its
+/// `executed` flags and cursor) lives in one arena.
+struct Varuna<'a> {
+    stages: Vec<StageOrder<'a>>,
+    /// Start of slot `i`'s flags in `executed`.
+    offset: Vec<usize>,
+    executed: Vec<bool>,
+    cursor: Vec<usize>,
+}
+
+impl<'a> Varuna<'a> {
+    fn new(schedule: &'a StaticSchedule, p: usize, d: usize) -> Self {
+        let stages: Vec<StageOrder<'a>> = (0..p).map(|s| StageOrder::new(schedule, s)).collect();
+        let mut offset = Vec::with_capacity(p * d);
+        let mut total = 0;
+        for _ in 0..d {
+            for stage in &stages {
+                offset.push(total);
+                total += stage.len();
+            }
+        }
+        Varuna {
+            stages,
+            offset,
+            executed: vec![false; total],
+            cursor: vec![0; p * d],
+        }
+    }
+}
+
+impl Picker for Varuna<'_> {
+    fn pick(&mut self, i: usize, s: usize, view: &StageView<'_>) -> Option<Op> {
+        let order = &self.stages[s];
+        let at = self.offset[i];
+        order.pick(
+            &mut self.executed[at..at + order.len()],
+            &mut self.cursor[i],
+            view,
+        )
+    }
 }
 
 /// Simulates one mini-batch of `job` under the schedule produced by
@@ -187,19 +307,9 @@ pub fn simulate_minibatch(
     policies: &PolicyFactory<'_>,
     opts: &SimOptions,
 ) -> Result<MinibatchResult, SimError> {
-    let mut bus = EventBus::new();
-    let collector = if opts.record_trace {
-        let c = SpanCollector::new();
-        bus.add_sink(Box::new(c.clone()));
-        Some(c)
-    } else {
-        None
-    };
-    let mut res = simulate_minibatch_on_bus(job, policies, opts, &mut bus)?;
-    if let Some(c) = collector {
-        res.trace = c.take();
-    }
-    Ok(res)
+    with_trace(opts, |bus| {
+        simulate_minibatch_on_bus(job, policies, opts, bus)
+    })
 }
 
 /// Simulates one mini-batch, reporting every op, transfer, and allreduce
@@ -222,144 +332,212 @@ pub fn simulate_minibatch_on_bus(
 ) -> Result<MinibatchResult, SimError> {
     job.validate();
     let p = job.p();
-    let d = job.d;
-    let n = job.n_micro;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let boxed = (0..job.d)
+        .flat_map(|r| (0..p).map(move |s| (s, r)))
+        .map(|(s, r)| policies(s, r))
+        .collect();
+    Emulator::new(job, Boxed(boxed), opts, bus).run()
+}
 
-    let idx = |s: usize, r: usize| r * p + s;
-    let mut st: Vec<StageRt> = Vec::with_capacity(p * d);
-    for r in 0..d {
-        for s in 0..p {
-            let window = opts
-                .stash_window_override
-                .unwrap_or(job.stages[s].stash_window)
-                .max(1);
-            st.push(StageRt {
-                busy: false,
-                forwards_done: 0,
-                acts_arrived: if s == 0 { n } else { 0 },
-                grads_ready: vec![false; n],
-                recomputes_done: vec![false; n],
-                backwards_done: vec![false; n],
-                backwards_count: 0,
-                live_acts: None,
-                pending_recompute: None,
-                stash_len: 0,
-                peak_stash: 0,
-                window,
-                last_bwd_end: 0.0,
-                busy_time: 0.0,
-                chan_act_last: 0.0,
-                chan_grad_last: 0.0,
-                policy: policies(s, r),
-            });
+/// Simulates one mini-batch under Varuna's opportunistic policy replaying
+/// `schedule` on every replica.
+///
+/// Same result as [`simulate_minibatch`] with a factory handing every
+/// `(stage, replica)` a `VarunaPolicy::for_stage(schedule, stage)`, bit for
+/// bit, but the policy is dispatched directly, with no boxed policy or copy
+/// of the order per `(stage, replica)`.
+///
+/// # Errors
+///
+/// Returns [`SimError::Deadlock`] if the schedule wedges the pipeline.
+pub fn simulate_schedule(
+    job: &PlacedJob,
+    schedule: &StaticSchedule,
+    opts: &SimOptions,
+) -> Result<MinibatchResult, SimError> {
+    with_trace(opts, |bus| {
+        simulate_schedule_on_bus(job, schedule, opts, bus)
+    })
+}
+
+/// [`simulate_schedule`] reporting through `bus`: the same events as
+/// [`simulate_minibatch_on_bus`] with `VarunaPolicy::for_stage` policies.
+///
+/// # Errors
+///
+/// Returns [`SimError::Deadlock`] if the schedule wedges the pipeline.
+pub fn simulate_schedule_on_bus(
+    job: &PlacedJob,
+    schedule: &StaticSchedule,
+    opts: &SimOptions,
+    bus: &mut EventBus,
+) -> Result<MinibatchResult, SimError> {
+    job.validate();
+    let varuna = Varuna::new(schedule, job.p(), job.d);
+    Emulator::new(job, varuna, opts, bus).run()
+}
+
+/// Runs `sim` over a private bus, collecting the per-op trace when
+/// [`SimOptions::record_trace`] asks for it.
+fn with_trace(
+    opts: &SimOptions,
+    sim: impl FnOnce(&mut EventBus) -> Result<MinibatchResult, SimError>,
+) -> Result<MinibatchResult, SimError> {
+    let mut bus = EventBus::new();
+    let collector = if opts.record_trace {
+        let c = SpanCollector::new();
+        bus.add_sink(Box::new(c.clone()));
+        Some(c)
+    } else {
+        None
+    };
+    let mut res = sim(&mut bus)?;
+    if let Some(c) = collector {
+        res.trace = c.take();
+    }
+    Ok(res)
+}
+
+/// The event loop of one mini-batch.
+///
+/// Bit-identity with every earlier version rests on three invariants:
+/// events pop in exact `(time, insertion seq)` order; the RNG is drawn in
+/// the same order (compute noise at dispatch, then link jitter per send);
+/// and a busy slot has exactly one pending `OpDone`.
+struct Emulator<'a, P> {
+    job: &'a PlacedJob,
+    opts: &'a SimOptions,
+    bus: &'a mut EventBus,
+    picker: P,
+    p: usize,
+    n: usize,
+    slots: Vec<Slot>,
+    /// Per slot, `3n` flags: gradient ready, recompute done and backward
+    /// done, each indexed by micro-batch.
+    flags: Vec<bool>,
+    q: EventQueue<Ev>,
+    /// In-flight inter-node flows per node, for NIC fair sharing.
+    inflight: Vec<usize>,
+    rng: StdRng,
+}
+
+impl<'a, P: Picker> Emulator<'a, P> {
+    fn new(job: &'a PlacedJob, picker: P, opts: &'a SimOptions, bus: &'a mut EventBus) -> Self {
+        let p = job.p();
+        let d = job.d;
+        let n = job.n_micro;
+        u32::try_from(p * d).expect("slot index fits an event payload");
+        u32::try_from(n).expect("micro-batch index fits an event payload");
+        let mut slots = Vec::with_capacity(p * d);
+        for r in 0..d {
+            for s in 0..p {
+                slots.push(Slot {
+                    stage: s,
+                    replica: r,
+                    busy: false,
+                    forwards_done: 0,
+                    acts_arrived: if s == 0 { n } else { 0 },
+                    backwards_count: 0,
+                    live_acts: None,
+                    pending_recompute: None,
+                    stash_len: 0,
+                    peak_stash: 0,
+                    window: opts
+                        .stash_window_override
+                        .unwrap_or(job.stages[s].stash_window)
+                        .max(1),
+                    last_bwd_end: 0.0,
+                    busy_time: 0.0,
+                    chan_act_last: 0.0,
+                    chan_grad_last: 0.0,
+                    running: Op::new(OpKind::Forward, 0),
+                    started: 0.0,
+                    stutter: job.stutter_of(s, r),
+                    to_next: (s + 1 < p)
+                        .then(|| Route::new(job, s, r, s + 1, job.stages[s].act_bytes)),
+                    to_prev: (s > 0)
+                        .then(|| Route::new(job, s, r, s - 1, job.stages[s - 1].act_bytes)),
+                });
+            }
+        }
+        Emulator {
+            job,
+            opts,
+            bus,
+            picker,
+            p,
+            n,
+            slots,
+            flags: vec![false; 3 * n * p * d],
+            q: EventQueue::new(),
+            inflight: vec![0; job.topology.num_nodes()],
+            rng: StdRng::seed_from_u64(opts.seed),
         }
     }
-    // Reorder: built r-major with s inner, consistent with idx.
-    // (idx(s, r) = r * p + s — matches the push order above.)
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    // In-flight inter-node flows per node, for NIC fair sharing.
-    let mut inflight: Vec<usize> = vec![0; job.topology.num_nodes()];
-    let mut done_pairs = 0usize;
-
-    // Dispatch helper effects are implemented inline in the event loop to
-    // appease the borrow checker; `dispatch` computes the chosen op.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        st: &mut [StageRt],
-        job: &PlacedJob,
-        opts: &SimOptions,
-        p: usize,
-        s: usize,
-        r: usize,
-        now: f64,
-        q: &mut EventQueue<Ev>,
-        rng: &mut StdRng,
-        bus: &mut EventBus,
-    ) {
-        let i = r * p + s;
-        if st[i].busy {
+    /// Starts slot `i`'s next op, if it is idle and its policy picks one.
+    fn dispatch(&mut self, i: usize, now: f64) {
+        let n = self.n;
+        let slot = &self.slots[i];
+        if slot.busy {
             return;
         }
-        let op = {
-            // Destructure so the policy (mutable) and the state it views
-            // (immutable) borrow disjoint fields.
-            let StageRt {
-                policy,
-                forwards_done,
-                acts_arrived,
-                grads_ready,
-                recomputes_done,
-                backwards_done,
-                live_acts,
-                pending_recompute,
-                stash_len,
-                window,
-                ..
-            } = &mut st[i];
-            let view = StageView {
-                stage: s,
-                p,
-                last_stage: s == p - 1,
-                n_micro: job.n_micro,
-                forwards_done: *forwards_done,
-                next_forward_ready: *forwards_done < *acts_arrived && *stash_len < *window,
-                grads_ready,
-                recomputes_done,
-                backwards_done,
-                live_acts: *live_acts,
-                pending_recompute: *pending_recompute,
-                stash_len: *stash_len,
-                stash_window: *window,
-                recompute_enabled: opts.recompute,
-            };
-            let Some(op) = policy.pick(&view) else {
-                return;
-            };
-            assert!(
-                view.is_legal(op),
-                "policy picked illegal op {op:?} at stage {s} replica {r}"
-            );
-            op
+        let (s, r) = (slot.stage, slot.replica);
+        let flags = &self.flags[3 * n * i..3 * n * (i + 1)];
+        let view = StageView {
+            stage: s,
+            p: self.p,
+            last_stage: s == self.p - 1,
+            n_micro: n,
+            forwards_done: slot.forwards_done,
+            next_forward_ready: slot.forwards_done < slot.acts_arrived
+                && slot.stash_len < slot.window,
+            grads_ready: &flags[..n],
+            recomputes_done: &flags[n..2 * n],
+            backwards_done: &flags[2 * n..],
+            live_acts: slot.live_acts,
+            pending_recompute: slot.pending_recompute,
+            stash_len: slot.stash_len,
+            stash_window: slot.window,
+            recompute_enabled: self.opts.recompute,
         };
-        let stutter = job.stutter_of(s, r);
-        let spec = &job.stages[s];
+        let Some(op) = self.picker.pick(i, s, &view) else {
+            return;
+        };
+        assert!(
+            view.is_legal(op),
+            "policy picked illegal op {op:?} at stage {s} replica {r}"
+        );
+        let spec = &self.job.stages[s];
         // Mean-preserving lognormal kernel-time variation.
-        let noise = if opts.compute_jitter > 0.0 {
-            let sigma = opts.compute_jitter;
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
+        let noise = if self.opts.compute_jitter > 0.0 {
+            let sigma = self.opts.compute_jitter;
+            let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = self.rng.gen_range(0.0..1.0);
             let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             (sigma * normal - sigma * sigma / 2.0).exp()
         } else {
             1.0
         };
-        let dur = stutter
+        let slot = &mut self.slots[i];
+        let dur = slot.stutter
             * noise
             * match op.kind {
                 OpKind::Forward => spec.fwd_time,
                 OpKind::Recompute => spec.recompute_time,
                 OpKind::Backward => spec.bwd_time,
             };
-        let stage = &mut st[i];
         // Starting any op invalidates live activations unless the op is
         // the backward consuming them.
-        if !(op.kind == OpKind::Backward && stage.live_acts == Some(op.micro)) {
-            stage.live_acts = None;
+        if !(op.kind == OpKind::Backward && slot.live_acts == Some(op.micro)) {
+            slot.live_acts = None;
         }
-        stage.busy = true;
-        stage.busy_time += dur;
-        q.push(
-            now + dur,
-            Ev::OpDone {
-                s,
-                r,
-                op,
-                started: now,
-            },
-        );
-        bus.emit_with(|| {
+        slot.busy = true;
+        slot.busy_time += dur;
+        slot.running = op;
+        slot.started = now;
+        self.q.push(now + dur, Ev::OpDone(i as u32));
+        self.bus.emit_with(|| {
             Event::exec(
                 now,
                 EventKind::OpStart {
@@ -372,335 +550,268 @@ pub fn simulate_minibatch_on_bus(
         });
     }
 
-    // Kick off all first-stage (and trivially-ready) dispatches.
-    for r in 0..d {
-        for s in 0..p {
-            dispatch(&mut st, job, opts, p, s, r, 0.0, &mut q, &mut rng, bus);
-        }
-    }
-
-    let mut last_time = 0.0;
-    while let Some((now, ev)) = q.pop() {
-        last_time = now;
-        match ev {
-            Ev::OpDone { s, r, op, started } => {
-                let i = idx(s, r);
-                // Emitted exactly where the legacy recorder pushed spans,
-                // so a SpanCollector reproduces the old trace verbatim.
-                bus.emit_with(|| {
-                    Event::exec(
-                        now,
-                        EventKind::OpEnd {
-                            stage: s,
-                            replica: r,
-                            op: op.kind.code(),
-                            micro: op.micro,
-                            start: started,
-                        },
-                    )
-                });
-                st[i].busy = false;
-                match op.kind {
-                    OpKind::Forward => {
-                        st[i].forwards_done += 1;
-                        st[i].stash_len += 1;
-                        st[i].peak_stash = st[i].peak_stash.max(st[i].stash_len);
-                        st[i].live_acts = Some(op.micro);
-                        if s == p - 1 {
-                            // Loss gradient is locally available.
-                            st[i].grads_ready[op.micro] = true;
-                        } else {
-                            // Send activations to the next stage.
-                            let (delay, ser) = transfer(
-                                job,
-                                &mut inflight,
-                                &mut rng,
-                                s,
-                                r,
-                                s + 1,
-                                job.stages[s].act_bytes,
-                            );
-                            bus.emit_with(|| {
-                                Event::exec(
-                                    now,
-                                    EventKind::Transfer {
-                                        from_stage: s,
-                                        to_stage: s + 1,
-                                        replica: r,
-                                        micro: op.micro,
-                                        bytes: job.stages[s].act_bytes,
-                                        seconds: delay,
-                                    },
-                                )
-                            });
-                            let j = idx(s + 1, r);
-                            let arrive = (now + delay).max(st[j].chan_act_last + 1e-9);
-                            st[j].chan_act_last = arrive;
-                            q.push(arrive, Ev::ActArrive { s: s + 1, r });
-                            if opts.blocking_sends {
-                                st[i].busy = true;
-                                st[i].busy_time += ser;
-                                bus.emit_with(|| {
-                                    Event::exec(
-                                        now,
-                                        EventKind::SendBusy {
-                                            stage: s,
-                                            replica: r,
-                                            micro: op.micro,
-                                            seconds: ser,
-                                        },
-                                    )
-                                });
-                                q.push(now + ser, Ev::SendDone { s, r });
-                            }
-                        }
-                    }
-                    OpKind::Recompute => {
-                        st[i].recomputes_done[op.micro] = true;
-                        st[i].pending_recompute = Some(op.micro);
-                        st[i].live_acts = Some(op.micro);
-                    }
-                    OpKind::Backward => {
-                        st[i].backwards_done[op.micro] = true;
-                        st[i].backwards_count += 1;
-                        st[i].stash_len = st[i].stash_len.saturating_sub(1);
-                        if st[i].pending_recompute == Some(op.micro) {
-                            st[i].pending_recompute = None;
-                        }
-                        st[i].live_acts = None;
-                        st[i].last_bwd_end = now;
-                        if st[i].backwards_count == n {
-                            done_pairs += 1;
-                        }
-                        if s > 0 {
-                            let (delay, ser) = transfer(
-                                job,
-                                &mut inflight,
-                                &mut rng,
-                                s,
-                                r,
-                                s - 1,
-                                job.stages[s - 1].act_bytes,
-                            );
-                            bus.emit_with(|| {
-                                Event::exec(
-                                    now,
-                                    EventKind::Transfer {
-                                        from_stage: s,
-                                        to_stage: s - 1,
-                                        replica: r,
-                                        micro: op.micro,
-                                        bytes: job.stages[s - 1].act_bytes,
-                                        seconds: delay,
-                                    },
-                                )
-                            });
-                            let j = idx(s - 1, r);
-                            let arrive = (now + delay).max(st[j].chan_grad_last + 1e-9);
-                            st[j].chan_grad_last = arrive;
-                            q.push(
-                                arrive,
-                                Ev::GradArrive {
-                                    s: s - 1,
-                                    r,
-                                    mb: op.micro,
-                                },
-                            );
-                            if opts.blocking_sends {
-                                st[i].busy = true;
-                                st[i].busy_time += ser;
-                                bus.emit_with(|| {
-                                    Event::exec(
-                                        now,
-                                        EventKind::SendBusy {
-                                            stage: s,
-                                            replica: r,
-                                            micro: op.micro,
-                                            seconds: ser,
-                                        },
-                                    )
-                                });
-                                q.push(now + ser, Ev::SendDone { s, r });
-                            }
-                        }
-                    }
-                }
-                if !st[i].busy {
-                    dispatch(&mut st, job, opts, p, s, r, now, &mut q, &mut rng, bus);
-                }
-            }
-            Ev::ActArrive { s, r } => {
-                release_flow(job, &mut inflight, s - 1, r, s);
-                let i = idx(s, r);
-                st[i].acts_arrived += 1;
-                dispatch(&mut st, job, opts, p, s, r, now, &mut q, &mut rng, bus);
-            }
-            Ev::GradArrive { s, r, mb } => {
-                release_flow(job, &mut inflight, s + 1, r, s);
-                let i = idx(s, r);
-                st[i].grads_ready[mb] = true;
-                dispatch(&mut st, job, opts, p, s, r, now, &mut q, &mut rng, bus);
-            }
-            Ev::SendDone { s, r } => {
-                let i = idx(s, r);
-                st[i].busy = false;
-                dispatch(&mut st, job, opts, p, s, r, now, &mut q, &mut rng, bus);
-            }
-        }
-    }
-
-    if done_pairs != p * d {
-        let unfinished: Vec<usize> = (0..p)
-            .filter(|&s| (0..d).any(|r| st[idx(s, r)].backwards_count < n))
-            .collect();
-        return Err(SimError::Deadlock {
-            unfinished_stages: unfinished,
-        });
-    }
-
-    // Sync phase: per-stage data-parallel allreduce, tied-parameter sync,
-    // optional optimizer-state offload.
-    let mut stage_finish = vec![0.0f64; p];
-    let mut peak_stash = vec![0usize; p];
-    let mut busy_time = vec![0.0f64; p];
-    for s in 0..p {
-        for r in 0..d {
-            let i = idx(s, r);
-            stage_finish[s] = stage_finish[s].max(st[i].last_bwd_end);
-            peak_stash[s] = peak_stash[s].max(st[i].peak_stash);
-            busy_time[s] += st[i].busy_time;
-        }
-        busy_time[s] /= d as f64;
-    }
-    let pipeline_time = last_time;
-
-    // How many job endpoints share each node (concurrent allreduce rings
-    // contending for one NIC).
-    let mut per_node = vec![0usize; job.topology.num_nodes()];
-    for r in 0..d {
-        for s in 0..p {
-            per_node[job.topology.node_of(job.placement.endpoint(s, r))] += 1;
-        }
-    }
-
-    let mut allreduce = vec![0.0f64; p];
-    let mut total_time: f64 = pipeline_time;
-    for s in 0..p {
-        let ring = job.placement.stage_ring(s);
-        let cross_node = ring.windows(2).any(|w| !job.topology.same_node(w[0], w[1]))
-            || (ring.len() > 1 && !job.topology.same_node(ring[0], *ring.last().unwrap()));
-        let link = if cross_node || ring.len() == 1 {
-            job.topology.inter_link()
+    /// Sends slot `i`'s output for `micro` to the neighbouring stage of
+    /// its replica (activations forward, else gradients back) and, under
+    /// blocking sends, holds slot `i` busy for the serialization time.
+    fn send(&mut self, i: usize, forward: bool, micro: usize, now: f64) {
+        let slot = &self.slots[i];
+        let (s, r) = (slot.stage, slot.replica);
+        let (route, j, to_stage) = if forward {
+            (&slot.to_next, i + 1, s + 1)
         } else {
-            job.topology.intra_link()
+            (&slot.to_prev, i - 1, s - 1)
         };
-        let in_flight = ring
-            .iter()
-            .map(|&e| per_node[job.topology.node_of(e)])
-            .max()
-            .unwrap_or(1);
-        let ar = allreduce_time(
-            AllreduceSpec {
-                bytes: job.stages[s].grad_bytes,
-                ring_size: d,
-                in_flight,
-            },
-            link,
-        );
-        allreduce[s] = ar;
-        if d > 1 {
-            bus.emit_with(|| {
+        let route = route.as_ref().expect("the neighbouring stage exists");
+        let bytes = route.bytes;
+        let (delay, ser) = route.send(&mut self.inflight, &mut self.rng);
+        self.bus.emit_with(|| {
+            Event::exec(
+                now,
+                EventKind::Transfer {
+                    from_stage: s,
+                    to_stage,
+                    replica: r,
+                    micro,
+                    bytes,
+                    seconds: delay,
+                },
+            )
+        });
+        let dst = &mut self.slots[j];
+        let chan = if forward {
+            &mut dst.chan_act_last
+        } else {
+            &mut dst.chan_grad_last
+        };
+        let arrive = (now + delay).max(*chan + 1e-9);
+        *chan = arrive;
+        let ev = if forward {
+            Ev::ActArrive(j as u32)
+        } else {
+            Ev::GradArrive(j as u32, micro as u32)
+        };
+        self.q.push(arrive, ev);
+        if self.opts.blocking_sends {
+            let slot = &mut self.slots[i];
+            slot.busy = true;
+            slot.busy_time += ser;
+            self.bus.emit_with(|| {
                 Event::exec(
-                    stage_finish[s] + ar,
-                    EventKind::Allreduce {
+                    now,
+                    EventKind::SendBusy {
                         stage: s,
-                        bytes: job.stages[s].grad_bytes,
-                        ring: d,
-                        seconds: ar,
+                        replica: r,
+                        micro,
+                        seconds: ser,
                     },
                 )
             });
+            self.q.push(now + ser, Ev::SendDone(i as u32));
         }
-        let mut tail = ar;
-        // Tied-parameter sync between the first and last stage of each
-        // replica (ring of 2 over the inter-stage link).
-        if job.shared_sync_bytes > 0.0 && p > 1 && (s == 0 || s == p - 1) {
-            let e0 = job.placement.endpoint(0, 0);
-            let e1 = job.placement.endpoint(p - 1, 0);
-            let link01 = job.topology.link_between(e0, e1);
-            tail += allreduce_time(
-                AllreduceSpec {
-                    bytes: job.shared_sync_bytes,
-                    ring_size: 2,
-                    in_flight: 1,
-                },
-                link01,
-            );
-        }
-        if let Some(bytes) = job.offload_bytes {
-            // Gradients out, updated fp16 weights back, over PCIe.
-            tail += bytes / 12.0e9;
-        }
-        total_time = total_time.max(stage_finish[s] + tail);
     }
-    let sync_tail = total_time - pipeline_time;
 
-    Ok(MinibatchResult {
-        total_time,
-        pipeline_time,
-        sync_tail,
-        trace: Vec::new(),
-        peak_stash,
-        busy_time,
-        stage_finish,
-        allreduce,
-    })
-}
+    /// Handles slot `i`'s finished op.
+    fn op_done(&mut self, i: usize, now: f64) {
+        let (p, n) = (self.p, self.n);
+        let slot = &self.slots[i];
+        let (s, r, op, started) = (slot.stage, slot.replica, slot.running, slot.started);
+        // Emitted exactly where the legacy recorder pushed spans, so a
+        // SpanCollector reproduces the old trace verbatim.
+        self.bus.emit_with(|| {
+            Event::exec(
+                now,
+                EventKind::OpEnd {
+                    stage: s,
+                    replica: r,
+                    op: op.kind.code(),
+                    micro: op.micro,
+                    start: started,
+                },
+            )
+        });
+        let flags = 3 * n * i;
+        let slot = &mut self.slots[i];
+        slot.busy = false;
+        match op.kind {
+            OpKind::Forward => {
+                slot.forwards_done += 1;
+                slot.stash_len += 1;
+                slot.peak_stash = slot.peak_stash.max(slot.stash_len);
+                slot.live_acts = Some(op.micro);
+                if s == p - 1 {
+                    // Loss gradient is locally available.
+                    self.flags[flags + op.micro] = true;
+                } else {
+                    self.send(i, true, op.micro, now);
+                }
+            }
+            OpKind::Recompute => {
+                self.flags[flags + n + op.micro] = true;
+                slot.pending_recompute = Some(op.micro);
+                slot.live_acts = Some(op.micro);
+            }
+            OpKind::Backward => {
+                self.flags[flags + 2 * n + op.micro] = true;
+                slot.backwards_count += 1;
+                slot.stash_len = slot.stash_len.saturating_sub(1);
+                if slot.pending_recompute == Some(op.micro) {
+                    slot.pending_recompute = None;
+                }
+                slot.live_acts = None;
+                slot.last_bwd_end = now;
+                if s > 0 {
+                    self.send(i, false, op.micro, now);
+                }
+            }
+        }
+        if !self.slots[i].busy {
+            self.dispatch(i, now);
+        }
+    }
 
-/// Computes (total delivery delay, serialization time) for a message of
-/// `bytes` from `(s_from, r)` to `(s_to, r)`, updating NIC in-flight
-/// bookkeeping approximately (contention is sampled at send time).
-fn transfer(
-    job: &PlacedJob,
-    inflight: &mut [usize],
-    rng: &mut StdRng,
-    s_from: usize,
-    r: usize,
-    s_to: usize,
-    bytes: f64,
-) -> (f64, f64) {
-    let src = job.placement.endpoint(s_from, r);
-    let dst = job.placement.endpoint(s_to, r);
-    let link = job.topology.link_between(src, dst);
-    let same = job.topology.same_node(src, dst);
-    let node = job.topology.node_of(src);
-    let flows = if same {
-        1
-    } else {
-        // Contention is sampled at send time; the matching decrement
-        // happens when the message is delivered.
-        inflight[node] += 1;
-        inflight[node]
-    };
-    let bottleneck = if same {
-        link.bandwidth
-    } else {
-        job.topology.nic_bandwidth()
-    };
-    let bw = link.bandwidth.min(fair_share(bottleneck, flows));
-    let ser = bytes / bw;
-    let jitter = sample_jitter(&link.jitter, rng);
-    (link.latency + jitter + ser, ser)
-}
+    fn run(mut self) -> Result<MinibatchResult, SimError> {
+        let (job, p, d, n) = (self.job, self.p, self.job.d, self.n);
+        // Kick off all first-stage (and trivially-ready) dispatches.
+        for i in 0..p * d {
+            self.dispatch(i, 0.0);
+        }
+        let mut last_time = 0.0;
+        while let Some((now, ev)) = self.q.pop() {
+            last_time = now;
+            match ev {
+                Ev::OpDone(i) => self.op_done(i as usize, now),
+                Ev::ActArrive(j) => {
+                    let j = j as usize;
+                    let from = self.slots[j - 1].to_next.as_ref();
+                    from.expect("sent along a route")
+                        .deliver(&mut self.inflight);
+                    self.slots[j].acts_arrived += 1;
+                    self.dispatch(j, now);
+                }
+                Ev::GradArrive(j, mb) => {
+                    let j = j as usize;
+                    let from = self.slots[j + 1].to_prev.as_ref();
+                    from.expect("sent along a route")
+                        .deliver(&mut self.inflight);
+                    self.flags[3 * n * j + mb as usize] = true;
+                    self.dispatch(j, now);
+                }
+                Ev::SendDone(i) => {
+                    let i = i as usize;
+                    self.slots[i].busy = false;
+                    self.dispatch(i, now);
+                }
+            }
+        }
+        let st = &self.slots;
+        let idx = |s: usize, r: usize| r * p + s;
 
-/// Releases the NIC slot taken by a delivered cross-node message sent from
-/// `(s_from, r)` to `(s_to, r)`.
-fn release_flow(job: &PlacedJob, inflight: &mut [usize], s_from: usize, r: usize, s_to: usize) {
-    let src = job.placement.endpoint(s_from, r);
-    let dst = job.placement.endpoint(s_to, r);
-    if !job.topology.same_node(src, dst) {
-        let node = job.topology.node_of(src);
-        inflight[node] = inflight[node].saturating_sub(1);
+        if st.iter().any(|slot| slot.backwards_count != n) {
+            let unfinished: Vec<usize> = (0..p)
+                .filter(|&s| (0..d).any(|r| st[idx(s, r)].backwards_count < n))
+                .collect();
+            return Err(SimError::Deadlock {
+                unfinished_stages: unfinished,
+            });
+        }
+
+        // Sync phase: per-stage data-parallel allreduce, tied-parameter sync,
+        // optional optimizer-state offload.
+        let mut stage_finish = vec![0.0f64; p];
+        let mut peak_stash = vec![0usize; p];
+        let mut busy_time = vec![0.0f64; p];
+        for s in 0..p {
+            for r in 0..d {
+                let i = idx(s, r);
+                stage_finish[s] = stage_finish[s].max(st[i].last_bwd_end);
+                peak_stash[s] = peak_stash[s].max(st[i].peak_stash);
+                busy_time[s] += st[i].busy_time;
+            }
+            busy_time[s] /= d as f64;
+        }
+        let pipeline_time = last_time;
+
+        // How many job endpoints share each node (concurrent allreduce rings
+        // contending for one NIC).
+        let mut per_node = vec![0usize; job.topology.num_nodes()];
+        for r in 0..d {
+            for s in 0..p {
+                per_node[job.topology.node_of(job.placement.endpoint(s, r))] += 1;
+            }
+        }
+
+        let mut allreduce = vec![0.0f64; p];
+        let mut total_time: f64 = pipeline_time;
+        for s in 0..p {
+            let ring = job.placement.stage_ring(s);
+            let cross_node = ring.windows(2).any(|w| !job.topology.same_node(w[0], w[1]))
+                || (ring.len() > 1 && !job.topology.same_node(ring[0], *ring.last().unwrap()));
+            let link = if cross_node || ring.len() == 1 {
+                job.topology.inter_link()
+            } else {
+                job.topology.intra_link()
+            };
+            let in_flight = ring
+                .iter()
+                .map(|&e| per_node[job.topology.node_of(e)])
+                .max()
+                .unwrap_or(1);
+            let ar = allreduce_time(
+                AllreduceSpec {
+                    bytes: job.stages[s].grad_bytes,
+                    ring_size: d,
+                    in_flight,
+                },
+                link,
+            );
+            allreduce[s] = ar;
+            if d > 1 {
+                self.bus.emit_with(|| {
+                    Event::exec(
+                        stage_finish[s] + ar,
+                        EventKind::Allreduce {
+                            stage: s,
+                            bytes: job.stages[s].grad_bytes,
+                            ring: d,
+                            seconds: ar,
+                        },
+                    )
+                });
+            }
+            let mut tail = ar;
+            // Tied-parameter sync between the first and last stage of each
+            // replica (ring of 2 over the inter-stage link).
+            if job.shared_sync_bytes > 0.0 && p > 1 && (s == 0 || s == p - 1) {
+                let e0 = job.placement.endpoint(0, 0);
+                let e1 = job.placement.endpoint(p - 1, 0);
+                let link01 = job.topology.link_between(e0, e1);
+                tail += allreduce_time(
+                    AllreduceSpec {
+                        bytes: job.shared_sync_bytes,
+                        ring_size: 2,
+                        in_flight: 1,
+                    },
+                    link01,
+                );
+            }
+            if let Some(bytes) = job.offload_bytes {
+                // Gradients out, updated fp16 weights back, over PCIe.
+                tail += bytes / 12.0e9;
+            }
+            total_time = total_time.max(stage_finish[s] + tail);
+        }
+        let sync_tail = total_time - pipeline_time;
+
+        Ok(MinibatchResult {
+            total_time,
+            pipeline_time,
+            sync_tail,
+            trace: Vec::new(),
+            peak_stash,
+            busy_time,
+            stage_finish,
+            allreduce,
+        })
     }
 }
 

@@ -64,49 +64,65 @@ impl JitterModel {
 /// Draws one jitter value from `model` using an external RNG.
 ///
 /// Useful for simulators that own a single RNG and sample jitter for many
-/// different links.
+/// different links; one that draws from the same link repeatedly can
+/// solve the distribution once with [`PreparedJitter`] (same draws).
 pub fn sample_jitter<R: rand::Rng>(model: &JitterModel, rng: &mut R) -> Seconds {
-    if model.mean > 0.0 && model.sigma > 0.0 {
-        let mu = model.mean.ln() - model.sigma * model.sigma / 2.0;
-        let d = LogNormal::new(mu, model.sigma).expect("valid lognormal parameters");
-        d.sample(rng)
-    } else {
-        model.mean
+    PreparedJitter::new(model).sample(rng)
+}
+
+/// A [`JitterModel`] with its lognormal parameters solved once.
+///
+/// Sampling consumes the RNG exactly as [`sample_jitter`] does and returns
+/// the same values, without re-deriving `mu` (a logarithm) per draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedJitter {
+    mean: Seconds,
+    dist: Option<LogNormal<f64>>,
+}
+
+impl PreparedJitter {
+    /// Solves `model`'s lognormal parameters.
+    pub fn new(model: &JitterModel) -> Self {
+        // A lognormal with parameters (mu, sigma) has mean exp(mu + sigma^2/2);
+        // solve for mu so the draws' mean matches `model.mean`.
+        let dist = (model.mean > 0.0 && model.sigma > 0.0).then(|| {
+            let mu = model.mean.ln() - model.sigma * model.sigma / 2.0;
+            LogNormal::new(mu, model.sigma).expect("valid lognormal parameters")
+        });
+        PreparedJitter {
+            mean: model.mean,
+            dist,
+        }
+    }
+
+    /// Draws one jitter value in seconds.
+    pub fn sample<R: rand::Rng>(&self, rng: &mut R) -> Seconds {
+        match &self.dist {
+            Some(d) => d.sample(rng),
+            None => self.mean,
+        }
     }
 }
 
 /// A seeded sampler drawing successive jitter values from a [`JitterModel`].
 #[derive(Debug, Clone)]
 pub struct JitterSampler {
-    model: JitterModel,
-    dist: Option<LogNormal<f64>>,
+    dist: PreparedJitter,
     rng: StdRng,
 }
 
 impl JitterSampler {
     /// Creates a sampler with the given deterministic seed.
     pub fn new(model: JitterModel, seed: u64) -> Self {
-        // A lognormal with parameters (mu, sigma) has mean exp(mu + sigma^2/2);
-        // solve for mu so the sampler's mean matches `model.mean`.
-        let dist = if model.mean > 0.0 && model.sigma > 0.0 {
-            let mu = model.mean.ln() - model.sigma * model.sigma / 2.0;
-            Some(LogNormal::new(mu, model.sigma).expect("valid lognormal parameters"))
-        } else {
-            None
-        };
         JitterSampler {
-            model,
-            dist,
+            dist: PreparedJitter::new(&model),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// Draws the next jitter value in seconds.
     pub fn sample(&mut self) -> Seconds {
-        match &self.dist {
-            Some(d) => d.sample(&mut self.rng),
-            None => self.model.mean,
-        }
+        self.dist.sample(&mut self.rng)
     }
 }
 
@@ -159,6 +175,30 @@ mod tests {
             (emp - 0.004).abs() / 0.004 < 0.02,
             "empirical mean {emp} too far from 0.004"
         );
+    }
+
+    #[test]
+    fn prepared_draws_match_solving_per_draw() {
+        use rand::Rng;
+        for m in [
+            JitterModel::new(0.001, 0.8),
+            JitterModel::new(0.002, 0.0),
+            JitterModel::NONE,
+        ] {
+            let prepared = PreparedJitter::new(&m);
+            let mut a = StdRng::seed_from_u64(5);
+            let mut b = StdRng::seed_from_u64(5);
+            for _ in 0..64 {
+                let want = if m.mean > 0.0 && m.sigma > 0.0 {
+                    let mu = m.mean.ln() - m.sigma * m.sigma / 2.0;
+                    LogNormal::new(mu, m.sigma).unwrap().sample(&mut a)
+                } else {
+                    m.mean
+                };
+                assert_eq!(prepared.sample(&mut b).to_bits(), want.to_bits());
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same RNG consumption");
+        }
     }
 
     #[test]

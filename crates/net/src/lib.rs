@@ -28,7 +28,7 @@ pub mod transfer;
 pub mod units;
 
 pub use collective::{allreduce_time, hierarchical_allreduce_time, AllreduceSpec};
-pub use jitter::{sample_jitter, JitterModel};
+pub use jitter::{sample_jitter, JitterModel, PreparedJitter};
 pub use link::{Link, LinkClass};
 pub use topology::{Endpoint, NodeId, Topology};
 pub use transfer::{transfer_time, TransferSpec};

@@ -36,6 +36,7 @@ impl TransferSpec {
 /// # Panics
 ///
 /// Panics if `flows` is zero.
+#[inline]
 pub fn fair_share(capacity: BytesPerSec, flows: usize) -> BytesPerSec {
     assert!(flows > 0, "at least one flow must be present");
     capacity / flows as f64

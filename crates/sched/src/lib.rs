@@ -39,5 +39,6 @@ pub use drain::{boundary_drain_legal, drain_in_place_legal};
 pub use op::{Op, OpKind, OpSpan};
 pub use policy::{GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
 pub use schedule::{
-    enumerate, enumerate_policy, generate_schedule, Discipline, StaticSchedule, VarunaPolicy,
+    enumerate, enumerate_policy, generate_schedule, Discipline, StageOrder, StaticSchedule,
+    VarunaPolicy,
 };

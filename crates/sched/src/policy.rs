@@ -50,6 +50,7 @@ pub struct StageView<'a> {
 
 impl StageView<'_> {
     /// Whether a backward for `mb` may run now.
+    #[inline]
     pub fn backward_ready(&self, mb: usize) -> bool {
         if mb >= self.n_micro || !self.grads_ready[mb] || self.backwards_done[mb] {
             return false;
@@ -66,6 +67,7 @@ impl StageView<'_> {
     }
 
     /// Whether a recompute for `mb` may run now.
+    #[inline]
     pub fn recompute_ready(&self, mb: usize) -> bool {
         self.recompute_enabled
             && self.pending_recompute.is_none()
@@ -76,6 +78,7 @@ impl StageView<'_> {
     }
 
     /// Whether the next forward may run now.
+    #[inline]
     pub fn forward_ready(&self) -> bool {
         self.pending_recompute.is_none()
             && self.forwards_done < self.n_micro
@@ -84,6 +87,7 @@ impl StageView<'_> {
 
     /// Whether `op` is legal in this view (the engine asserts this on
     /// every pick).
+    #[inline]
     pub fn is_legal(&self, op: Op) -> bool {
         match op.kind {
             OpKind::Forward => self.forward_ready() && op.micro == self.forwards_done,

@@ -45,15 +45,6 @@ pub struct StaticSchedule {
     pub makespan: f64,
 }
 
-impl StaticSchedule {
-    /// A [`PolicyFactory`]-shaped closure that hands every `(stage,
-    /// replica)` an opportunistic [`VarunaPolicy`] replaying this schedule.
-    /// All data-parallel replicas of a stage share the same static order.
-    pub fn factory(&self) -> impl Fn(usize, usize) -> Box<dyn SchedulePolicy> + '_ {
-        move |stage, _replica| Box::new(VarunaPolicy::for_stage(self, stage))
-    }
-}
-
 /// Generates the Varuna static schedule for `p` stages and `n_micro`
 /// micro-batches with activation-stash window `window`.
 pub fn generate_schedule(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
@@ -432,9 +423,9 @@ fn needs_rec(disc: Discipline, last: bool) -> bool {
 #[derive(Debug, Clone)]
 pub struct VarunaPolicy {
     order: Vec<Op>,
-    executed: Vec<bool>,
     /// Position in `order` of each micro-batch's (first) forward.
     fwd_at: Vec<Option<usize>>,
+    executed: Vec<bool>,
     cursor: usize,
     opportunistic: bool,
 }
@@ -447,23 +438,10 @@ impl VarunaPolicy {
     /// Panics if `stage` is out of range.
     pub fn for_stage(schedule: &StaticSchedule, stage: usize) -> Self {
         let order = schedule.per_stage[stage].clone();
-        let executed = vec![false; order.len()];
-        // Forwards run in micro-batch order, so with `F` forwards listed
-        // only micro-batches `0..F` can ever be the next legal forward;
-        // entries beyond that (or repeats) are never looked up.
-        let forwards = order.iter().filter(|o| o.kind == OpKind::Forward).count();
-        let mut fwd_at = vec![None; forwards];
-        for (i, op) in order.iter().enumerate() {
-            if op.kind == OpKind::Forward {
-                if let Some(slot) = fwd_at.get_mut(op.micro) {
-                    slot.get_or_insert(i);
-                }
-            }
-        }
         VarunaPolicy {
+            fwd_at: forward_positions(&order),
+            executed: vec![false; order.len()],
             order,
-            executed,
-            fwd_at,
             cursor: 0,
             opportunistic: true,
         }
@@ -480,58 +458,148 @@ impl VarunaPolicy {
 
 impl SchedulePolicy for VarunaPolicy {
     fn pick(&mut self, view: &StageView<'_>) -> Option<Op> {
-        // Resolve the designated next op, applying run-time corrections
-        // for drift between the plan's timing and reality.
-        loop {
-            while self.cursor < self.order.len() && self.executed[self.cursor] {
-                self.cursor += 1;
-            }
-            let &op = self.order.get(self.cursor)?;
-            // A planned recompute made redundant (its backward already ran
-            // off live activations, or they are live right now) is
-            // skipped, and the next op becomes designated.
-            if op.kind == OpKind::Recompute
-                && (view.backwards_done[op.micro] || view.live_acts == Some(op.micro))
-            {
-                self.executed[self.cursor] = true;
-                continue;
-            }
-            // A planned backward that was meant to consume live
-            // activations but lost them (an opportunistic op ran in
-            // between) needs a recompute inserted first.
-            if op.kind == OpKind::Backward
-                && view.grads_ready[op.micro]
-                && !view.backward_ready(op.micro)
-                && view.recompute_ready(op.micro)
-            {
-                return Some(Op::new(OpKind::Recompute, op.micro));
-            }
-            // The offline schedule timed each recompute to land just
-            // before its gradient; at run time jitter can make gradients
-            // later than planned, and a recompute that completes with no
-            // gradient in hand wedges the stage (constraint 2) — so defer
-            // a scheduled recompute until its gradient has arrived.
-            let rec_premature = op.kind == OpKind::Recompute && !view.grads_ready[op.micro];
-            if !rec_premature && view.is_legal(op) {
-                self.executed[self.cursor] = true;
-                return Some(op);
-            }
-            break;
-        }
-        // The designated op is blocked: opportunistic deviation, restricted
-        // to forwards (paper §3.2). The strict ablation variant idles
-        // instead. Forwards run in micro-batch order, so the only forward
-        // that can be legal is the one for `forwards_done`.
-        if !self.opportunistic || !view.forward_ready() {
-            return None;
-        }
-        let i = self.fwd_at.get(view.forwards_done).copied().flatten()?;
-        if self.executed[i] {
-            return None;
-        }
-        self.executed[i] = true;
-        Some(self.order[i])
+        pick_in_order(
+            &self.order,
+            &self.fwd_at,
+            &mut self.executed,
+            &mut self.cursor,
+            self.opportunistic,
+            view,
+        )
     }
+}
+
+/// One stage's static order, borrowed, with the position of each
+/// micro-batch's first forward: the read-only half of an opportunistic
+/// [`VarunaPolicy`], shared by every data-parallel replica of the stage.
+///
+/// An emulator that keeps each replica's progress (one `executed` flag per
+/// order entry, plus a cursor) in its own storage drives the policy through
+/// [`StageOrder::pick`] with no per-replica copy of the order and no boxed
+/// [`SchedulePolicy`]; the picks are exactly [`VarunaPolicy::for_stage`]'s.
+#[derive(Debug, Clone)]
+pub struct StageOrder<'a> {
+    order: &'a [Op],
+    fwd_at: Vec<Option<usize>>,
+}
+
+impl<'a> StageOrder<'a> {
+    /// Indexes `schedule`'s order for `stage`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    pub fn new(schedule: &'a StaticSchedule, stage: usize) -> Self {
+        let order = &schedule.per_stage[stage][..];
+        StageOrder {
+            order,
+            fwd_at: forward_positions(order),
+        }
+    }
+
+    /// Entries in the order: the length of a replica's `executed` flags.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the order is empty.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The opportunistic policy's pick for one replica whose progress is
+    /// `executed` (one flag per order entry, initially all `false`) and
+    /// `cursor` (initially 0).
+    #[inline]
+    pub fn pick(
+        &self,
+        executed: &mut [bool],
+        cursor: &mut usize,
+        view: &StageView<'_>,
+    ) -> Option<Op> {
+        pick_in_order(self.order, &self.fwd_at, executed, cursor, true, view)
+    }
+}
+
+/// Position in `order` of each micro-batch's (first) forward.
+fn forward_positions(order: &[Op]) -> Vec<Option<usize>> {
+    // Forwards run in micro-batch order, so with `F` forwards listed only
+    // micro-batches `0..F` can ever be the next legal forward; entries
+    // beyond that (or repeats) are never looked up.
+    let forwards = order.iter().filter(|o| o.kind == OpKind::Forward).count();
+    let mut fwd_at = vec![None; forwards];
+    for (i, op) in order.iter().enumerate() {
+        if op.kind == OpKind::Forward {
+            if let Some(slot) = fwd_at.get_mut(op.micro) {
+                slot.get_or_insert(i);
+            }
+        }
+    }
+    fwd_at
+}
+
+/// The Varuna run-time pick over a stage's static `order`, advancing one
+/// replica's `executed` flags and `cursor`.
+#[inline]
+fn pick_in_order(
+    order: &[Op],
+    fwd_at: &[Option<usize>],
+    executed: &mut [bool],
+    cursor: &mut usize,
+    opportunistic: bool,
+    view: &StageView<'_>,
+) -> Option<Op> {
+    // Resolve the designated next op, applying run-time corrections for
+    // drift between the plan's timing and reality.
+    loop {
+        while *cursor < order.len() && executed[*cursor] {
+            *cursor += 1;
+        }
+        let &op = order.get(*cursor)?;
+        // A planned recompute made redundant (its backward already ran off
+        // live activations, or they are live right now) is skipped, and
+        // the next op becomes designated.
+        if op.kind == OpKind::Recompute
+            && (view.backwards_done[op.micro] || view.live_acts == Some(op.micro))
+        {
+            executed[*cursor] = true;
+            continue;
+        }
+        // A planned backward that was meant to consume live activations
+        // but lost them (an opportunistic op ran in between) needs a
+        // recompute inserted first.
+        if op.kind == OpKind::Backward
+            && view.grads_ready[op.micro]
+            && !view.backward_ready(op.micro)
+            && view.recompute_ready(op.micro)
+        {
+            return Some(Op::new(OpKind::Recompute, op.micro));
+        }
+        // The offline schedule timed each recompute to land just before
+        // its gradient; at run time jitter can make gradients later than
+        // planned, and a recompute that completes with no gradient in hand
+        // wedges the stage (constraint 2) — so defer a scheduled recompute
+        // until its gradient has arrived.
+        let rec_premature = op.kind == OpKind::Recompute && !view.grads_ready[op.micro];
+        if !rec_premature && view.is_legal(op) {
+            executed[*cursor] = true;
+            return Some(op);
+        }
+        break;
+    }
+    // The designated op is blocked: opportunistic deviation, restricted to
+    // forwards (paper §3.2). The strict ablation variant idles instead.
+    // Forwards run in micro-batch order, so the only forward that can be
+    // legal is the one for `forwards_done`.
+    if !opportunistic || !view.forward_ready() {
+        return None;
+    }
+    let i = fwd_at.get(view.forwards_done).copied().flatten()?;
+    if executed[i] {
+        return None;
+    }
+    executed[i] = true;
+    Some(order[i])
 }
 
 #[cfg(test)]
