@@ -52,11 +52,11 @@ impl SchedulePolicy for GPipePolicy {
 mod tests {
     use super::*;
     use varuna_exec::job::PlacedJob;
-    use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+    use varuna_exec::pipeline::{simulate_minibatch, simulate_minibatch_on_bus, SimOptions};
     use varuna_exec::placement::Placement;
     use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
     use varuna_net::Topology;
-    use varuna_sched::op::OpKind;
+    use varuna_obs::{profile::spans, EventBus, ProfileSpan, VecSink};
     use varuna_sched::policy::GreedyPolicy;
 
     fn job(p: usize, n_micro: usize) -> PlacedJob {
@@ -73,26 +73,28 @@ mod tests {
         )
     }
 
+    /// The per-op spans of one GPipe mini-batch, from its captured events.
+    fn gpipe_spans(j: &PlacedJob) -> Vec<ProfileSpan> {
+        let tape = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+        let opts = SimOptions::default();
+        simulate_minibatch_on_bus(j, &|_, _| Box::new(GPipePolicy), &opts, &mut bus).unwrap();
+        spans(&tape.take())
+    }
+
     #[test]
     fn gpipe_completes_and_orders_phases() {
-        let j = job(4, 5);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let res = simulate_minibatch(&j, &|_, _| Box::new(GPipePolicy), &opts).unwrap();
+        let trace = gpipe_spans(&job(4, 5));
         // Every stage's last forward precedes its first backward.
         for s in 0..4 {
-            let last_fwd = res
-                .trace
+            let last_fwd = trace
                 .iter()
-                .filter(|t| t.stage == s && t.op.kind == OpKind::Forward)
+                .filter(|t| t.stage == s && t.op == 'F')
                 .map(|t| t.end)
                 .fold(0.0f64, f64::max);
-            let first_bwd = res
-                .trace
+            let first_bwd = trace
                 .iter()
-                .filter(|t| t.stage == s && t.op.kind == OpKind::Backward)
+                .filter(|t| t.stage == s && t.op == 'B')
                 .map(|t| t.start)
                 .fold(f64::INFINITY, f64::min);
             assert!(last_fwd <= first_bwd, "stage {s} interleaved phases");
@@ -101,34 +103,20 @@ mod tests {
 
     #[test]
     fn gpipe_backwards_run_in_reverse_order() {
-        let j = job(3, 4);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let res = simulate_minibatch(&j, &|_, _| Box::new(GPipePolicy), &opts).unwrap();
-        let bwd_order: Vec<usize> = res
-            .trace
+        let bwd_order: Vec<usize> = gpipe_spans(&job(3, 4))
             .iter()
-            .filter(|t| t.stage == 0 && t.op.kind == OpKind::Backward)
-            .map(|t| t.op.micro)
+            .filter(|t| t.stage == 0 && t.op == 'B')
+            .map(|t| t.micro)
             .collect();
         assert_eq!(bwd_order, vec![3, 2, 1, 0]);
     }
 
     #[test]
     fn last_stage_skips_recompute_only_for_final_microbatch() {
-        let j = job(4, 5);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let res = simulate_minibatch(&j, &|_, _| Box::new(GPipePolicy), &opts).unwrap();
-        let recs: Vec<usize> = res
-            .trace
+        let recs: Vec<usize> = gpipe_spans(&job(4, 5))
             .iter()
-            .filter(|t| t.stage == 3 && t.op.kind == OpKind::Recompute)
-            .map(|t| t.op.micro)
+            .filter(|t| t.stage == 3 && t.op == 'R')
+            .map(|t| t.micro)
             .collect();
         assert_eq!(recs, vec![3, 2, 1, 0], "all but micro-batch 4 recompute");
     }

@@ -48,11 +48,11 @@ impl SchedulePolicy for OneF1BPolicy {
 mod tests {
     use super::*;
     use varuna_exec::job::PlacedJob;
-    use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+    use varuna_exec::pipeline::{simulate_minibatch_on_bus, MinibatchResult, SimOptions};
     use varuna_exec::placement::Placement;
     use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
     use varuna_net::Topology;
-    use varuna_sched::op::OpKind;
+    use varuna_obs::{profile::spans, EventBus, ProfileSpan, VecSink};
 
     fn job(p: usize, n_micro: usize) -> PlacedJob {
         let graph = CutpointGraph::from_transformer(&ModelZoo::gpt2_2_5b());
@@ -68,22 +68,21 @@ mod tests {
         )
     }
 
-    fn run(p: usize, n: usize) -> varuna_exec::pipeline::MinibatchResult {
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        simulate_minibatch(&job(p, n), &|_, _| Box::new(OneF1BPolicy), &opts).unwrap()
+    /// One 1F1B mini-batch and its per-op spans, from the captured events.
+    fn run(p: usize, n: usize) -> (MinibatchResult, Vec<ProfileSpan>) {
+        let tape = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+        let opts = SimOptions::default();
+        let res =
+            simulate_minibatch_on_bus(&job(p, n), &|_, _| Box::new(OneF1BPolicy), &opts, &mut bus)
+                .unwrap();
+        (res, spans(&tape.take()))
     }
 
     #[test]
     fn completes_all_microbatches() {
-        let res = run(4, 12);
-        let bwd = res
-            .trace
-            .iter()
-            .filter(|t| t.op.kind == OpKind::Backward)
-            .count();
+        let (_, trace) = run(4, 12);
+        let bwd = trace.iter().filter(|t| t.op == 'B').count();
         assert_eq!(bwd, 4 * 12);
     }
 
@@ -91,7 +90,7 @@ mod tests {
     fn stash_is_bounded_by_warmup_depth() {
         // The defining 1F1B property: in-flight micro-batches per stage
         // stay at (P - stage), not N_m.
-        let res = run(4, 16);
+        let (res, _) = run(4, 16);
         assert!(
             res.peak_stash[0] <= 4 + 1,
             "stage 0 stash {} exceeds pipeline depth",
@@ -102,13 +101,12 @@ mod tests {
 
     #[test]
     fn backwards_run_in_fifo_order() {
-        let res = run(3, 8);
+        let (_, trace) = run(3, 8);
         for s in 0..3 {
-            let order: Vec<usize> = res
-                .trace
+            let order: Vec<usize> = trace
                 .iter()
-                .filter(|t| t.stage == s && t.op.kind == OpKind::Backward)
-                .map(|t| t.op.micro)
+                .filter(|t| t.stage == s && t.op == 'B')
+                .map(|t| t.micro)
                 .collect();
             let mut sorted = order.clone();
             sorted.sort_unstable();
@@ -118,17 +116,16 @@ mod tests {
 
     #[test]
     fn steady_state_alternates_forward_and_backward() {
-        let res = run(4, 16);
+        let (_, trace) = run(4, 16);
         // Mid-schedule at stage 0: between consecutive backwards there is
         // exactly one forward.
-        let mut seq: Vec<(f64, OpKind)> = res
-            .trace
+        let mut seq: Vec<(f64, char)> = trace
             .iter()
-            .filter(|t| t.stage == 0 && t.op.kind != OpKind::Recompute)
-            .map(|t| (t.start, t.op.kind))
+            .filter(|t| t.stage == 0 && t.op != 'R')
+            .map(|t| (t.start, t.op))
             .collect();
         seq.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let kinds: Vec<OpKind> = seq.iter().map(|(_, k)| *k).collect();
+        let kinds: Vec<char> = seq.iter().map(|(_, k)| *k).collect();
         // Skip warmup (3 forwards) and tail (drain backwards); the middle
         // must alternate.
         let mid = &kinds[4..kinds.len() - 4];

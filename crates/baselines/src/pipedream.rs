@@ -38,10 +38,11 @@ mod tests {
     use super::*;
     use varuna_exec::job::PlacedJob;
     use varuna_exec::oom::check_pipedream;
-    use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+    use varuna_exec::pipeline::{simulate_minibatch, simulate_minibatch_on_bus, SimOptions};
     use varuna_exec::placement::Placement;
     use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
     use varuna_net::Topology;
+    use varuna_obs::{profile::spans, EventBus, VecSink};
 
     #[test]
     fn pipedream_runs_without_recompute() {
@@ -58,15 +59,13 @@ mod tests {
         );
         let opts = SimOptions {
             recompute: false,
-            record_trace: true,
             ..SimOptions::default()
         };
-        let res = simulate_minibatch(&job, &|_, _| Box::new(PipeDreamPolicy), &opts).unwrap();
-        let recs = res
-            .trace
-            .iter()
-            .filter(|t| t.op.kind == varuna_sched::op::OpKind::Recompute)
-            .count();
+        let tape = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+        simulate_minibatch_on_bus(&job, &|_, _| Box::new(PipeDreamPolicy), &opts, &mut bus)
+            .unwrap();
+        let recs = spans(&tape.take()).iter().filter(|t| t.op == 'R').count();
         assert_eq!(recs, 0, "PipeDream stores activations, never recomputes");
     }
 

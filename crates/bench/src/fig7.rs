@@ -9,8 +9,7 @@ use varuna::planner::Planner;
 use varuna::VarunaCluster;
 use varuna_exec::pipeline::SimOptions;
 use varuna_models::ModelZoo;
-use varuna_obs::{profile, Event, EventBus, EventKind, EventSink, ProfileReport};
-use varuna_sched::op::{Op, OpKind, OpSpan};
+use varuna_obs::{profile, Event, EventBus, EventKind, EventSink, ProfileReport, ProfileSpan};
 
 /// The Figure 7 result: the execution trace of one replica plus summary
 /// timings.
@@ -18,7 +17,7 @@ use varuna_sched::op::{Op, OpKind, OpSpan};
 pub struct Fig7 {
     /// Spans of replica 0 (all stages), derived from the profiler's span
     /// extraction over the captured event stream.
-    pub trace: Vec<OpSpan>,
+    pub trace: Vec<ProfileSpan>,
     /// Pipeline phase duration, seconds.
     pub pipeline_time: f64,
     /// End-to-end mini-batch time (including the allreduce region at the
@@ -89,31 +88,15 @@ pub fn run_traced() -> (Fig7, Vec<Event>) {
         .unwrap();
     let events = raw.take();
     // The gantt trace and the time attribution both come from the same
-    // profiler pass over the captured stream; `profile::spans` preserves
-    // event-arrival order, so the trace is identical to what the legacy
-    // `SpanCollector` produced.
-    let report = profile(&events);
-    let trace: Vec<OpSpan> = profile::spans(&events)
-        .iter()
-        .filter(|s| s.replica == 0)
-        .map(|s| OpSpan {
-            stage: s.stage,
-            replica: s.replica,
-            op: Op::new(
-                OpKind::from_code(s.op).expect("profiler spans carry valid op codes"),
-                s.micro,
-            ),
-            start: s.start,
-            end: s.end,
-        })
-        .collect();
+    // captured stream; `profile::spans` keeps event-arrival order. The
+    // sink already kept replica 0 only.
     let fig = Fig7 {
-        trace,
+        trace: profile::spans(&events),
         pipeline_time: res.pipeline_time,
         total_time: res.total_time,
         allreduce: res.allreduce,
         p: 49,
-        profile: report,
+        profile: profile(&events),
     };
     (fig, events)
 }
@@ -121,7 +104,6 @@ pub fn run_traced() -> (Fig7, Vec<Event>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use varuna_exec::observe::SpanCollector;
 
     #[test]
     fn gantt_has_the_papers_structure() {
@@ -129,52 +111,16 @@ mod tests {
         // 49 stages all appear; every stage runs forwards and backwards.
         for s in 0..r.p {
             assert!(
-                r.trace
-                    .iter()
-                    .any(|t| t.stage == s && t.op.kind == OpKind::Forward),
+                r.trace.iter().any(|t| t.stage == s && t.op == 'F'),
                 "stage {s} missing forwards"
             );
-            assert!(r
-                .trace
-                .iter()
-                .any(|t| t.stage == s && t.op.kind == OpKind::Backward));
+            assert!(r.trace.iter().any(|t| t.stage == s && t.op == 'B'));
         }
         // The last stage never recomputes (the paper's schedule property).
-        assert!(!r
-            .trace
-            .iter()
-            .any(|t| t.stage == r.p - 1 && t.op.kind == OpKind::Recompute));
+        assert!(!r.trace.iter().any(|t| t.stage == r.p - 1 && t.op == 'R'));
         // The allreduce region exists and sits at the far right.
         assert!(r.allreduce.iter().all(|&a| a > 0.0));
         assert!(r.total_time > r.pipeline_time);
-    }
-
-    #[test]
-    fn profiler_trace_is_identical_to_the_legacy_span_collector() {
-        // The pre-profiler pipeline attached a SpanCollector and filtered
-        // replica 0; the profiler-derived trace must match it exactly,
-        // spans and order both.
-        let model = ModelZoo::gpt2_20b();
-        let cluster = VarunaCluster::commodity_1gpu(294);
-        let calib = Calibration::profile(&model, &cluster);
-        let cfg = Planner::new(&model, &calib)
-            .batch_size(8192)
-            .micro_batch(4)
-            .evaluate(49, 6)
-            .unwrap();
-        let job = TrainingJob::build(&calib, &cluster, cfg).unwrap();
-        let spans = SpanCollector::new();
-        let mut bus = EventBus::with_sink(Box::new(spans.clone()));
-        job.run_minibatch_on_bus(&SimOptions::default(), &mut bus)
-            .unwrap();
-        let legacy: Vec<OpSpan> = spans
-            .take()
-            .iter()
-            .filter(|t| t.replica == 0)
-            .copied()
-            .collect();
-        let r = run();
-        assert_eq!(r.trace, legacy);
     }
 
     #[test]

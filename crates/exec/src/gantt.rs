@@ -1,6 +1,6 @@
 //! Gantt-chart rendering of execution traces (paper Figures 4 and 7).
 
-use varuna_sched::op::{OpKind, OpSpan};
+use varuna_obs::ProfileSpan;
 
 /// Renders an ASCII Gantt chart of one replica's trace.
 ///
@@ -9,9 +9,9 @@ use varuna_sched::op::{OpKind, OpSpan};
 /// op code and micro-batch (`F0`, `R2`, `B1` rendered as `F`, `r`, `B`
 /// shading: forwards `F`, recomputes `r`, backwards `B`), idle cells are
 /// `.`.
-pub fn ascii_gantt(trace: &[OpSpan], p: usize, replica: usize, cell: f64) -> String {
+pub fn ascii_gantt(trace: &[ProfileSpan], p: usize, replica: usize, cell: f64) -> String {
     assert!(cell > 0.0, "cell width must be positive");
-    let spans: Vec<&OpSpan> = trace.iter().filter(|t| t.replica == replica).collect();
+    let spans: Vec<&ProfileSpan> = trace.iter().filter(|t| t.replica == replica).collect();
     let end = spans.iter().map(|t| t.end).fold(0.0f64, f64::max);
     let cols = (end / cell).ceil() as usize;
     let mut out = String::new();
@@ -22,11 +22,7 @@ pub fn ascii_gantt(trace: &[OpSpan], p: usize, replica: usize, cell: f64) -> Str
             let ch = spans
                 .iter()
                 .find(|t| t.stage == stage && t.start <= mid && mid < t.end)
-                .map(|t| match t.op.kind {
-                    OpKind::Forward => 'F',
-                    OpKind::Recompute => 'r',
-                    OpKind::Backward => 'B',
-                })
+                .map(|t| if t.op == 'R' { 'r' } else { t.op })
                 .unwrap_or('.');
             out.push(ch);
         }
@@ -37,17 +33,12 @@ pub fn ascii_gantt(trace: &[OpSpan], p: usize, replica: usize, cell: f64) -> Str
 
 /// Serializes spans as CSV (`stage,replica,op,micro,start,end`) for
 /// plotting the paper's Figure 7 timeline.
-pub fn spans_csv(trace: &[OpSpan]) -> String {
+pub fn spans_csv(trace: &[ProfileSpan]) -> String {
     let mut out = String::from("stage,replica,op,micro,start,end\n");
     for t in trace {
         out.push_str(&format!(
             "{},{},{},{},{:.6},{:.6}\n",
-            t.stage,
-            t.replica,
-            t.op.kind.code(),
-            t.op.micro,
-            t.start,
-            t.end
+            t.stage, t.replica, t.op, t.micro, t.start, t.end
         ));
     }
     out
@@ -69,13 +60,13 @@ pub fn idle_fraction(chart: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use varuna_sched::op::Op;
 
-    fn span(stage: usize, kind: OpKind, micro: usize, start: f64, end: f64) -> OpSpan {
-        OpSpan {
+    fn span(stage: usize, op: char, micro: usize, start: f64, end: f64) -> ProfileSpan {
+        ProfileSpan {
             stage,
             replica: 0,
-            op: Op::new(kind, micro),
+            op,
+            micro,
             start,
             end,
         }
@@ -83,10 +74,7 @@ mod tests {
 
     #[test]
     fn chart_rows_are_top_down_stages() {
-        let trace = vec![
-            span(0, OpKind::Forward, 0, 0.0, 1.0),
-            span(1, OpKind::Forward, 0, 1.0, 2.0),
-        ];
+        let trace = vec![span(0, 'F', 0, 0.0, 1.0), span(1, 'F', 0, 1.0, 2.0)];
         let chart = ascii_gantt(&trace, 2, 0, 1.0);
         let lines: Vec<&str> = chart.lines().collect();
         assert!(lines[0].starts_with("S1"));
@@ -97,20 +85,14 @@ mod tests {
 
     #[test]
     fn idle_fraction_counts_dots() {
-        let trace = vec![
-            span(0, OpKind::Forward, 0, 0.0, 1.0),
-            span(1, OpKind::Backward, 0, 1.0, 2.0),
-        ];
+        let trace = vec![span(0, 'F', 0, 0.0, 1.0), span(1, 'B', 0, 1.0, 2.0)];
         let chart = ascii_gantt(&trace, 2, 0, 1.0);
         assert!((idle_fraction(&chart) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn csv_contains_all_spans() {
-        let trace = vec![
-            span(0, OpKind::Forward, 0, 0.0, 1.0),
-            span(0, OpKind::Recompute, 0, 1.0, 2.0),
-        ];
+        let trace = vec![span(0, 'F', 0, 0.0, 1.0), span(0, 'R', 0, 1.0, 2.0)];
         let csv = spans_csv(&trace);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.contains("0,0,F,0,"));

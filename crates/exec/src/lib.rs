@@ -5,8 +5,10 @@
 //! *placed job* — `P` pipeline stages × `D` data-parallel replicas with
 //! per-stage compute times and boundary activation sizes — over a
 //! [`varuna_net::Topology`], micro-batch by micro-batch, message by
-//! message, and reports the mini-batch wall-clock time, per-op trace, and
-//! memory high-water marks.
+//! message, and reports the mini-batch wall-clock time and memory
+//! high-water marks. Every op, transfer, and allreduce is emitted on a
+//! `varuna_obs` event bus, so traces and profiles are views over that
+//! stream.
 //!
 //! The schedule that each stage follows is pluggable through
 //! [`policy::SchedulePolicy`]: Varuna's static+opportunistic schedule (in
@@ -17,7 +19,7 @@
 //!
 //! Modules:
 //!
-//! - [`op`]: pipeline operations and trace spans.
+//! - [`op`]: pipeline operations.
 //! - [`job`]: stage specifications and placed jobs.
 //! - [`placement`]: mapping (stage, replica) to GPUs/VMs.
 //! - [`policy`]: the schedule policy trait and the greedy reference policy.
@@ -47,10 +49,10 @@ pub use varuna_sched::{op, policy};
 pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
-pub use observe::{SpanCollector, StreamingCapture};
+pub use observe::StreamingCapture;
 pub use pipeline::{
     simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule, simulate_schedule_on_bus,
     MinibatchResult, SimOptions,
 };
 pub use placement::Placement;
-pub use varuna_sched::{GreedyPolicy, OpKind, OpSpan, PolicyFactory, SchedulePolicy, StageView};
+pub use varuna_sched::{GreedyPolicy, OpKind, PolicyFactory, SchedulePolicy, StageView};

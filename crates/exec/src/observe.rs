@@ -1,90 +1,19 @@
 //! Adapters between the emulator and the `varuna-obs` event bus.
 //!
-//! The emulator no longer keeps a private trace recorder: it emits
-//! [`varuna_obs::Event`]s, and the legacy [`OpSpan`] trace (Gantt charts,
-//! Figure 7) is rebuilt by attaching a [`SpanCollector`] sink. Because
-//! `OpEnd` events are emitted at exactly the point the old recorder pushed
-//! spans, the collected trace is identical — order included — to what
-//! [`simulate_minibatch`](crate::pipeline::simulate_minibatch) historically
-//! returned.
-
-use std::sync::{Arc, Mutex};
+//! The emulator keeps no private trace recorder: it emits
+//! [`varuna_obs::Event`]s. Per-op spans (Gantt charts, Figure 7) come
+//! from capturing the stream in a [`varuna_obs::VecSink`] and calling
+//! [`varuna_obs::profile::spans`]; live attribution comes from
+//! [`StreamingCapture`].
 
 use varuna_obs::{
-    Event, EventBus, EventKind, EventSink, PartialReport, ProfileReport, StreamConfig,
-    StreamCounters, StreamSink,
+    EventBus, PartialReport, ProfileReport, StreamConfig, StreamCounters, StreamSink,
 };
-
-use varuna_sched::op::{Op, OpKind, OpSpan};
-
-/// Rebuilds the legacy per-op span trace from `OpEnd` events.
-///
-/// Clone the collector before boxing it into the bus, then read the spans
-/// back through the clone:
-///
-/// ```
-/// use varuna_obs::EventBus;
-/// use varuna_exec::observe::SpanCollector;
-///
-/// let collector = SpanCollector::new();
-/// let mut bus = EventBus::with_sink(Box::new(collector.clone()));
-/// // ... run simulate_minibatch_on_bus(job, policies, opts, &mut bus) ...
-/// let spans = collector.take();
-/// # let _ = (bus, spans);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SpanCollector {
-    spans: Arc<Mutex<Vec<OpSpan>>>,
-}
-
-impl SpanCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        SpanCollector::default()
-    }
-
-    /// Drains and returns the collected spans, in event-arrival order.
-    pub fn take(&self) -> Vec<OpSpan> {
-        std::mem::take(&mut *self.spans.lock().expect("collector lock"))
-    }
-
-    /// Number of spans collected so far.
-    pub fn len(&self) -> usize {
-        self.spans.lock().expect("collector lock").len()
-    }
-
-    /// Whether no spans were collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for SpanCollector {
-    fn record(&mut self, event: &Event) {
-        if let EventKind::OpEnd {
-            stage,
-            replica,
-            op,
-            micro,
-            start,
-        } = &event.kind
-        {
-            let kind = OpKind::from_code(*op).expect("emulator emits valid op codes");
-            self.spans.lock().expect("collector lock").push(OpSpan {
-                stage: *stage,
-                replica: *replica,
-                op: Op::new(kind, *micro),
-                start: *start,
-                end: event.t_sim,
-            });
-        }
-    }
-}
 
 /// Live, bounded-memory profiler attachment for the emulator bus.
 ///
-/// Where [`SpanCollector`] buffers every `OpEnd` for post-hoc analysis,
-/// `StreamingCapture` folds events into a
+/// Where a [`varuna_obs::VecSink`] buffers every event for post-hoc
+/// analysis, `StreamingCapture` folds events into a
 /// [`varuna_obs::StreamingProfiler`] as they are emitted, keeping
 /// O(stages × replicas) resident state and producing the *same report,
 /// byte for byte*, that `varuna_obs::profile` would compute from the
@@ -161,49 +90,6 @@ impl StreamingCapture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use varuna_obs::EventBus;
-
-    #[test]
-    fn collector_rebuilds_spans_from_op_end_events() {
-        let collector = SpanCollector::new();
-        let mut bus = EventBus::with_sink(Box::new(collector.clone()));
-        bus.emit(Event::exec(
-            0.0,
-            EventKind::OpStart {
-                stage: 1,
-                replica: 0,
-                op: 'F',
-                micro: 2,
-            },
-        ));
-        bus.emit(Event::exec(
-            0.5,
-            EventKind::OpEnd {
-                stage: 1,
-                replica: 0,
-                op: 'F',
-                micro: 2,
-                start: 0.0,
-            },
-        ));
-        bus.emit(Event::exec(
-            0.5,
-            EventKind::Transfer {
-                from_stage: 1,
-                to_stage: 2,
-                replica: 0,
-                micro: 2,
-                bytes: 1e6,
-                seconds: 0.01,
-            },
-        ));
-        let spans = collector.take();
-        assert_eq!(spans.len(), 1, "only OpEnd events become spans");
-        assert_eq!(spans[0].op, Op::new(OpKind::Forward, 2));
-        assert_eq!(spans[0].start, 0.0);
-        assert_eq!(spans[0].end, 0.5);
-        assert!(collector.is_empty());
-    }
 
     #[test]
     fn streaming_capture_matches_posthoc_profile_on_a_real_minibatch() {

@@ -16,16 +16,13 @@ use varuna_obs::{Event, EventBus, EventKind};
 
 use crate::engine::EventQueue;
 use crate::job::PlacedJob;
-use crate::observe::SpanCollector;
-use varuna_sched::op::{Op, OpKind, OpSpan};
+use varuna_sched::op::{Op, OpKind};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy, StageView};
 use varuna_sched::schedule::{StageOrder, StaticSchedule};
 
 /// Options controlling one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Record per-op spans (needed for Gantt charts; costs memory).
-    pub record_trace: bool,
     /// RNG seed for jitter sampling.
     pub seed: u64,
     /// If true the sender GPU stays busy for the serialization time of each
@@ -47,7 +44,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            record_trace: false,
             seed: 0,
             blocking_sends: false,
             recompute: true,
@@ -59,7 +55,7 @@ impl Default for SimOptions {
 
 impl SimOptions {
     /// Options for a fully deterministic emulation: zero compute jitter and
-    /// a fixed seed, no trace recording. This is the configuration the
+    /// a fixed seed. This is the configuration the
     /// planner uses when scoring candidate `(p, d, m)` configs — the paper's
     /// simulator predicts mean mini-batch time, so jitter is noise there.
     pub fn deterministic() -> Self {
@@ -80,8 +76,6 @@ pub struct MinibatchResult {
     /// Longest per-stage sync tail (allreduce + shared-param sync +
     /// optimizer offload), seconds.
     pub sync_tail: f64,
-    /// Per-op spans (empty unless `record_trace`).
-    pub trace: Vec<OpSpan>,
     /// Per-stage peak input-activation stash (max over replicas).
     pub peak_stash: Vec<usize>,
     /// Per-stage, per-replica-averaged GPU busy time, seconds.
@@ -294,10 +288,10 @@ impl Picker for Varuna<'_> {
 /// `policies`.
 ///
 /// This is the bus-free entry point: it runs
-/// [`simulate_minibatch_on_bus`] over a private [`EventBus`] and, when
-/// [`SimOptions::record_trace`] is set, rebuilds the legacy per-op trace
-/// through a [`SpanCollector`] sink (same spans, same order as the old
-/// built-in recorder).
+/// [`simulate_minibatch_on_bus`] over a private, sink-less [`EventBus`].
+/// Callers that need per-op spans run the `_on_bus` entry point with a
+/// [`varuna_obs::VecSink`] attached and call [`varuna_obs::profile::spans`]
+/// on the captured events.
 ///
 /// # Errors
 ///
@@ -307,19 +301,14 @@ pub fn simulate_minibatch(
     policies: &PolicyFactory<'_>,
     opts: &SimOptions,
 ) -> Result<MinibatchResult, SimError> {
-    with_trace(opts, |bus| {
-        simulate_minibatch_on_bus(job, policies, opts, bus)
-    })
+    simulate_minibatch_on_bus(job, policies, opts, &mut EventBus::new())
 }
 
 /// Simulates one mini-batch, reporting every op, transfer, and allreduce
 /// through `bus` as [`varuna_obs::Event`]s (source `Exec`).
 ///
-/// The returned [`MinibatchResult::trace`] is always empty here — attach a
-/// [`SpanCollector`] to the bus to rebuild spans (that is exactly what
-/// [`simulate_minibatch`] does). With no enabled sink attached, event
-/// payloads are never constructed and the emulator runs within noise of
-/// its bus-free wall-clock.
+/// With no enabled sink attached, event payloads are never constructed
+/// and the emulator runs within noise of its bus-free wall-clock.
 ///
 /// # Errors
 ///
@@ -355,9 +344,7 @@ pub fn simulate_schedule(
     schedule: &StaticSchedule,
     opts: &SimOptions,
 ) -> Result<MinibatchResult, SimError> {
-    with_trace(opts, |bus| {
-        simulate_schedule_on_bus(job, schedule, opts, bus)
-    })
+    simulate_schedule_on_bus(job, schedule, opts, &mut EventBus::new())
 }
 
 /// [`simulate_schedule`] reporting through `bus`: the same events as
@@ -375,27 +362,6 @@ pub fn simulate_schedule_on_bus(
     job.validate();
     let varuna = Varuna::new(schedule, job.p(), job.d);
     Emulator::new(job, varuna, opts, bus).run()
-}
-
-/// Runs `sim` over a private bus, collecting the per-op trace when
-/// [`SimOptions::record_trace`] asks for it.
-fn with_trace(
-    opts: &SimOptions,
-    sim: impl FnOnce(&mut EventBus) -> Result<MinibatchResult, SimError>,
-) -> Result<MinibatchResult, SimError> {
-    let mut bus = EventBus::new();
-    let collector = if opts.record_trace {
-        let c = SpanCollector::new();
-        bus.add_sink(Box::new(c.clone()));
-        Some(c)
-    } else {
-        None
-    };
-    let mut res = sim(&mut bus)?;
-    if let Some(c) = collector {
-        res.trace = c.take();
-    }
-    Ok(res)
 }
 
 /// The event loop of one mini-batch.
@@ -615,8 +581,8 @@ impl<'a, P: Picker> Emulator<'a, P> {
         let (p, n) = (self.p, self.n);
         let slot = &self.slots[i];
         let (s, r, op, started) = (slot.stage, slot.replica, slot.running, slot.started);
-        // Emitted exactly where the legacy recorder pushed spans, so a
-        // SpanCollector reproduces the old trace verbatim.
+        // One `OpEnd` per finished op, in completion order: the span list
+        // `varuna_obs::profile::spans` rebuilds from a captured stream.
         self.bus.emit_with(|| {
             Event::exec(
                 now,
@@ -806,7 +772,6 @@ impl<'a, P: Picker> Emulator<'a, P> {
             total_time,
             pipeline_time,
             sync_tail,
-            trace: Vec::new(),
             peak_stash,
             busy_time,
             stage_finish,
@@ -821,6 +786,7 @@ mod tests {
     use crate::placement::Placement;
     use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
     use varuna_net::Topology;
+    use varuna_obs::{profile::spans, VecSink};
     use varuna_sched::policy::GreedyPolicy;
 
     fn small_job(p: usize, d: usize, n_micro: usize) -> PlacedJob {
@@ -880,35 +846,22 @@ mod tests {
     #[test]
     fn trace_is_complete_and_well_formed() {
         let job = small_job(3, 1, 5);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let res = simulate_minibatch(&job, &*greedy(), &opts).unwrap();
+        let tape = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+        simulate_minibatch_on_bus(&job, &*greedy(), &SimOptions::default(), &mut bus).unwrap();
+        let trace = spans(&tape.take());
         // Forwards and backwards: n per stage. Last stage never recomputes
         // under the greedy policy (alternating F/B keeps activations live).
-        let fwd = res
-            .trace
-            .iter()
-            .filter(|t| t.op.kind == OpKind::Forward)
-            .count();
-        let bwd = res
-            .trace
-            .iter()
-            .filter(|t| t.op.kind == OpKind::Backward)
-            .count();
+        let fwd = trace.iter().filter(|t| t.op == 'F').count();
+        let bwd = trace.iter().filter(|t| t.op == 'B').count();
         assert_eq!(fwd, 3 * 5);
         assert_eq!(bwd, 3 * 5);
-        let last_stage_rec = res
-            .trace
-            .iter()
-            .filter(|t| t.stage == 2 && t.op.kind == OpKind::Recompute)
-            .count();
+        let last_stage_rec = trace.iter().filter(|t| t.stage == 2 && t.op == 'R').count();
         assert_eq!(last_stage_rec, 0, "last stage must not recompute");
         // Spans on one GPU never overlap.
-        let mut spans: Vec<&OpSpan> = res.trace.iter().filter(|t| t.stage == 1).collect();
-        spans.sort_by(|a, b| a.start.total_cmp(&b.start));
-        for w in spans.windows(2) {
+        let mut stage1: Vec<_> = trace.iter().filter(|t| t.stage == 1).collect();
+        stage1.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for w in stage1.windows(2) {
             assert!(w[0].end <= w[1].start + 1e-12);
         }
     }

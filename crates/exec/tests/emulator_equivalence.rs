@@ -309,8 +309,6 @@ fn reference_on_bus(
         match ev {
             Ev::OpDone { s, r, op, started } => {
                 let i = idx(s, r);
-                // Emitted exactly where the legacy recorder pushed spans,
-                // so a SpanCollector reproduces the old trace verbatim.
                 bus.emit_with(|| {
                     Event::exec(
                         now,
@@ -573,7 +571,6 @@ fn reference_on_bus(
         total_time,
         pipeline_time,
         sync_tail,
-        trace: Vec::new(),
         peak_stash,
         busy_time,
         stage_finish,
@@ -634,7 +631,6 @@ fn result_bits(res: &MinibatchResult) -> Vec<u64> {
         res.total_time.to_bits(),
         res.pipeline_time.to_bits(),
         res.sync_tail.to_bits(),
-        res.trace.len() as u64,
     ];
     bits.extend(res.peak_stash.iter().map(|&s| s as u64));
     for v in [&res.busy_time, &res.stage_finish, &res.allreduce] {

@@ -7,8 +7,7 @@ use varuna_exec::pipeline::{simulate_minibatch, simulate_minibatch_on_bus, SimOp
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
-use varuna_obs::{EventBus, EventKind, VecSink};
-use varuna_sched::op::OpKind;
+use varuna_obs::{profile::spans, EventBus, EventKind, VecSink};
 use varuna_sched::policy::GreedyPolicy;
 
 fn job(p: usize, d: usize, n_micro: usize, m: usize) -> PlacedJob {
@@ -42,36 +41,37 @@ proptest! {
     ) {
         let j = job(p, d, n_micro, m);
         let opts = SimOptions {
-            record_trace: true,
             seed,
             stash_window_override: Some(window),
             ..SimOptions::default()
         };
-        let res = simulate_minibatch(&j, &|_, _| Box::new(GreedyPolicy), &opts)
+        let tape = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+        let res = simulate_minibatch_on_bus(&j, &|_, _| Box::new(GreedyPolicy), &opts, &mut bus)
             .expect("greedy completes any shape");
+        let trace = spans(&tape.take());
 
         for s in 0..p {
             for r in 0..d {
-                let mut spans: Vec<_> = res
-                    .trace
+                let mut lane: Vec<_> = trace
                     .iter()
                     .filter(|t| t.stage == s && t.replica == r)
                     .collect();
-                spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+                lane.sort_by(|a, b| a.start.total_cmp(&b.start));
                 // Exact op counts.
-                let fwd = spans.iter().filter(|t| t.op.kind == OpKind::Forward).count();
-                let bwd = spans.iter().filter(|t| t.op.kind == OpKind::Backward).count();
+                let fwd = lane.iter().filter(|t| t.op == 'F').count();
+                let bwd = lane.iter().filter(|t| t.op == 'B').count();
                 prop_assert_eq!(fwd, n_micro);
                 prop_assert_eq!(bwd, n_micro);
                 // No overlap on one GPU.
-                for w in spans.windows(2) {
+                for w in lane.windows(2) {
                     prop_assert!(w[0].end <= w[1].start + 1e-9);
                 }
                 // Forwards strictly in micro-batch order.
-                let fwd_order: Vec<usize> = spans
+                let fwd_order: Vec<usize> = lane
                     .iter()
-                    .filter(|t| t.op.kind == OpKind::Forward)
-                    .map(|t| t.op.micro)
+                    .filter(|t| t.op == 'F')
+                    .map(|t| t.micro)
                     .collect();
                 let mut sorted = fwd_order.clone();
                 sorted.sort_unstable();
@@ -173,21 +173,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The bus adapter is faithful: spans collected through the event bus
-    /// equal the legacy `record_trace` output exactly, order included.
-    #[test]
-    fn bus_spans_match_legacy_trace(seed in 0u64..500) {
-        let j = job(3, 2, 6, 2);
-        let legacy_opts = SimOptions { record_trace: true, seed, ..SimOptions::default() };
-        let legacy = simulate_minibatch(&j, &|_, _| Box::new(GreedyPolicy), &legacy_opts).unwrap();
-
-        let collector = varuna_exec::SpanCollector::new();
-        let mut bus = EventBus::with_sink(Box::new(collector.clone()));
-        let opts = SimOptions { seed, ..SimOptions::default() };
-        simulate_minibatch_on_bus(&j, &|_, _| Box::new(GreedyPolicy), &opts, &mut bus).unwrap();
-        prop_assert_eq!(collector.take(), legacy.trace);
     }
 
     /// Determinism: the same job and seed give bit-identical results.

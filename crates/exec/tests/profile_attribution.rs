@@ -1,17 +1,17 @@
 //! End-to-end checks that the `varuna-obs` profiler attributes emulator
-//! time correctly: the span extraction matches the legacy
-//! [`SpanCollector`] byte for byte, every lane's decomposition sums to
-//! the makespan, blocking sends show up as send time, and the critical
-//! path is internally consistent.
+//! time correctly: every extracted span pairs with the `OpStart` emitted
+//! when its op was dispatched, every lane's decomposition sums to the
+//! makespan, blocking sends show up as send time, and the critical path
+//! is internally consistent.
+
+use std::collections::HashMap;
 
 use varuna_exec::job::PlacedJob;
-use varuna_exec::observe::SpanCollector;
 use varuna_exec::pipeline::{simulate_minibatch_on_bus, SimOptions};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
-use varuna_obs::{profile, EventBus, VecSink};
-use varuna_sched::op::OpKind;
+use varuna_obs::{profile, EventBus, EventKind, VecSink};
 use varuna_sched::policy::{GreedyPolicy, SchedulePolicy};
 
 fn job(p: usize, d: usize, n_micro: usize, m: usize) -> PlacedJob {
@@ -47,27 +47,32 @@ fn captured(
 }
 
 #[test]
-fn profiler_spans_match_the_span_collector_exactly() {
+fn profiler_spans_pair_with_the_emitted_op_starts() {
     let j = job(3, 2, 6, 2);
-    let opts = SimOptions::default();
-
-    let collector = SpanCollector::new();
-    let sink = VecSink::new();
-    let mut bus = EventBus::with_sink(Box::new(collector.clone()));
-    bus.add_sink(Box::new(sink.clone()));
-    simulate_minibatch_on_bus(&j, &greedy(), &opts, &mut bus).expect("job completes");
-
-    let legacy = collector.take();
-    let derived = profile::spans(&sink.take());
-    assert_eq!(legacy.len(), derived.len());
-    for (l, d) in legacy.iter().zip(&derived) {
-        assert_eq!(l.stage, d.stage);
-        assert_eq!(l.replica, d.replica);
-        assert_eq!(l.op.kind, OpKind::from_code(d.op).unwrap());
-        assert_eq!(l.op.micro, d.micro);
-        assert_eq!(l.start, d.start, "start drift on {l:?}");
-        assert_eq!(l.end, d.end, "end drift on {l:?}");
+    let (events, _) = captured(&j, &SimOptions::default());
+    let starts: HashMap<(usize, usize, char, usize), f64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::OpStart {
+                stage,
+                replica,
+                op,
+                micro,
+            } => Some(((stage, replica, op, micro), e.t_sim)),
+            _ => None,
+        })
+        .collect();
+    let derived = profile::spans(&events);
+    assert_eq!(starts.len(), derived.len(), "one span per dispatched op");
+    for s in &derived {
+        let start = starts[&(s.stage, s.replica, s.op, s.micro)];
+        assert_eq!(s.start, start, "start drift on {s:?}");
+        assert!(s.end >= s.start, "span ends before it starts: {s:?}");
     }
+    assert!(
+        derived.windows(2).all(|w| w[0].end <= w[1].end),
+        "spans arrive in completion order"
+    );
 }
 
 #[test]

@@ -109,23 +109,14 @@ fn job(p: usize, n_micro: usize) -> PlacedJob {
     job
 }
 
-/// Every bit of a mini-batch outcome, in a comparable form.
+/// Every bit of a mini-batch outcome, in a comparable form. The per-op
+/// spans are compared separately, as the run's `OpEnd` events.
 fn result_bits(res: &MinibatchResult) -> Vec<u64> {
     let mut bits = vec![
         res.total_time.to_bits(),
         res.pipeline_time.to_bits(),
         res.sync_tail.to_bits(),
     ];
-    for span in &res.trace {
-        bits.extend([
-            span.stage as u64,
-            span.replica as u64,
-            span.op.kind.code() as u64,
-            span.op.micro as u64,
-            span.start.to_bits(),
-            span.end.to_bits(),
-        ]);
-    }
     bits.extend(res.peak_stash.iter().map(|&s| s as u64));
     for v in [&res.busy_time, &res.stage_finish, &res.allreduce] {
         bits.extend(v.iter().map(|x| x.to_bits()));
@@ -175,7 +166,6 @@ fn indexed_opportunistic_dispatch_matches_the_linear_scan() {
                     let schedule = generate_schedule(p, n_micro, window.min(n_micro));
                     let job = job(p, n_micro);
                     let opts = SimOptions {
-                        record_trace: true,
                         seed,
                         stash_window_override: Some(window),
                         compute_jitter: 0.3,

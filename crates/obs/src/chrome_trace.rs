@@ -6,10 +6,17 @@
 //! directly in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`:
 //! each data-parallel replica renders as a process, each pipeline stage as
 //! a thread, transfers on a separate per-replica track.
+//!
+//! Instants have no encoding of their own. A marker's `args` is the serde
+//! form of its [`EventKind`] (the externally tagged `{"Morph": {...}}`
+//! map a JSONL capture line carries under `"kind"`) and its `cat` is the
+//! serde form of the emitting [`Source`], so the importer rebuilds every
+//! control-plane event, source included, by decoding the two. The only
+//! per-variant code is one `label` match, the marker's display name.
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Source};
 
 /// Timestamps are microseconds in the trace event format.
 const US: f64 = 1e6;
@@ -38,17 +45,69 @@ fn complete(
     ])
 }
 
-fn instant(name: String, cat: &str, ts_us: f64, args: Vec<(String, Value)>) -> Value {
+fn instant(e: &Event) -> Value {
     Value::Map(vec![
-        ("name".to_string(), Value::Str(name)),
-        ("cat".to_string(), Value::Str(cat.to_string())),
+        ("name".to_string(), Value::Str(label(&e.kind))),
+        ("cat".to_string(), e.source.to_value()),
         ("ph".to_string(), Value::Str("i".to_string())),
         ("s".to_string(), Value::Str("g".to_string())),
-        ("ts".to_string(), Value::Float(ts_us)),
+        ("ts".to_string(), Value::Float(e.t_sim * US)),
         ("pid".to_string(), Value::UInt(0)),
         ("tid".to_string(), Value::UInt(0)),
-        ("args".to_string(), Value::Map(args)),
+        ("args".to_string(), e.kind.to_value()),
     ])
+}
+
+/// The name Perfetto shows for an event's slice or marker.
+fn label(kind: &EventKind) -> String {
+    match kind {
+        EventKind::OpStart { op, micro, .. } | EventKind::OpEnd { op, micro, .. } => {
+            format!("{op}{micro}")
+        }
+        EventKind::Transfer {
+            from_stage,
+            to_stage,
+            ..
+        } => format!("xfer {from_stage}->{to_stage}"),
+        EventKind::SendBusy { micro, .. } => format!("send m{micro}"),
+        EventKind::Allreduce { .. } => "allreduce".to_string(),
+        EventKind::Preemption { vm } => format!("preempt vm{vm}"),
+        EventKind::HeartbeatMiss { vm } => format!("heartbeat-miss vm{vm}"),
+        EventKind::Morph {
+            p, d, reconfigured, ..
+        } => {
+            if *reconfigured {
+                format!("morph {p}x{d}")
+            } else {
+                "replacement".to_string()
+            }
+        }
+        EventKind::Checkpoint { step, .. } => format!("checkpoint @{step}"),
+        EventKind::OomKill { .. } => "oom-kill".to_string(),
+        EventKind::EpochLoss { step, .. } => format!("loss @{step}"),
+        EventKind::EvictionNotice { vm, .. } => format!("eviction-notice vm{vm}"),
+        EventKind::SilenceStart { vm } => format!("silence-start vm{vm}"),
+        EventKind::SilenceEnd { vm } => format!("silence-end vm{vm}"),
+        EventKind::CheckpointWriteFailed { step } => format!("checkpoint-failed @{step}"),
+        EventKind::CheckpointFallback { from_step, to_step } => {
+            format!("checkpoint-fallback {from_step}->{to_step}")
+        }
+        EventKind::VmExcluded { vm, .. } => format!("vm-excluded vm{vm}"),
+        EventKind::VmReadmitted { vm } => format!("vm-readmitted vm{vm}"),
+        EventKind::MorphRetry { attempt, .. } => format!("morph-retry #{attempt}"),
+        EventKind::DegradedEnter { .. } => "degraded-enter".to_string(),
+        EventKind::DegradedExit { .. } => "degraded-exit".to_string(),
+        EventKind::LostWork { minibatches, .. } => format!("lost-work {minibatches}mb"),
+        EventKind::PlanSearch { candidates, .. } => format!("plan-search {candidates}c"),
+        EventKind::CheckpointTorn { step, .. } => format!("checkpoint-torn @{step}"),
+        EventKind::RecoveryReplay { wal_records, .. } => {
+            format!("recovery-replay {wal_records}rec")
+        }
+        EventKind::FaultInjected { fault, .. } => format!("fault {fault}"),
+        EventKind::FleetAllocation { job, .. } => format!("alloc job{job}"),
+        EventKind::JobPreempted { job, .. } => format!("job-preempt job{job}"),
+        EventKind::FallbackProvisioned { job, .. } => format!("fallback job{job}"),
+    }
 }
 
 fn op_category(code: char) -> &'static str {
@@ -111,34 +170,35 @@ fn tie_key(e: &Event) -> (u8, u64, u64, u64, u8) {
 }
 
 fn to_trace_event(e: &Event) -> Option<Value> {
-    match &e.kind {
+    let name = || label(&e.kind);
+    Some(match &e.kind {
         // OpStart is intentionally skipped: the matching OpEnd carries the
         // full interval, and duplicated slices would double-draw.
-        EventKind::OpStart { .. } => None,
+        EventKind::OpStart { .. } => return None,
         EventKind::OpEnd {
             stage,
             replica,
             op,
             micro,
             start,
-        } => Some(complete(
-            format!("{op}{micro}"),
+        } => complete(
+            name(),
             op_category(*op),
             *replica as u64,
             *stage as u64,
             start * US,
             (e.t_sim - start) * US,
             vec![("micro".to_string(), Value::UInt(*micro as u64))],
-        )),
+        ),
         EventKind::Transfer {
             from_stage,
-            to_stage,
             replica,
             micro,
             bytes,
             seconds,
-        } => Some(complete(
-            format!("xfer {from_stage}->{to_stage}"),
+            ..
+        } => complete(
+            name(),
             "transfer",
             *replica as u64,
             NET_TID_BASE + *from_stage as u64,
@@ -148,14 +208,14 @@ fn to_trace_event(e: &Event) -> Option<Value> {
                 ("micro".to_string(), Value::UInt(*micro as u64)),
                 ("bytes".to_string(), Value::Float(*bytes)),
             ],
-        )),
+        ),
         EventKind::Allreduce {
             stage,
             bytes,
             ring,
             seconds,
-        } => Some(complete(
-            "allreduce".to_string(),
+        } => complete(
+            name(),
             "allreduce",
             0,
             *stage as u64,
@@ -165,364 +225,23 @@ fn to_trace_event(e: &Event) -> Option<Value> {
                 ("bytes".to_string(), Value::Float(*bytes)),
                 ("ring".to_string(), Value::UInt(*ring as u64)),
             ],
-        )),
+        ),
         EventKind::SendBusy {
             stage,
             replica,
             micro,
             seconds,
-        } => Some(complete(
-            format!("send m{micro}"),
+        } => complete(
+            name(),
             "send",
             *replica as u64,
             *stage as u64,
             e.t_sim * US,
             seconds * US,
             vec![("micro".to_string(), Value::UInt(*micro as u64))],
-        )),
-        EventKind::Preemption { vm } => Some(instant(
-            format!("preempt vm{vm}"),
-            "cluster",
-            e.t_sim * US,
-            vec![("vm".to_string(), Value::UInt(*vm))],
-        )),
-        EventKind::HeartbeatMiss { vm } => Some(instant(
-            format!("heartbeat-miss vm{vm}"),
-            "cluster",
-            e.t_sim * US,
-            vec![("vm".to_string(), Value::UInt(*vm))],
-        )),
-        EventKind::Morph {
-            p,
-            d,
-            gpus_held,
-            gpus_used,
-            examples_per_sec,
-            examples_per_sec_per_gpu,
-            reconfigured,
-            restart_seconds,
-            migration_seconds,
-        } => Some(instant(
-            if *reconfigured {
-                format!("morph {p}x{d}")
-            } else {
-                "replacement".to_string()
-            },
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("p".to_string(), Value::UInt(*p as u64)),
-                ("d".to_string(), Value::UInt(*d as u64)),
-                ("gpus_held".to_string(), Value::UInt(*gpus_held as u64)),
-                ("gpus_used".to_string(), Value::UInt(*gpus_used as u64)),
-                (
-                    "examples_per_sec".to_string(),
-                    Value::Float(*examples_per_sec),
-                ),
-                (
-                    "examples_per_sec_per_gpu".to_string(),
-                    Value::Float(*examples_per_sec_per_gpu),
-                ),
-                ("reconfigured".to_string(), Value::Bool(*reconfigured)),
-                (
-                    "restart_seconds".to_string(),
-                    Value::Float(*restart_seconds),
-                ),
-                (
-                    "migration_seconds".to_string(),
-                    Value::Float(*migration_seconds),
-                ),
-            ],
-        )),
-        EventKind::Checkpoint {
-            step,
-            gpus_held,
-            gpus_used,
-            p,
-            d,
-            examples_per_sec,
-            examples_per_sec_per_gpu,
-            write_seconds,
-            overlapped_seconds,
-            full,
-        } => Some(instant(
-            format!("checkpoint @{step}"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("step".to_string(), Value::UInt(*step)),
-                ("gpus_held".to_string(), Value::UInt(*gpus_held as u64)),
-                ("gpus_used".to_string(), Value::UInt(*gpus_used as u64)),
-                ("p".to_string(), Value::UInt(*p as u64)),
-                ("d".to_string(), Value::UInt(*d as u64)),
-                (
-                    "examples_per_sec".to_string(),
-                    Value::Float(*examples_per_sec),
-                ),
-                (
-                    "examples_per_sec_per_gpu".to_string(),
-                    Value::Float(*examples_per_sec_per_gpu),
-                ),
-                ("write_seconds".to_string(), Value::Float(*write_seconds)),
-                (
-                    "overlapped_seconds".to_string(),
-                    Value::Float(*overlapped_seconds),
-                ),
-                ("full".to_string(), Value::Bool(*full)),
-            ],
-        )),
-        EventKind::OomKill {
-            stage,
-            needed_bytes,
-            capacity_bytes,
-            what,
-        } => Some(instant(
-            "oom-kill".to_string(),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("stage".to_string(), Value::UInt(*stage as u64)),
-                ("needed_bytes".to_string(), Value::Float(*needed_bytes)),
-                ("capacity_bytes".to_string(), Value::Float(*capacity_bytes)),
-                ("what".to_string(), Value::Str(what.clone())),
-            ],
-        )),
-        EventKind::EpochLoss {
-            step,
-            loss,
-            examples_per_sec,
-        } => Some(instant(
-            format!("loss @{step}"),
-            "train",
-            e.t_sim * US,
-            vec![
-                ("step".to_string(), Value::UInt(*step)),
-                ("loss".to_string(), Value::Float(*loss)),
-                (
-                    "examples_per_sec".to_string(),
-                    Value::Float(*examples_per_sec),
-                ),
-            ],
-        )),
-        EventKind::EvictionNotice { vm, lead_seconds } => Some(instant(
-            format!("eviction-notice vm{vm}"),
-            "cluster",
-            e.t_sim * US,
-            vec![
-                ("vm".to_string(), Value::UInt(*vm)),
-                ("lead_seconds".to_string(), Value::Float(*lead_seconds)),
-            ],
-        )),
-        EventKind::SilenceStart { vm } => Some(instant(
-            format!("silence-start vm{vm}"),
-            "cluster",
-            e.t_sim * US,
-            vec![("vm".to_string(), Value::UInt(*vm))],
-        )),
-        EventKind::SilenceEnd { vm } => Some(instant(
-            format!("silence-end vm{vm}"),
-            "cluster",
-            e.t_sim * US,
-            vec![("vm".to_string(), Value::UInt(*vm))],
-        )),
-        EventKind::CheckpointWriteFailed { step } => Some(instant(
-            format!("checkpoint-failed @{step}"),
-            "manager",
-            e.t_sim * US,
-            vec![("step".to_string(), Value::UInt(*step))],
-        )),
-        EventKind::CheckpointFallback { from_step, to_step } => Some(instant(
-            format!("checkpoint-fallback {from_step}->{to_step}"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("from_step".to_string(), Value::UInt(*from_step)),
-                ("to_step".to_string(), Value::UInt(*to_step)),
-            ],
-        )),
-        EventKind::VmExcluded {
-            vm,
-            consecutive_misses,
-        } => Some(instant(
-            format!("vm-excluded vm{vm}"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("vm".to_string(), Value::UInt(*vm)),
-                (
-                    "consecutive_misses".to_string(),
-                    Value::UInt(*consecutive_misses as u64),
-                ),
-            ],
-        )),
-        EventKind::VmReadmitted { vm } => Some(instant(
-            format!("vm-readmitted vm{vm}"),
-            "manager",
-            e.t_sim * US,
-            vec![("vm".to_string(), Value::UInt(*vm))],
-        )),
-        EventKind::MorphRetry {
-            attempt,
-            backoff_seconds,
-            gpus,
-        } => Some(instant(
-            format!("morph-retry #{attempt}"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("attempt".to_string(), Value::UInt(*attempt as u64)),
-                (
-                    "backoff_seconds".to_string(),
-                    Value::Float(*backoff_seconds),
-                ),
-                ("gpus".to_string(), Value::UInt(*gpus as u64)),
-            ],
-        )),
-        EventKind::DegradedEnter { gpus, reason } => Some(instant(
-            "degraded-enter".to_string(),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("gpus".to_string(), Value::UInt(*gpus as u64)),
-                ("reason".to_string(), Value::Str(reason.clone())),
-            ],
-        )),
-        EventKind::DegradedExit {
-            gpus,
-            paused_seconds,
-        } => Some(instant(
-            "degraded-exit".to_string(),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("gpus".to_string(), Value::UInt(*gpus as u64)),
-                ("paused_seconds".to_string(), Value::Float(*paused_seconds)),
-            ],
-        )),
-        EventKind::LostWork {
-            minibatches,
-            seconds,
-        } => Some(instant(
-            format!("lost-work {minibatches}mb"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("minibatches".to_string(), Value::UInt(*minibatches)),
-                ("seconds".to_string(), Value::Float(*seconds)),
-            ],
-        )),
-        EventKind::PlanSearch {
-            candidates,
-            simulated,
-            memo_hits,
-            analytic_fallbacks,
-        } => Some(instant(
-            format!("plan-search {candidates}c"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("candidates".to_string(), Value::UInt(*candidates)),
-                ("simulated".to_string(), Value::UInt(*simulated)),
-                ("memo_hits".to_string(), Value::UInt(*memo_hits)),
-                (
-                    "analytic_fallbacks".to_string(),
-                    Value::UInt(*analytic_fallbacks),
-                ),
-            ],
-        )),
-        EventKind::CheckpointTorn {
-            step,
-            bytes_written,
-            bytes_expected,
-        } => Some(instant(
-            format!("checkpoint-torn @{step}"),
-            "manager",
-            e.t_sim * US,
-            vec![
-                ("step".to_string(), Value::UInt(*step)),
-                ("bytes_written".to_string(), Value::UInt(*bytes_written)),
-                ("bytes_expected".to_string(), Value::UInt(*bytes_expected)),
-            ],
-        )),
-        EventKind::RecoveryReplay {
-            wal_records,
-            torn,
-            dropped_bytes,
-            replay_seconds,
-        } => Some(instant(
-            format!("recovery-replay {wal_records}rec"),
-            "recovery",
-            e.t_sim * US,
-            vec![
-                ("wal_records".to_string(), Value::UInt(*wal_records)),
-                ("torn".to_string(), Value::Bool(*torn)),
-                ("dropped_bytes".to_string(), Value::UInt(*dropped_bytes)),
-                ("replay_seconds".to_string(), Value::Float(*replay_seconds)),
-            ],
-        )),
-        EventKind::FaultInjected { fault, vm } => Some(instant(
-            format!("fault {fault}"),
-            "chaos",
-            e.t_sim * US,
-            vec![
-                ("fault".to_string(), Value::Str(fault.clone())),
-                ("vm".to_string(), Value::UInt(*vm)),
-            ],
-        )),
-        EventKind::FleetAllocation {
-            job,
-            spot_gpus,
-            on_demand_gpus,
-            market_gpus,
-        } => Some(instant(
-            format!("alloc job{job}"),
-            "fleet",
-            e.t_sim * US,
-            vec![
-                ("job".to_string(), Value::UInt(*job)),
-                ("spot_gpus".to_string(), Value::UInt(*spot_gpus as u64)),
-                (
-                    "on_demand_gpus".to_string(),
-                    Value::UInt(*on_demand_gpus as u64),
-                ),
-                ("market_gpus".to_string(), Value::UInt(*market_gpus as u64)),
-            ],
-        )),
-        EventKind::JobPreempted {
-            job,
-            gpus_revoked,
-            reason,
-        } => Some(instant(
-            format!("job-preempt job{job}"),
-            "fleet",
-            e.t_sim * US,
-            vec![
-                ("job".to_string(), Value::UInt(*job)),
-                (
-                    "gpus_revoked".to_string(),
-                    Value::UInt(*gpus_revoked as u64),
-                ),
-                ("reason".to_string(), Value::Str(reason.clone())),
-            ],
-        )),
-        EventKind::FallbackProvisioned {
-            job,
-            gpus,
-            total_on_demand,
-        } => Some(instant(
-            format!("fallback job{job}"),
-            "fleet",
-            e.t_sim * US,
-            vec![
-                ("job".to_string(), Value::UInt(*job)),
-                ("gpus".to_string(), Value::UInt(*gpus as u64)),
-                (
-                    "total_on_demand".to_string(),
-                    Value::UInt(*total_on_demand as u64),
-                ),
-            ],
-        )),
-    }
+        ),
+        _ => instant(e),
+    })
 }
 
 /// Renders events as one Perfetto-loadable JSON document.
@@ -573,14 +292,30 @@ fn num_u64(v: &Value) -> Option<u64> {
 fn slice_field_f64(s: &Value, key: &str) -> Result<f64, String> {
     s.get(key)
         .and_then(num_f64)
-        .ok_or_else(|| format!("trace slice missing numeric `{key}`"))
+        .ok_or_else(|| format!("missing numeric `{key}`"))
 }
 
-/// Rebuilds a control-plane instant marker into its original event.
-/// Dispatches on the marker name (each exporter name is distinctive);
-/// every field the exporter serializes into `args` is recovered, and the
-/// category names the emitting [`Source`](crate::Source).
-fn instant_to_event(name: &str, cat: &str, ts: f64, s: &Value) -> Option<Event> {
+/// Decodes a control-plane marker: the inverse of [`instant`].
+fn instant_event(s: &Value) -> Result<Event, String> {
+    let field = |key: &str| s.get(key).ok_or_else(|| format!("instant missing `{key}`"));
+    Ok(Event {
+        t_sim: slice_field_f64(s, "ts")? / US,
+        source: Source::from_value(field("cat")?).map_err(|e| format!("`cat`: {e}"))?,
+        kind: EventKind::from_value(field("args")?).map_err(|e| format!("`args`: {e}"))?,
+    })
+}
+
+/// Decodes a data-plane slice, or `None` for a category this exporter
+/// does not write.
+fn slice_event(s: &Value) -> Result<Option<Event>, String> {
+    let cat = match s.get("cat") {
+        Some(Value::Str(c)) => c.as_str(),
+        _ => return Ok(None),
+    };
+    let ts = slice_field_f64(s, "ts")? / US;
+    let dur = slice_field_f64(s, "dur")? / US;
+    let pid = s.get("pid").and_then(num_u64).unwrap_or(0) as usize;
+    let tid = s.get("tid").and_then(num_u64).unwrap_or(0) as usize;
     let arg_u64 = |key: &str| {
         s.get("args")
             .and_then(|a| a.get(key))
@@ -593,171 +328,83 @@ fn instant_to_event(name: &str, cat: &str, ts: f64, s: &Value) -> Option<Event> 
             .and_then(num_f64)
             .unwrap_or(0.0)
     };
-    let arg_str = |key: &str| match s.get("args").and_then(|a| a.get(key)) {
-        Some(Value::Str(v)) => v.clone(),
-        _ => String::new(),
+    let (t_sim, kind) = match cat {
+        "forward" | "recompute" | "backward" => (
+            ts + dur,
+            EventKind::OpEnd {
+                stage: tid,
+                replica: pid,
+                op: match cat {
+                    "forward" => 'F',
+                    "recompute" => 'R',
+                    _ => 'B',
+                },
+                micro: arg_u64("micro") as usize,
+                start: ts,
+            },
+        ),
+        "send" => (
+            ts,
+            EventKind::SendBusy {
+                stage: tid,
+                replica: pid,
+                micro: arg_u64("micro") as usize,
+                seconds: dur,
+            },
+        ),
+        "transfer" => {
+            let from_stage = tid.saturating_sub(NET_TID_BASE as usize);
+            // The destination only lives in the slice name
+            // ("xfer a->b"); fall back to the downstream neighbour.
+            let to_stage = match s.get("name") {
+                Some(Value::Str(name)) => name
+                    .rsplit("->")
+                    .next()
+                    .and_then(|t| t.trim().parse::<usize>().ok())
+                    .unwrap_or(from_stage + 1),
+                _ => from_stage + 1,
+            };
+            (
+                ts,
+                EventKind::Transfer {
+                    from_stage,
+                    to_stage,
+                    replica: pid,
+                    micro: arg_u64("micro") as usize,
+                    bytes: arg_f64("bytes"),
+                    seconds: dur,
+                },
+            )
+        }
+        "allreduce" => (
+            ts + dur,
+            EventKind::Allreduce {
+                stage: tid,
+                bytes: arg_f64("bytes"),
+                ring: arg_u64("ring") as usize,
+                seconds: dur,
+            },
+        ),
+        _ => return Ok(None),
     };
-    let arg_bool = |key: &str| {
-        matches!(
-            s.get("args").and_then(|a| a.get(key)),
-            Some(Value::Bool(true))
-        )
-    };
-
-    // Longer prefixes first where names share a stem ("morph-retry" vs
-    // "morph 4x2", the four "checkpoint*" markers).
-    let kind = if name.starts_with("morph-retry") {
-        EventKind::MorphRetry {
-            attempt: arg_u64("attempt") as u32,
-            backoff_seconds: arg_f64("backoff_seconds"),
-            gpus: arg_u64("gpus") as usize,
-        }
-    } else if name.starts_with("morph ") || name == "replacement" {
-        EventKind::Morph {
-            p: arg_u64("p") as usize,
-            d: arg_u64("d") as usize,
-            gpus_held: arg_u64("gpus_held") as usize,
-            gpus_used: arg_u64("gpus_used") as usize,
-            examples_per_sec: arg_f64("examples_per_sec"),
-            examples_per_sec_per_gpu: arg_f64("examples_per_sec_per_gpu"),
-            reconfigured: arg_bool("reconfigured"),
-            restart_seconds: arg_f64("restart_seconds"),
-            migration_seconds: arg_f64("migration_seconds"),
-        }
-    } else if name.starts_with("checkpoint-failed") {
-        EventKind::CheckpointWriteFailed {
-            step: arg_u64("step"),
-        }
-    } else if name.starts_with("checkpoint-fallback") {
-        EventKind::CheckpointFallback {
-            from_step: arg_u64("from_step"),
-            to_step: arg_u64("to_step"),
-        }
-    } else if name.starts_with("checkpoint-torn") {
-        EventKind::CheckpointTorn {
-            step: arg_u64("step"),
-            bytes_written: arg_u64("bytes_written"),
-            bytes_expected: arg_u64("bytes_expected"),
-        }
-    } else if name.starts_with("checkpoint @") {
-        EventKind::Checkpoint {
-            step: arg_u64("step"),
-            gpus_held: arg_u64("gpus_held") as usize,
-            gpus_used: arg_u64("gpus_used") as usize,
-            p: arg_u64("p") as usize,
-            d: arg_u64("d") as usize,
-            examples_per_sec: arg_f64("examples_per_sec"),
-            examples_per_sec_per_gpu: arg_f64("examples_per_sec_per_gpu"),
-            write_seconds: arg_f64("write_seconds"),
-            overlapped_seconds: arg_f64("overlapped_seconds"),
-            full: arg_bool("full"),
-        }
-    } else if name == "oom-kill" {
-        EventKind::OomKill {
-            stage: arg_u64("stage") as usize,
-            needed_bytes: arg_f64("needed_bytes"),
-            capacity_bytes: arg_f64("capacity_bytes"),
-            what: arg_str("what"),
-        }
-    } else if name.starts_with("loss @") {
-        EventKind::EpochLoss {
-            step: arg_u64("step"),
-            loss: arg_f64("loss"),
-            examples_per_sec: arg_f64("examples_per_sec"),
-        }
-    } else if name.starts_with("preempt vm") {
-        EventKind::Preemption { vm: arg_u64("vm") }
-    } else if name.starts_with("heartbeat-miss") {
-        EventKind::HeartbeatMiss { vm: arg_u64("vm") }
-    } else if name.starts_with("eviction-notice") {
-        EventKind::EvictionNotice {
-            vm: arg_u64("vm"),
-            lead_seconds: arg_f64("lead_seconds"),
-        }
-    } else if name.starts_with("silence-start") {
-        EventKind::SilenceStart { vm: arg_u64("vm") }
-    } else if name.starts_with("silence-end") {
-        EventKind::SilenceEnd { vm: arg_u64("vm") }
-    } else if name.starts_with("vm-excluded") {
-        EventKind::VmExcluded {
-            vm: arg_u64("vm"),
-            consecutive_misses: arg_u64("consecutive_misses") as u32,
-        }
-    } else if name.starts_with("vm-readmitted") {
-        EventKind::VmReadmitted { vm: arg_u64("vm") }
-    } else if name == "degraded-enter" {
-        EventKind::DegradedEnter {
-            gpus: arg_u64("gpus") as usize,
-            reason: arg_str("reason"),
-        }
-    } else if name == "degraded-exit" {
-        EventKind::DegradedExit {
-            gpus: arg_u64("gpus") as usize,
-            paused_seconds: arg_f64("paused_seconds"),
-        }
-    } else if name.starts_with("lost-work") {
-        EventKind::LostWork {
-            minibatches: arg_u64("minibatches"),
-            seconds: arg_f64("seconds"),
-        }
-    } else if name.starts_with("plan-search") {
-        EventKind::PlanSearch {
-            candidates: arg_u64("candidates"),
-            simulated: arg_u64("simulated"),
-            memo_hits: arg_u64("memo_hits"),
-            analytic_fallbacks: arg_u64("analytic_fallbacks"),
-        }
-    } else if name.starts_with("recovery-replay") {
-        EventKind::RecoveryReplay {
-            wal_records: arg_u64("wal_records"),
-            torn: arg_bool("torn"),
-            dropped_bytes: arg_u64("dropped_bytes"),
-            replay_seconds: arg_f64("replay_seconds"),
-        }
-    } else if name.starts_with("fault ") {
-        EventKind::FaultInjected {
-            fault: arg_str("fault"),
-            vm: arg_u64("vm"),
-        }
-    } else if name.starts_with("alloc job") {
-        EventKind::FleetAllocation {
-            job: arg_u64("job"),
-            spot_gpus: arg_u64("spot_gpus") as usize,
-            on_demand_gpus: arg_u64("on_demand_gpus") as usize,
-            market_gpus: arg_u64("market_gpus") as usize,
-        }
-    } else if name.starts_with("job-preempt") {
-        EventKind::JobPreempted {
-            job: arg_u64("job"),
-            gpus_revoked: arg_u64("gpus_revoked") as usize,
-            reason: arg_str("reason"),
-        }
-    } else if name.starts_with("fallback job") {
-        EventKind::FallbackProvisioned {
-            job: arg_u64("job"),
-            gpus: arg_u64("gpus") as usize,
-            total_on_demand: arg_u64("total_on_demand") as usize,
-        }
-    } else {
-        return None;
-    };
-    Some(match cat {
-        "cluster" => Event::cluster(ts, kind),
-        "train" => Event::train(ts, kind),
-        "chaos" => Event::chaos(ts, kind),
-        "fleet" => Event::fleet(ts, kind),
-        "recovery" => Event::recovery(ts, kind),
-        _ => Event::manager(ts, kind),
-    })
+    Ok(Some(Event::exec(t_sim, kind)))
 }
 
 /// Recovers the [`Event`]s from a chrome trace document (the inverse of
 /// [`chrome_trace_json`]): `"ph": "X"` slices become the data-plane
 /// events, `"ph": "i"` markers the control-plane ones, so a trace
 /// round-tripped through this importer profiles identically — downtime
-/// pricing included. `OpStart` events are not emitted (the exporter
-/// collapses each op into its `OpEnd` slice) and data-plane sources
-/// normalize to `Exec`; neither affects profiling or re-export.
+/// pricing included. Control-plane events come back exactly, kind, time
+/// and source. `OpStart` events are not emitted (the exporter collapses
+/// each op into its `OpEnd` slice) and data-plane sources normalize to
+/// `Exec`; neither affects profiling or re-export.
+///
+/// # Errors
+///
+/// Input that is not JSON, has no `traceEvents` array, or holds a slice
+/// that does not decode (a marker whose `cat` is not a [`Source`] or whose
+/// `args` is not an [`EventKind`], a slice without a numeric `ts`) is an
+/// error naming the offending slice's index.
 pub fn events_from_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
     let doc = serde_json::parse_value(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let slices = doc
@@ -766,111 +413,13 @@ pub fn events_from_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
         .as_seq_for("traceEvents")
         .map_err(|e| e.to_string())?;
     let mut events = Vec::new();
-    for s in slices {
-        if s.get("ph") == Some(&Value::Str("i".to_string())) {
-            let name = match s.get("name") {
-                Some(Value::Str(n)) => n.clone(),
-                _ => continue,
-            };
-            let cat = match s.get("cat") {
-                Some(Value::Str(c)) => c.clone(),
-                _ => continue,
-            };
-            let ts = slice_field_f64(s, "ts")? / US;
-            if let Some(e) = instant_to_event(&name, &cat, ts, s) {
-                events.push(e);
-            }
-            continue;
-        }
-        if s.get("ph") != Some(&Value::Str("X".to_string())) {
-            continue;
-        }
-        let cat = match s.get("cat") {
-            Some(Value::Str(c)) => c.clone(),
-            _ => continue,
+    for (i, s) in slices.iter().enumerate() {
+        let decoded = match s.get("ph") {
+            Some(Value::Str(ph)) if ph == "i" => instant_event(s).map(Some),
+            Some(Value::Str(ph)) if ph == "X" => slice_event(s),
+            _ => Ok(None),
         };
-        let ts = slice_field_f64(s, "ts")? / US;
-        let dur = slice_field_f64(s, "dur")? / US;
-        let pid = s.get("pid").and_then(num_u64).unwrap_or(0) as usize;
-        let tid = s.get("tid").and_then(num_u64).unwrap_or(0) as usize;
-        let arg_u64 = |key: &str| {
-            s.get("args")
-                .and_then(|a| a.get(key))
-                .and_then(num_u64)
-                .unwrap_or(0)
-        };
-        let arg_f64 = |key: &str| {
-            s.get("args")
-                .and_then(|a| a.get(key))
-                .and_then(num_f64)
-                .unwrap_or(0.0)
-        };
-        match cat.as_str() {
-            "forward" | "recompute" | "backward" => {
-                let op = match cat.as_str() {
-                    "forward" => 'F',
-                    "recompute" => 'R',
-                    _ => 'B',
-                };
-                events.push(Event::exec(
-                    ts + dur,
-                    EventKind::OpEnd {
-                        stage: tid,
-                        replica: pid,
-                        op,
-                        micro: arg_u64("micro") as usize,
-                        start: ts,
-                    },
-                ));
-            }
-            "send" => {
-                events.push(Event::exec(
-                    ts,
-                    EventKind::SendBusy {
-                        stage: tid,
-                        replica: pid,
-                        micro: arg_u64("micro") as usize,
-                        seconds: dur,
-                    },
-                ));
-            }
-            "transfer" => {
-                let from_stage = tid.saturating_sub(NET_TID_BASE as usize);
-                // The destination only lives in the slice name
-                // ("xfer a->b"); fall back to the downstream neighbour.
-                let to_stage = match s.get("name") {
-                    Some(Value::Str(name)) => name
-                        .rsplit("->")
-                        .next()
-                        .and_then(|t| t.trim().parse::<usize>().ok())
-                        .unwrap_or(from_stage + 1),
-                    _ => from_stage + 1,
-                };
-                events.push(Event::exec(
-                    ts,
-                    EventKind::Transfer {
-                        from_stage,
-                        to_stage,
-                        replica: pid,
-                        micro: arg_u64("micro") as usize,
-                        bytes: arg_f64("bytes"),
-                        seconds: dur,
-                    },
-                ));
-            }
-            "allreduce" => {
-                events.push(Event::exec(
-                    ts + dur,
-                    EventKind::Allreduce {
-                        stage: tid,
-                        bytes: arg_f64("bytes"),
-                        ring: arg_u64("ring") as usize,
-                        seconds: dur,
-                    },
-                ));
-            }
-            _ => {}
-        }
+        events.extend(decoded.map_err(|e| format!("trace slice {i}: {e}"))?);
     }
     Ok(events)
 }
@@ -917,38 +466,6 @@ mod tests {
         assert_eq!(s.get("ts"), Some(&Value::Float(1.0e6)));
         assert_eq!(s.get("dur"), Some(&Value::Float(0.5e6)));
         assert_eq!(s.get("tid"), Some(&Value::UInt(2)));
-    }
-
-    #[test]
-    fn control_plane_events_become_instants() {
-        let events = vec![
-            Event::manager(
-                7200.0,
-                EventKind::Morph {
-                    p: 9,
-                    d: 8,
-                    gpus_held: 80,
-                    gpus_used: 72,
-                    examples_per_sec: 100.0,
-                    examples_per_sec_per_gpu: 1.4,
-                    reconfigured: true,
-                    restart_seconds: 60.0,
-                    migration_seconds: 0.0,
-                },
-            ),
-            Event::cluster(7300.0, EventKind::Preemption { vm: 3 }),
-        ];
-        let json = chrome_trace_json(&events);
-        let doc = serde_json::parse_value(&json).unwrap();
-        let slices = doc.get("traceEvents").unwrap().as_seq_for("t").unwrap();
-        assert_eq!(slices.len(), 2);
-        assert!(slices
-            .iter()
-            .all(|s| s.get("ph") == Some(&Value::Str("i".to_string()))));
-        assert_eq!(
-            slices[0].get("name"),
-            Some(&Value::Str("morph 9x8".to_string()))
-        );
     }
 
     #[test]
@@ -1032,19 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_instants_sort_after_data_plane_slices() {
-        let events = vec![
-            Event::cluster(1.0, EventKind::Preemption { vm: 7 }),
-            op_pair(0, 0, 0.5, 1.0).pop().unwrap(),
-        ];
-        let json = chrome_trace_json(&events);
-        let doc = serde_json::parse_value(&json).unwrap();
-        let slices = doc.get("traceEvents").unwrap().as_seq_for("t").unwrap();
-        assert_eq!(slices[0].get("ph"), Some(&Value::Str("X".to_string())));
-        assert_eq!(slices[1].get("ph"), Some(&Value::Str("i".to_string())));
-    }
-
-    #[test]
     fn importer_recovers_data_plane_events() {
         let events = vec![
             Event::exec(
@@ -1086,216 +590,15 @@ mod tests {
                     seconds: 0.75,
                 },
             ),
-            // Instants round-trip too, source included.
-            Event::cluster(4.0, EventKind::Preemption { vm: 0 }),
         ];
         let back = events_from_chrome_trace(&chrome_trace_json(&events)).unwrap();
-        assert_eq!(back.len(), 5);
+        assert_eq!(back.len(), 4);
         assert_eq!(back[0].kind, events[0].kind);
         assert_eq!(back[0].t_sim, 1.0);
         assert_eq!(back[1].kind, events[1].kind);
         assert_eq!(back[2].kind, events[2].kind);
         assert_eq!(back[3].kind, events[3].kind);
         assert_eq!(back[3].t_sim, 3.0);
-        assert_eq!(back[4], events[4], "instant keeps kind, time, and source");
-    }
-
-    /// Every control-plane kind grown in PRs 6–8 (fleet arbitration,
-    /// zero-downtime morphing, crash recovery) must survive
-    /// export → import → export byte-for-byte, and import back to the
-    /// original events — fields, timestamp, and source included.
-    /// Timestamps are dyadic (multiples of 1/64 s) so the µs scaling in
-    /// the trace format is float-exact.
-    #[test]
-    fn fleet_and_zero_downtime_trace_round_trips_byte_for_byte() {
-        let dy = |k: u64| k as f64 / 64.0;
-        let events = vec![
-            Event::exec(
-                dy(64),
-                EventKind::OpEnd {
-                    stage: 0,
-                    replica: 0,
-                    op: 'F',
-                    micro: 0,
-                    start: dy(32),
-                },
-            ),
-            Event::fleet(
-                dy(128),
-                EventKind::FleetAllocation {
-                    job: 1,
-                    spot_gpus: 48,
-                    on_demand_gpus: 4,
-                    market_gpus: 96,
-                },
-            ),
-            Event::fleet(
-                dy(160),
-                EventKind::JobPreempted {
-                    job: 2,
-                    gpus_revoked: 8,
-                    reason: "fair_share".to_string(),
-                },
-            ),
-            Event::fleet(
-                dy(192),
-                EventKind::FallbackProvisioned {
-                    job: 2,
-                    gpus: 8,
-                    total_on_demand: 12,
-                },
-            ),
-            Event::manager(
-                dy(256),
-                EventKind::Morph {
-                    p: 4,
-                    d: 12,
-                    gpus_held: 50,
-                    gpus_used: 48,
-                    examples_per_sec: 125.5,
-                    examples_per_sec_per_gpu: 2.615,
-                    reconfigured: false,
-                    restart_seconds: 0.0,
-                    migration_seconds: 11.25,
-                },
-            ),
-            Event::manager(
-                dy(320),
-                EventKind::Checkpoint {
-                    step: 700,
-                    gpus_held: 50,
-                    gpus_used: 48,
-                    p: 4,
-                    d: 12,
-                    examples_per_sec: 125.5,
-                    examples_per_sec_per_gpu: 2.615,
-                    write_seconds: 1.5,
-                    overlapped_seconds: 38.5,
-                    full: false,
-                },
-            ),
-            Event::manager(
-                dy(352),
-                EventKind::CheckpointTorn {
-                    step: 700,
-                    bytes_written: 1024,
-                    bytes_expected: 4096,
-                },
-            ),
-            Event::recovery(
-                dy(384),
-                EventKind::RecoveryReplay {
-                    wal_records: 512,
-                    torn: true,
-                    dropped_bytes: 96,
-                    replay_seconds: 0.75,
-                },
-            ),
-            Event::manager(
-                dy(416),
-                EventKind::DegradedEnter {
-                    gpus: 3,
-                    reason: "below min config".to_string(),
-                },
-            ),
-            Event::manager(
-                dy(448),
-                EventKind::DegradedExit {
-                    gpus: 16,
-                    paused_seconds: 0.5,
-                },
-            ),
-            Event::manager(
-                dy(480),
-                EventKind::LostWork {
-                    minibatches: 3,
-                    seconds: 2.25,
-                },
-            ),
-            Event::chaos(
-                dy(512),
-                EventKind::FaultInjected {
-                    fault: "preemption_burst".to_string(),
-                    vm: 7,
-                },
-            ),
-        ];
-        let t1 = chrome_trace_json(&events);
-        let back = events_from_chrome_trace(&t1).unwrap();
-        assert_eq!(back, events, "import must invert export exactly");
-        let t2 = chrome_trace_json(&back);
-        assert_eq!(t1, t2, "export -> import -> export must be byte-stable");
-    }
-
-    /// The remaining manager/cluster/train instants (pre-PR-6 schema)
-    /// also import back to their original events.
-    #[test]
-    fn remaining_instants_import_back_exactly() {
-        let dy = |k: u64| k as f64 / 64.0;
-        let events = vec![
-            Event::cluster(dy(64), EventKind::HeartbeatMiss { vm: 9 }),
-            Event::cluster(
-                dy(96),
-                EventKind::EvictionNotice {
-                    vm: 9,
-                    lead_seconds: 30.0,
-                },
-            ),
-            Event::cluster(dy(128), EventKind::SilenceStart { vm: 9 }),
-            Event::cluster(dy(160), EventKind::SilenceEnd { vm: 9 }),
-            Event::manager(dy(192), EventKind::CheckpointWriteFailed { step: 41 }),
-            Event::manager(
-                dy(224),
-                EventKind::CheckpointFallback {
-                    from_step: 41,
-                    to_step: 40,
-                },
-            ),
-            Event::manager(
-                dy(256),
-                EventKind::VmExcluded {
-                    vm: 9,
-                    consecutive_misses: 3,
-                },
-            ),
-            Event::manager(dy(288), EventKind::VmReadmitted { vm: 9 }),
-            Event::manager(
-                dy(320),
-                EventKind::MorphRetry {
-                    attempt: 2,
-                    backoff_seconds: 4.0,
-                    gpus: 14,
-                },
-            ),
-            Event::manager(
-                dy(352),
-                EventKind::OomKill {
-                    stage: 5,
-                    needed_bytes: 17.5e9,
-                    capacity_bytes: 16.0e9,
-                    what: "stage 5 of 4x12".to_string(),
-                },
-            ),
-            Event::manager(
-                dy(384),
-                EventKind::PlanSearch {
-                    candidates: 24,
-                    simulated: 10,
-                    memo_hits: 12,
-                    analytic_fallbacks: 2,
-                },
-            ),
-            Event::train(
-                dy(416),
-                EventKind::EpochLoss {
-                    step: 12,
-                    loss: 2.125,
-                    examples_per_sec: 96.0,
-                },
-            ),
-        ];
-        let back = events_from_chrome_trace(&chrome_trace_json(&events)).unwrap();
-        assert_eq!(back, events);
     }
 
     #[test]

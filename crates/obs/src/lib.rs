@@ -25,6 +25,15 @@
 //! ([`profile()`]) that decomposes any captured stream into compute,
 //! communication, bubble, and downtime — with a critical-path pass that
 //! names the bottleneck stage (`varuna-profile` is its CLI front-end).
+//!
+//! Every view is derived from the one [`Event`] schema rather than kept as
+//! a hand-written copy. A chrome-trace marker carries its event's serde
+//! form (`args` is the [`EventKind`], `cat` the [`Source`]), the same
+//! encoding a [`JsonlSink`] line holds, so both importers
+//! ([`events_from_chrome_trace`], [`events_from_jsonl`]) decode through
+//! serde and return an error, never a panic, on malformed input. Per-op
+//! spans are [`ProfileSpan`]s rebuilt by [`profile::spans`], the only
+//! span type in the workspace.
 
 pub mod attrib;
 pub mod bus;

@@ -32,11 +32,12 @@ use crate::event::{Event, EventKind};
 /// Schema tag stamped into every [`ProfileReport`].
 pub const PROFILE_SCHEMA: &str = "varuna-profile/v1";
 
-/// One op interval rebuilt from an `OpEnd` event.
+/// One op interval rebuilt from an `OpEnd` event: the workspace's only
+/// span type, behind the Gantt charts, the Figure 7 CSV and the profiler.
 ///
-/// This is the crate-graph-bottom twin of `varuna_sched::op::OpSpan`: the
-/// op is the one-letter code (`'F'`/`'R'`/`'B'`) because `varuna-obs`
-/// sits below the scheduling layer.
+/// The op is the one-letter code (`'F'`/`'R'`/`'B'`) of
+/// `varuna_sched::op::OpKind::code` because `varuna-obs` sits below the
+/// scheduling layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSpan {
     /// Pipeline stage.
@@ -64,10 +65,9 @@ impl ProfileSpan {
 ///
 /// Only `OpEnd` events are consulted (they carry the full interval;
 /// `OpStart` is redundant and may have been filtered out, as the chrome
-/// exporter does). The order matches what a
-/// `varuna_exec::observe::SpanCollector` attached to the same bus would
-/// have produced — byte-identical spans, which the fig7 pinning test
-/// relies on.
+/// exporter does). The emulator emits `OpEnd` as each op finishes, so on
+/// a captured emulator stream this is completion order — the row order
+/// of the Figure 7 CSV.
 pub fn spans(events: &[Event]) -> Vec<ProfileSpan> {
     events
         .iter()

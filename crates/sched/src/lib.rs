@@ -8,7 +8,7 @@
 //! single home of everything schedule-shaped, shared by every substrate
 //! that executes one:
 //!
-//! - [`op`]: the `F`/`R`/`B` operation vocabulary and trace spans.
+//! - [`op`]: the `F`/`R`/`B` operation vocabulary.
 //! - [`policy`]: the [`SchedulePolicy`] trait, the [`StageView`] legality
 //!   interface, and the greedy reference policy.
 //! - [`schedule`]: the offline [`StaticSchedule`] enumerator (paper §3.2)
@@ -36,7 +36,7 @@ pub mod policy;
 pub mod schedule;
 
 pub use drain::{boundary_drain_legal, drain_in_place_legal};
-pub use op::{Op, OpKind, OpSpan};
+pub use op::{Op, OpKind};
 pub use policy::{GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
 pub use schedule::{
     enumerate, enumerate_policy, generate_schedule, Discipline, StageOrder, StaticSchedule,

@@ -1,4 +1,4 @@
-//! Pipeline operations and trace spans.
+//! Pipeline operations.
 
 use serde::{Deserialize, Serialize};
 
@@ -53,28 +53,6 @@ impl Op {
     }
 }
 
-/// A completed operation in the execution trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OpSpan {
-    /// Pipeline stage.
-    pub stage: usize,
-    /// Data-parallel replica.
-    pub replica: usize,
-    /// The operation.
-    pub op: Op,
-    /// Start time, seconds.
-    pub start: f64,
-    /// End time, seconds.
-    pub end: f64,
-}
-
-impl OpSpan {
-    /// Duration of the span.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,17 +65,5 @@ mod tests {
             OpKind::Backward.code(),
         ];
         assert_eq!(codes, ['F', 'R', 'B']);
-    }
-
-    #[test]
-    fn span_duration() {
-        let s = OpSpan {
-            stage: 0,
-            replica: 0,
-            op: Op::new(OpKind::Forward, 3),
-            start: 1.5,
-            end: 2.25,
-        };
-        assert_eq!(s.duration(), 0.75);
     }
 }

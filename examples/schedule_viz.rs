@@ -15,11 +15,12 @@
 use varuna_baselines::{GPipePolicy, OneF1BPolicy, PipeDreamPolicy};
 use varuna_exec::gantt::ascii_gantt;
 use varuna_exec::job::PlacedJob;
-use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+use varuna_exec::pipeline::{simulate_minibatch_on_bus, MinibatchResult, SimOptions};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
-use varuna_sched::policy::SchedulePolicy;
+use varuna_obs::{profile::spans, EventBus, ProfileSpan, VecSink};
+use varuna_sched::policy::{PolicyFactory, SchedulePolicy};
 use varuna_sched::schedule::{enumerate, enumerate_policy, Discipline, VarunaPolicy};
 
 fn main() {
@@ -56,18 +57,11 @@ fn main() {
         Topology::commodity_1gpu(4),
         Placement::one_stage_per_gpu(4, 1),
     );
-    let opts = SimOptions {
-        record_trace: true,
-        ..SimOptions::default()
-    };
     let sched = varuna_sched::schedule::generate_schedule(4, 16, usize::MAX);
-    let varuna_run = simulate_minibatch(
-        &job,
-        &move |s, _| -> Box<dyn SchedulePolicy> { Box::new(VarunaPolicy::for_stage(&sched, s)) },
-        &opts,
-    )
-    .unwrap();
-    let gpipe_run = simulate_minibatch(&job, &|_, _| Box::new(GPipePolicy), &opts).unwrap();
+    let (varuna_run, varuna_spans) = run(&job, &move |s, _| -> Box<dyn SchedulePolicy> {
+        Box::new(VarunaPolicy::for_stage(&sched, s))
+    });
+    let (gpipe_run, gpipe_spans) = run(&job, &|_, _| Box::new(GPipePolicy));
     println!(
         "\nemulated BERT-72, 4 stages x 16 micro-batches over Ethernet with jitter:\n  \
          Varuna {:.2}s   GPipe {:.2}s   ({:.0}% faster)",
@@ -78,9 +72,18 @@ fn main() {
 
     let cell = varuna_run.pipeline_time / 80.0;
     println!("\nVaruna execution (F=forward r=recompute B=backward):");
-    println!("{}", ascii_gantt(&varuna_run.trace, 4, 0, cell));
+    println!("{}", ascii_gantt(&varuna_spans, 4, 0, cell));
     println!("GPipe execution:");
-    println!("{}", ascii_gantt(&gpipe_run.trace, 4, 0, cell));
+    println!("{}", ascii_gantt(&gpipe_spans, 4, 0, cell));
+}
+
+/// Emulates one mini-batch and returns it with the per-op spans rebuilt
+/// from its captured events.
+fn run(job: &PlacedJob, policies: &PolicyFactory<'_>) -> (MinibatchResult, Vec<ProfileSpan>) {
+    let tape = VecSink::new();
+    let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+    let res = simulate_minibatch_on_bus(job, policies, &SimOptions::default(), &mut bus).unwrap();
+    (res, spans(&tape.take()))
 }
 
 fn print_ops(per_stage: &[Vec<varuna_sched::op::Op>]) {

@@ -18,10 +18,11 @@
 use proptest::prelude::*;
 use varuna_baselines::{GPipePolicy, OneF1BPolicy, PipeDreamPolicy};
 use varuna_exec::job::PlacedJob;
-use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+use varuna_exec::pipeline::{simulate_minibatch_on_bus, SimError, SimOptions};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
+use varuna_obs::{profile::spans, EventBus, VecSink};
 use varuna_sched::op::Op;
 use varuna_sched::schedule::{generate_schedule, VarunaPolicy};
 use varuna_sched::{GreedyPolicy, OpKind, PolicyFactory};
@@ -43,6 +44,27 @@ fn job(p: usize, n_micro: usize) -> PlacedJob {
     )
 }
 
+/// Emulates one mini-batch and returns replica 0's ops as
+/// `(stage, start, op)`, in completion order, from the captured `OpEnd`
+/// events.
+fn replica0_ops(
+    job: &PlacedJob,
+    factory: &PolicyFactory<'_>,
+    opts: &SimOptions,
+) -> Result<Vec<(usize, f64, Op)>, SimError> {
+    let tape = VecSink::new();
+    let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+    simulate_minibatch_on_bus(job, factory, opts, &mut bus)?;
+    Ok(spans(&tape.take())
+        .iter()
+        .filter(|s| s.replica == 0)
+        .map(|s| {
+            let kind = OpKind::from_code(s.op).expect("the emulator emits valid op codes");
+            (s.stage, s.start, Op::new(kind, s.micro))
+        })
+        .collect())
+}
+
 /// Runs the emulator at zero compute jitter and returns the per-stage op
 /// sequence (replica 0), in execution order.
 fn emulator_stage_orders(
@@ -53,18 +75,16 @@ fn emulator_stage_orders(
     recompute: bool,
 ) -> Vec<Vec<Op>> {
     let opts = SimOptions {
-        record_trace: true,
         compute_jitter: 0.0,
         recompute,
         stash_window_override: Some(window),
         ..SimOptions::default()
     };
-    let res = simulate_minibatch(&job(p, n_micro), factory, &opts).expect("emulation completes");
-    let mut spans: Vec<_> = res.trace.iter().filter(|s| s.replica == 0).collect();
-    spans.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+    let mut ops = replica0_ops(&job(p, n_micro), factory, &opts).expect("emulation completes");
+    ops.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     let mut orders = vec![Vec::new(); p];
-    for s in spans {
-        orders[s.stage].push(s.op);
+    for (stage, _, op) in ops {
+        orders[stage].push(op);
     }
     orders
 }
@@ -225,21 +245,19 @@ proptest! {
     ) {
         let run = |name: &str, factory: &PolicyFactory<'_>, window: usize, recompute: bool| {
             let opts = SimOptions {
-                record_trace: true,
                 seed,
                 compute_jitter: jitter,
                 recompute,
                 stash_window_override: Some(window),
                 ..SimOptions::default()
             };
-            let res = simulate_minibatch(&job(p, n), factory, &opts)
+            let trace = replica0_ops(&job(p, n), factory, &opts)
                 .unwrap_or_else(|e| panic!("{name} failed: {e:?}"));
             for stage in 0..p {
-                let ops: Vec<Op> = res
-                    .trace
+                let ops: Vec<Op> = trace
                     .iter()
-                    .filter(|s| s.replica == 0 && s.stage == stage)
-                    .map(|s| s.op)
+                    .filter(|s| s.0 == stage)
+                    .map(|s| s.2)
                     .collect();
                 assert_eq!(count(&ops, OpKind::Forward), n, "{name} stage {stage} forwards");
                 assert_eq!(count(&ops, OpKind::Backward), n, "{name} stage {stage} backwards");
