@@ -1,52 +1,11 @@
 //! The GPipe schedule (Huang et al., NeurIPS'19).
 //!
-//! Phase 1: forward every micro-batch in order. Phase 2: walk micro-batches
-//! in *reverse* order, recomputing then backpropagating each. The schedule
-//! is strict — when the designated next op is not ready the stage idles —
-//! which is exactly why GPipe's bubble is concentrated mid-schedule and why
-//! it degrades under jitter (paper Figure 4 discussion and Table 5).
-//!
-//! Only the last micro-batch at the last stage escapes recompute, because
-//! its forward activations are still live ("S4 in Gpipe ... only avoids
-//! recompute for the fifth micro-batch").
+//! [`GPipePolicy`] lives in [`varuna_sched::policy`], where the offline
+//! enumerator also renders Figure 4's GPipe schedule from it; it is
+//! re-exported here with the other baselines. The tests below run it on
+//! the discrete-event emulator.
 
-use varuna_sched::op::{Op, OpKind};
-use varuna_sched::policy::{SchedulePolicy, StageView};
-
-/// GPipe's strict two-phase schedule.
-#[derive(Debug, Default, Clone)]
-pub struct GPipePolicy;
-
-impl SchedulePolicy for GPipePolicy {
-    fn pick(&mut self, view: &StageView<'_>) -> Option<Op> {
-        // A completed recompute commits us to its backward.
-        if let Some(mb) = view.pending_recompute {
-            return view
-                .backward_ready(mb)
-                .then_some(Op::new(OpKind::Backward, mb));
-        }
-        // Phase 1: all forwards first. GPipe's memory discipline stashes
-        // every micro-batch's input; when the emulator's stash window is
-        // tighter than N_m (GPipe would OOM on real hardware), fall
-        // through and drain backwards to free stash space.
-        if view.forwards_done < view.n_micro && view.stash_len < view.stash_window {
-            return view
-                .forward_ready()
-                .then_some(Op::new(OpKind::Forward, view.forwards_done));
-        }
-        // Phase 2: strictly reverse micro-batch order.
-        let mb = (0..view.n_micro)
-            .rev()
-            .find(|&mb| !view.backwards_done[mb])?;
-        if view.backward_ready(mb) {
-            return Some(Op::new(OpKind::Backward, mb));
-        }
-        if view.grads_ready[mb] && view.recompute_ready(mb) {
-            return Some(Op::new(OpKind::Recompute, mb));
-        }
-        None
-    }
-}
+pub use varuna_sched::policy::GPipePolicy;
 
 #[cfg(test)]
 mod tests {
@@ -136,6 +95,22 @@ mod tests {
             "gpipe {} vs greedy {}",
             g.pipeline_time,
             v.pipeline_time
+        );
+    }
+
+    #[test]
+    fn gpipe_completes_under_a_tight_stash_window() {
+        // Two stash slots for eight micro-batches: phase 2 drains what it
+        // has forwarded instead of deadlocking on an unforwarded one.
+        let opts = SimOptions {
+            stash_window_override: Some(2),
+            ..SimOptions::default()
+        };
+        let res = simulate_minibatch(&job(4, 8), &|_, _| Box::new(GPipePolicy), &opts).unwrap();
+        assert!(
+            res.peak_stash.iter().all(|&s| s <= 2),
+            "{:?}",
+            res.peak_stash
         );
     }
 

@@ -8,7 +8,7 @@ use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
 use varuna_sched::policy::SchedulePolicy;
-use varuna_sched::schedule::{enumerate, Discipline, StaticSchedule, VarunaPolicy};
+use varuna_sched::schedule::{enumerate_policy, generate_schedule, StaticSchedule, VarunaPolicy};
 
 /// The Figure 4 result.
 #[derive(Debug, Clone)]
@@ -26,8 +26,8 @@ pub struct Fig4 {
 /// Enumerates both schedules and executes both on the emulator with
 /// Ethernet jitter (BERT-72, 4x16 micro-batches).
 pub fn run() -> Fig4 {
-    let varuna = enumerate(4, 5, usize::MAX, Discipline::Varuna);
-    let gpipe = enumerate(4, 5, usize::MAX, Discipline::GPipe);
+    let varuna = generate_schedule(4, 5, usize::MAX);
+    let gpipe = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
 
     let graph = CutpointGraph::from_transformer(&ModelZoo::bert_72());
     let job = PlacedJob::uniform_from_graph(
@@ -40,7 +40,7 @@ pub fn run() -> Fig4 {
         Topology::commodity_1gpu(4),
         Placement::one_stage_per_gpu(4, 1),
     );
-    let sched = enumerate(4, 16, usize::MAX, Discipline::Varuna);
+    let sched = generate_schedule(4, 16, usize::MAX);
     let opts = SimOptions::default();
     let varuna_run = simulate_minibatch(
         &job,
@@ -79,7 +79,7 @@ pub fn smoke_all_disciplines() -> Vec<(&'static str, f64)> {
         Placement::one_stage_per_gpu(4, 1),
     );
     let opts = SimOptions::default();
-    let sched = enumerate(4, 16, usize::MAX, Discipline::Varuna);
+    let sched = generate_schedule(4, 16, usize::MAX);
     let varuna = simulate_minibatch(
         &job,
         &move |s, _| -> Box<dyn SchedulePolicy> { Box::new(VarunaPolicy::for_stage(&sched, s)) },

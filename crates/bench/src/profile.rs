@@ -18,7 +18,7 @@ use varuna_exec::placement::Placement;
 use varuna_net::Topology;
 use varuna_obs::{profile, BenchReport, EventBus, ProfileReport, VecSink};
 use varuna_sched::policy::SchedulePolicy;
-use varuna_sched::schedule::{enumerate, Discipline, VarunaPolicy};
+use varuna_sched::schedule::{generate_schedule, VarunaPolicy};
 
 /// Pipeline depth of the smoke workload.
 pub const P: usize = 4;
@@ -113,7 +113,7 @@ fn profiled(job: &PlacedJob, policy: &dyn Fn(usize, usize) -> Box<dyn SchedulePo
 /// Runs the smoke on both schedules.
 pub fn run() -> Vec<Row> {
     let job = smoke_job();
-    let sched = enumerate(P, N_MICRO, usize::MAX, Discipline::Varuna);
+    let sched = generate_schedule(P, N_MICRO, usize::MAX);
     let mut varuna = profiled(&job, &move |s, _| -> Box<dyn SchedulePolicy> {
         Box::new(VarunaPolicy::for_stage(&sched, s))
     });

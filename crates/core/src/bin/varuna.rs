@@ -13,6 +13,7 @@
 //! (NC24_v3 spot), `hyper` (DGX-2).
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use varuna::calibrate::Calibration;
@@ -21,7 +22,8 @@ use varuna::planner::Planner;
 use varuna::VarunaCluster;
 use varuna_cluster::trace::ClusterTrace;
 use varuna_models::{ModelZoo, TransformerConfig};
-use varuna_sched::schedule::{enumerate, Discipline};
+use varuna_sched::policy::GPipePolicy;
+use varuna_sched::schedule::{enumerate_policy, generate_schedule};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,6 +107,19 @@ fn get_or<T: std::str::FromStr>(
     }
 }
 
+/// A count flag (GPUs, stages, batch sizes): zero is an invalid value.
+fn get_count(flags: &HashMap<String, String>, key: &str) -> Result<usize, String> {
+    get::<NonZeroUsize>(flags, key).map(NonZeroUsize::get)
+}
+
+/// A count flag that may be absent.
+fn get_count_opt(flags: &HashMap<String, String>, key: &str) -> Result<Option<usize>, String> {
+    flags
+        .contains_key(key)
+        .then(|| get_count(flags, key))
+        .transpose()
+}
+
 fn model_by_name(name: &str) -> Result<TransformerConfig, String> {
     ModelZoo::all()
         .into_iter()
@@ -150,14 +165,15 @@ fn cmd_models() {
 
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = model_by_name(&get::<String>(flags, "model")?)?;
-    let gpus: usize = get(flags, "gpus")?;
-    let batch: usize = get_or(flags, "batch", 8192)?;
+    let gpus = get_count(flags, "gpus")?;
+    let batch = get_count_opt(flags, "batch")?.unwrap_or(8192);
+    let micro = get_count_opt(flags, "micro")?;
     let kind: String = get_or(flags, "cluster", "1gpu".to_string())?;
     let cluster = cluster_by_kind(&kind, gpus)?;
     let calib = Calibration::profile(&model, &cluster);
     let mut planner = Planner::new(&model, &calib).batch_size(batch);
-    if let Some(m) = flags.get("micro") {
-        planner = planner.micro_batch(m.parse().map_err(|_| "invalid --micro")?);
+    if let Some(m) = micro {
+        planner = planner.micro_batch(m);
     }
     if flags.contains_key("offload") {
         planner = planner.offload(true);
@@ -190,13 +206,14 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = model_by_name(&get::<String>(flags, "model")?)?;
-    let gpus: usize = get(flags, "gpus")?;
-    let batch: usize = get_or(flags, "batch", 8192)?;
+    let gpus = get_count(flags, "gpus")?;
+    let batch = get_count_opt(flags, "batch")?.unwrap_or(8192);
+    let micro = get_count_opt(flags, "micro")?;
     let cluster = VarunaCluster::commodity_1gpu(gpus);
     let calib = Calibration::profile(&model, &cluster);
     let mut planner = Planner::new(&model, &calib).batch_size(batch);
-    if let Some(m) = flags.get("micro") {
-        planner = planner.micro_batch(m.parse().map_err(|_| "invalid --micro")?);
+    if let Some(m) = micro {
+        planner = planner.micro_batch(m);
     }
     println!(
         "{:>4} {:>4} {:>6} {:>6} {:>12} {:>10} {:>12}",
@@ -218,16 +235,18 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
-    let p: usize = get(flags, "stages")?;
-    let n: usize = get(flags, "micro-batches")?;
-    let disc = match get_or(flags, "discipline", "varuna".to_string())?.as_str() {
-        "varuna" => Discipline::Varuna,
-        "gpipe" => Discipline::GPipe,
+    let p = get_count(flags, "stages")?;
+    let n = get_count(flags, "micro-batches")?;
+    let (name, s) = match get_or(flags, "discipline", "varuna".to_string())?.as_str() {
+        "varuna" => ("Varuna", generate_schedule(p, n, usize::MAX)),
+        "gpipe" => (
+            "GPipe",
+            enumerate_policy(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy)),
+        ),
         other => return Err(format!("unknown discipline {other}")),
     };
-    let s = enumerate(p, n, usize::MAX, disc);
     println!(
-        "{disc:?} schedule, {p} stages x {n} micro-batches (makespan {} units):",
+        "{name} schedule, {p} stages x {n} micro-batches (makespan {} units):",
         s.makespan
     );
     for (stage, ops) in s.per_stage.iter().enumerate().rev() {
@@ -279,12 +298,12 @@ fn cmd_calibrate(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
     let model = model_by_name(&get::<String>(flags, "model")?)?;
-    let hosts: usize = get(flags, "hosts")?;
-    let target: usize = get(flags, "target")?;
+    let hosts = get_count(flags, "hosts")?;
+    let target = get_count(flags, "target")?;
     let hours: f64 = get(flags, "hours")?;
     let seed: u64 = get_or(flags, "seed", 7u64)?;
-    let batch: usize = get_or(flags, "batch", 8192)?;
-    let micro: usize = get_or(flags, "micro", 4usize)?;
+    let batch = get_count_opt(flags, "batch")?.unwrap_or(8192);
+    let micro = get_count_opt(flags, "micro")?.unwrap_or(4);
     let cluster = VarunaCluster::commodity_1gpu(target.max(hosts * 4));
     let calib = Calibration::profile(&model, &cluster);
     let trace = ClusterTrace::generate_spot_1gpu(hosts, target, hours, 10.0, seed);

@@ -41,29 +41,8 @@ pub fn estimate_minibatch_time(input: &SimInput<'_>) -> Result<f64, VarunaError>
         ));
     }
     let calib = input.calib;
-    let n = input.n_micro;
     let gpn = calib.gpus_per_node;
-
-    // Per-stage compute times and memory windows.
-    let mut f = Vec::with_capacity(p);
-    let mut b = Vec::with_capacity(p);
-    let mut window = Vec::with_capacity(p);
-    for &(lo, hi) in input.assignment {
-        f.push(calib.fwd_time(lo, hi, input.m));
-        b.push(calib.bwd_time(lo, hi, input.m));
-        window.push(calib.window(lo, hi, input.m, input.offload)?.max(1));
-    }
-    // Boundary delay between stage s and s+1: intra-node when contiguous
-    // placement keeps them on one VM.
-    let delay: Vec<f64> = (0..p.saturating_sub(1))
-        .map(|s| {
-            let inter = gpn == 1 || (s / gpn) != ((s + 1) / gpn);
-            calib.act_time(input.m, inter)
-        })
-        .collect();
-
-    // Event-driven single-replica pipeline under the Varuna discipline.
-    let (makespan, finish, _) = simulate_pipeline(&f, &b, &delay, &window, n);
+    let (makespan, finish, _) = calibrated_pipeline(input)?;
 
     // Sync tail: per-stage data-parallel allreduce (+ tied sync on the
     // boundary stages, + offload), overlapping across stages.
@@ -93,9 +72,20 @@ pub fn estimate_minibatch_time(input: &SimInput<'_>) -> Result<f64, VarunaError>
 pub fn plan_schedule(
     input: &SimInput<'_>,
 ) -> Result<varuna_sched::schedule::StaticSchedule, VarunaError> {
+    let (makespan, _, per_stage) = calibrated_pipeline(input)?;
+    Ok(varuna_sched::schedule::StaticSchedule {
+        p: input.assignment.len(),
+        n_micro: input.n_micro,
+        per_stage,
+        makespan,
+    })
+}
+
+/// Runs [`simulate_pipeline`] on `input`'s calibrated per-stage compute
+/// times, stash windows and boundary delays.
+fn calibrated_pipeline(input: &SimInput<'_>) -> Result<PipelineRun, VarunaError> {
     let p = input.assignment.len();
     let calib = input.calib;
-    let n = input.n_micro;
     let gpn = calib.gpus_per_node;
     let mut f = Vec::with_capacity(p);
     let mut b = Vec::with_capacity(p);
@@ -105,23 +95,22 @@ pub fn plan_schedule(
         b.push(calib.bwd_time(lo, hi, input.m));
         window.push(calib.window(lo, hi, input.m, input.offload)?.max(1));
     }
+    // Boundary delay between stage s and s+1: intra-node when contiguous
+    // placement keeps them on one VM.
     let delay: Vec<f64> = (0..p.saturating_sub(1))
         .map(|s| {
             let inter = gpn == 1 || (s / gpn) != ((s + 1) / gpn);
             calib.act_time(input.m, inter)
         })
         .collect();
-    let (makespan, _, per_stage) = simulate_pipeline(&f, &b, &delay, &window, n);
-    Ok(varuna_sched::schedule::StaticSchedule {
-        p,
-        n_micro: n,
-        per_stage,
-        makespan,
-    })
+    Ok(simulate_pipeline(&f, &b, &delay, &window, input.n_micro))
 }
 
-/// Runs the pipeline phase event-driven: returns (makespan, per-stage
-/// last-backward completion times, per-stage op order).
+/// A pipeline run: makespan, per-stage last-backward completion times,
+/// and per-stage op order.
+type PipelineRun = (f64, Vec<f64>, Vec<Vec<varuna_sched::op::Op>>);
+
+/// Runs the pipeline phase event-driven under the Varuna discipline.
 /// `O(P · N_m log)` — fast enough to re-plan on every preemption (§7.2).
 fn simulate_pipeline(
     f: &[f64],
@@ -129,7 +118,7 @@ fn simulate_pipeline(
     delay: &[f64],
     window: &[usize],
     n: usize,
-) -> (f64, Vec<f64>, Vec<Vec<varuna_sched::op::Op>>) {
+) -> PipelineRun {
     use varuna_exec::engine::EventQueue;
 
     let p = f.len();
@@ -353,6 +342,43 @@ mod tests {
         let calib = Calibration::profile(&model, &VarunaCluster::commodity_1gpu(64));
         let asg = balanced_partition(&calib.graph.clone(), p);
         (calib, asg)
+    }
+
+    #[test]
+    fn calibrated_kernel_at_unit_times_against_the_offline_rules() {
+        // Characterizes how the planner's event-driven kernel and
+        // `generate_schedule`'s rules differ at unit times (F = R = 1,
+        // B = 2, zero delay): they agree whenever a stage holds one stash,
+        // and disagree on 280 of the 384 wider-window shapes.
+        use varuna_sched::schedule::generate_schedule;
+        let unit = |p: usize, n: usize, w: usize| {
+            simulate_pipeline(
+                &vec![1.0; p],
+                &vec![2.0; p],
+                &vec![0.0; p - 1],
+                &vec![w; p],
+                n,
+            )
+        };
+        let (mut orders, mut makespans, mut shapes) = (0, 0, 0);
+        for p in 1..=8 {
+            for n in 1..=16 {
+                for w in [1, 2, 4, usize::MAX] {
+                    let (makespan, _, per_stage) = unit(p, n, w);
+                    let rules = generate_schedule(p, n, w);
+                    if w == 1 {
+                        assert_eq!(per_stage, rules.per_stage, "p={p} n={n}");
+                    }
+                    orders += usize::from(per_stage == rules.per_stage);
+                    makespans += usize::from(makespan == rules.makespan);
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!((orders, makespans, shapes), (232, 231, 512));
+        // Figure 4's 4 x 5 shape: the rules give 30 units, the kernel 26.
+        let rules = generate_schedule(4, 5, usize::MAX).makespan;
+        assert_eq!((rules, unit(4, 5, usize::MAX).0), (30.0, 26.0));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! directly or transitively, on an output the drained stage would only
 //! have produced after its cut.
 //!
-//! The dependency model matches the enumerator in [`crate::schedule`]:
+//! The dependency model matches the enumerators in [`crate::schedule`]:
 //! each stage executes its static order sequentially; a forward for
 //! micro-batch `m` additionally needs the upstream stage's forward of
 //! `m`; a backward needs the downstream stage's backward of `m`;
@@ -98,18 +98,29 @@ pub fn boundary_drain_legal(schedule: &StaticSchedule, stage: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{enumerate, Discipline};
+    use crate::policy::GPipePolicy;
+    use crate::schedule::{enumerate_policy, generate_schedule};
+
+    fn gpipe(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
+        enumerate_policy(p, n_micro, window, true, &|_, _| Box::new(GPipePolicy))
+    }
+
+    /// An offline schedule for `(p, n_micro, window)`.
+    type Offline = fn(usize, usize, usize) -> StaticSchedule;
+
+    /// Both offline disciplines: Varuna's rules and GPipe's policy.
+    const DISCIPLINES: [(&str, Offline); 2] = [("varuna", generate_schedule), ("gpipe", gpipe)];
 
     #[test]
     fn minibatch_boundaries_are_legal_for_every_stage_and_discipline() {
-        for disc in [Discipline::Varuna, Discipline::GPipe] {
+        for (disc, offline) in DISCIPLINES {
             for p in 1..5 {
                 for n_micro in 1..5 {
-                    let sched = enumerate(p, n_micro, n_micro.max(2), disc);
+                    let sched = offline(p, n_micro, n_micro.max(2));
                     for stage in 0..p {
                         assert!(
                             boundary_drain_legal(&sched, stage),
-                            "{disc:?} p={p} m={n_micro} stage={stage}"
+                            "{disc} p={p} m={n_micro} stage={stage}"
                         );
                     }
                 }
@@ -121,14 +132,14 @@ mod tests {
     fn a_finished_stage_may_drain_whatever_the_others_have_done() {
         // The drained stage has produced everything it ever will, so the
         // rest of the pipeline can always run to completion without it.
-        for disc in [Discipline::Varuna, Discipline::GPipe] {
-            let sched = enumerate(3, 4, 4, disc);
+        for (disc, offline) in DISCIPLINES {
+            let sched = offline(3, 4, 4);
             for stage in 0..3 {
                 let mut completed = vec![0usize; 3];
                 completed[stage] = sched.per_stage[stage].len();
                 assert!(
                     drain_in_place_legal(&sched, stage, &completed),
-                    "{disc:?} stage={stage}"
+                    "{disc} stage={stage}"
                 );
             }
         }
@@ -136,8 +147,8 @@ mod tests {
 
     #[test]
     fn cutting_off_a_backward_the_upstream_stage_still_needs_is_illegal() {
-        for disc in [Discipline::Varuna, Discipline::GPipe] {
-            let sched = enumerate(2, 3, 3, disc);
+        for (disc, offline) in DISCIPLINES {
+            let sched = offline(2, 3, 3);
             // Freeze stage 1 one op short: its last backward never lands,
             // so stage 0's matching backward can never run.
             let cut = sched.per_stage[1].len() - 1;
@@ -145,27 +156,27 @@ mod tests {
             let completed = vec![0, cut];
             assert!(
                 !drain_in_place_legal(&sched, 1, &completed),
-                "{disc:?}: missing downstream backward must block the drain"
+                "{disc}: missing downstream backward must block the drain"
             );
         }
     }
 
     #[test]
     fn cutting_off_a_forward_the_downstream_stage_still_needs_is_illegal() {
-        for disc in [Discipline::Varuna, Discipline::GPipe] {
-            let sched = enumerate(2, 3, 3, disc);
+        for (disc, offline) in DISCIPLINES {
+            let sched = offline(2, 3, 3);
             // Freeze stage 0 before any op: stage 1 never receives a
             // single forward activation.
             assert!(
                 !drain_in_place_legal(&sched, 0, &[0, 0]),
-                "{disc:?}: missing upstream forwards must block the drain"
+                "{disc}: missing upstream forwards must block the drain"
             );
         }
     }
 
     #[test]
     fn a_single_stage_pipeline_drains_vacuously() {
-        let sched = enumerate(1, 3, 3, Discipline::Varuna);
+        let sched = generate_schedule(1, 3, 3);
         assert!(drain_in_place_legal(&sched, 0, &[0]));
         assert!(boundary_drain_legal(&sched, 0));
     }
@@ -173,7 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_stage_panics() {
-        let sched = enumerate(2, 2, 2, Discipline::Varuna);
+        let sched = generate_schedule(2, 2, 2);
         drain_in_place_legal(&sched, 2, &[0, 0]);
     }
 
@@ -185,7 +196,7 @@ mod tests {
         // needing them. With nothing completed downstream the cut
         // violates stage 0's backwards; completing stage 1 fully makes
         // the same drain legal.
-        let sched = enumerate(2, 2, 2, Discipline::Varuna);
+        let sched = generate_schedule(2, 2, 2);
         assert!(!drain_in_place_legal(&sched, 1, &[1, 0]));
         let completed = vec![1, sched.per_stage[1].len()];
         assert!(drain_in_place_legal(&sched, 1, &completed));

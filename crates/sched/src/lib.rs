@@ -10,9 +10,9 @@
 //!
 //! - [`op`]: the `F`/`R`/`B` operation vocabulary.
 //! - [`policy`]: the [`SchedulePolicy`] trait, the [`StageView`] legality
-//!   interface, and the greedy reference policy.
-//! - [`schedule`]: the offline [`StaticSchedule`] enumerator (paper §3.2)
-//!   and the run-time [`VarunaPolicy`] that follows it opportunistically.
+//!   interface, the greedy reference policy and GPipe.
+//! - [`schedule`]: the offline [`StaticSchedule`] enumerators (paper §3.2)
+//!   and the run-time [`VarunaPolicy`] that follows one opportunistically.
 //!
 //! The contract splits responsibility in two:
 //!
@@ -37,8 +37,5 @@ pub mod schedule;
 
 pub use drain::{boundary_drain_legal, drain_in_place_legal};
 pub use op::{Op, OpKind};
-pub use policy::{GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
-pub use schedule::{
-    enumerate, enumerate_policy, generate_schedule, Discipline, StageOrder, StaticSchedule,
-    VarunaPolicy,
-};
+pub use policy::{GPipePolicy, GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
+pub use schedule::{enumerate_policy, generate_schedule, StageOrder, StaticSchedule, VarunaPolicy};

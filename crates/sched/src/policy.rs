@@ -2,8 +2,9 @@
 //!
 //! A policy decides, whenever a stage's GPU goes idle, which legal
 //! operation to run next. The engine computes legality; the policy picks
-//! the discipline. GPipe, 1F1B, PipeDream (in `varuna-baselines`) and
-//! Varuna's static+opportunistic schedule (in the `varuna` crate) all
+//! the discipline. GPipe (here, so the offline enumerator can render
+//! Figure 4 from it), 1F1B and PipeDream (in `varuna-baselines`) and
+//! Varuna's static+opportunistic schedule ([`crate::schedule`]) all
 //! implement this trait, so they are compared on identical substrates.
 
 use crate::op::{Op, OpKind};
@@ -152,6 +153,52 @@ impl SchedulePolicy for GreedyPolicy {
         // Otherwise keep the pipe filled.
         if view.forward_ready() {
             return Some(Op::new(OpKind::Forward, view.forwards_done));
+        }
+        None
+    }
+}
+
+/// GPipe's strict two-phase schedule (Huang et al., NeurIPS'19).
+///
+/// Phase 1: forward every micro-batch in order. Phase 2: walk the
+/// forwarded micro-batches in *reverse* order, recomputing then
+/// backpropagating each. The schedule is strict — when the designated
+/// next op is not ready the stage idles — which is exactly why GPipe's
+/// bubble is concentrated mid-schedule and why it degrades under jitter
+/// (paper Figure 4 discussion and Table 5).
+///
+/// Only the last micro-batch at the last stage escapes recompute, because
+/// its forward activations are still live ("S4 in Gpipe ... only avoids
+/// recompute for the fifth micro-batch").
+#[derive(Debug, Default, Clone)]
+pub struct GPipePolicy;
+
+impl SchedulePolicy for GPipePolicy {
+    fn pick(&mut self, view: &StageView<'_>) -> Option<Op> {
+        // A completed recompute commits us to its backward.
+        if let Some(mb) = view.pending_recompute {
+            return view
+                .backward_ready(mb)
+                .then_some(Op::new(OpKind::Backward, mb));
+        }
+        // Phase 1: all forwards first. GPipe's memory discipline stashes
+        // every micro-batch's input; when the stash window is tighter than
+        // N_m (GPipe would OOM on real hardware), fall through and drain
+        // backwards to free stash space.
+        if view.forwards_done < view.n_micro && view.stash_len < view.stash_window {
+            return view
+                .forward_ready()
+                .then_some(Op::new(OpKind::Forward, view.forwards_done));
+        }
+        // Phase 2: strictly reverse order over the forwarded micro-batches.
+        let mb = (0..view.forwards_done)
+            .rev()
+            .find(|&mb| !view.backwards_done[mb])?;
+        if view.backward_ready(mb) {
+            return Some(Op::new(OpKind::Backward, mb));
+        }
+        if view.grads_ready[mb] && view.recompute_ready(mb) {
+            return Some(Op::new(OpKind::Recompute, mb));
         }
         None
     }

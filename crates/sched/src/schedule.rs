@@ -10,6 +10,14 @@
 //!    corresponding backward (a forward would double activation memory);
 //! 3. when both a forward and a backward are ready, the backward wins.
 //!
+//! Both offline enumerators here run one unit-time model (`F = R = 1`,
+//! `B = 2`, zero network latency) and differ only in who picks each op:
+//! [`generate_schedule`] applies Varuna's rules above, while
+//! [`enumerate_policy`] asks any [`SchedulePolicy`] — GPipe's Figure 4
+//! schedule is [`crate::policy::GPipePolicy`] run through it. The planner's
+//! calibrated schedule (`varuna::simulator::plan_schedule`) is a separate,
+//! event-driven model with its own rules.
+//!
 //! At run time each stage follows its static order, but when the
 //! designated op is blocked (gradients delayed by network jitter) the
 //! stage **opportunistically** runs a later forward instead — the
@@ -21,16 +29,6 @@ use serde::{Deserialize, Serialize};
 use crate::op::{Op, OpKind};
 use crate::policy::{PolicyFactory, SchedulePolicy, StageView};
 
-/// Which offline discipline to enumerate (GPipe is included so Figure 4
-/// can be regenerated from the same simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Discipline {
-    /// Varuna's rules (constraints 1-3 above).
-    Varuna,
-    /// GPipe: all forwards, then reverse-order recompute+backward.
-    GPipe,
-}
-
 /// An offline-enumerated schedule: one ordered op list per stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticSchedule {
@@ -40,58 +38,181 @@ pub struct StaticSchedule {
     pub n_micro: usize,
     /// Per-stage op order.
     pub per_stage: Vec<Vec<Op>>,
-    /// Idealized makespan in forward-pass units (B = 2F, R = F, zero
-    /// network latency).
+    /// Makespan of the order. The enumerators in this module give it in
+    /// unit time (`F = R = 1`, `B = 2`, zero network latency); a schedule
+    /// planned from calibrated times (`varuna::simulator::plan_schedule`)
+    /// gives it in seconds.
     pub makespan: f64,
 }
 
 /// Generates the Varuna static schedule for `p` stages and `n_micro`
 /// micro-batches with activation-stash window `window`.
+///
+/// # Panics
+///
+/// Panics if any argument is zero.
 pub fn generate_schedule(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
-    enumerate(p, n_micro, window, Discipline::Varuna)
+    unit_time(p, n_micro, window, |pipe, s| {
+        let stage = &pipe.stages[s];
+        let last = s == p - 1;
+        // Constraint 2: a finished recompute commits the stage.
+        if let Some(m) = stage.pending_rec {
+            return pipe
+                .grad_ready(s, m)
+                .then_some(Op::new(OpKind::Backward, m));
+        }
+        // Backwards drain FIFO.
+        if let Some(m) = (0..stage.fwd_done).find(|&m| !stage.bwd_done[m]) {
+            let acts = stage.rec_done[m] || stage.live == Some(m);
+            // Constraint 3: a ready backward wins. The last stage never
+            // recomputes: its backward chases its forward (Figure 4).
+            if pipe.grad_ready(s, m) && (last || acts) {
+                return Some(Op::new(OpKind::Backward, m));
+            }
+            // Constraint 1: recompute once the downstream backward has
+            // started, so the recompute completes just as the gradient
+            // lands.
+            if !last
+                && !acts
+                && (pipe.stages[s + 1].bwd_start[m] <= pipe.now || pipe.grad_ready(s, m))
+            {
+                return Some(Op::new(OpKind::Recompute, m));
+            }
+        }
+        pipe.forward_ready(s)
+            .then_some(Op::new(OpKind::Forward, stage.fwd_done))
+    })
 }
 
-/// Enumerates a schedule under either discipline using a unit-time global
-/// simulation (`F = R = 1`, `B = 2`, zero latency).
-pub fn enumerate(p: usize, n_micro: usize, window: usize, disc: Discipline) -> StaticSchedule {
+/// Enumerates the offline op order produced by an arbitrary
+/// [`SchedulePolicy`] under the same unit-time model as
+/// [`generate_schedule`] (`F = R = 1`, `B = 2`, zero network latency).
+///
+/// One policy instance per stage is driven through the [`StageView`]
+/// legality interface — exactly as the emulator and the numeric trainer
+/// do — so any discipline (GPipe, 1F1B, PipeDream, greedy, …) can be
+/// rendered as a [`StaticSchedule`] without a second rule encoding. Pass
+/// `recompute_enabled = false` for disciplines that store activations
+/// instead of rematerializing them (PipeDream).
+///
+/// # Panics
+///
+/// Panics if any size argument is zero, if a policy returns an illegal op,
+/// or if the policies wedge (no stage can make progress and the schedule
+/// cannot terminate).
+pub fn enumerate_policy(
+    p: usize,
+    n_micro: usize,
+    window: usize,
+    recompute_enabled: bool,
+    factory: &PolicyFactory<'_>,
+) -> StaticSchedule {
+    let mut policies: Vec<Box<dyn SchedulePolicy>> = (0..p).map(|s| factory(s, 0)).collect();
+    unit_time(p, n_micro, window, |pipe, s| {
+        let stage = &pipe.stages[s];
+        let grads_ready: Vec<bool> = (0..n_micro)
+            .map(|m| !stage.bwd_done[m] && pipe.grad_ready(s, m))
+            .collect();
+        let view = StageView {
+            stage: s,
+            p,
+            last_stage: s == p - 1,
+            n_micro,
+            forwards_done: stage.fwd_done,
+            next_forward_ready: pipe.forward_ready(s),
+            grads_ready: &grads_ready,
+            recomputes_done: &stage.rec_done,
+            backwards_done: &stage.bwd_done,
+            live_acts: stage.live,
+            pending_recompute: stage.pending_rec,
+            stash_len: stage.stash,
+            stash_window: window,
+            recompute_enabled,
+        };
+        let op = policies[s].pick(&view)?;
+        assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
+        Some(op)
+    })
+}
+
+/// One stage of the unit-time model.
+struct Stage {
+    free_at: f64,
+    fwd_done: usize,
+    fwd_end: Vec<f64>,
+    bwd_done: Vec<bool>,
+    bwd_start: Vec<f64>,
+    bwd_end: Vec<f64>,
+    rec_done: Vec<bool>,
+    pending_rec: Option<usize>,
+    live: Option<usize>,
+    stash: usize,
+    order: Vec<Op>,
+}
+
+/// The unit-time model's state at instant `now`, as a picker sees it.
+struct Pipe {
+    stages: Vec<Stage>,
+    n_micro: usize,
+    window: usize,
+    now: f64,
+}
+
+impl Pipe {
+    /// Whether stage `s` holds the gradient for micro-batch `m`: stage
+    /// `s+1`'s backward has ended (zero latency) or, on the last stage, its
+    /// own forward has.
+    fn grad_ready(&self, s: usize, m: usize) -> bool {
+        match self.stages.get(s + 1) {
+            Some(next) => next.bwd_end[m] <= self.now,
+            None => self.stages[s].fwd_end[m] <= self.now,
+        }
+    }
+
+    /// Whether stage `s`'s next forward may start: micro-batches remain,
+    /// the stash has room, and the upstream forward has ended.
+    fn forward_ready(&self, s: usize) -> bool {
+        let stage = &self.stages[s];
+        stage.fwd_done < self.n_micro
+            && stage.stash < self.window
+            && (s == 0 || self.stages[s - 1].fwd_end[stage.fwd_done] <= self.now)
+    }
+}
+
+/// The unit-time loop (`F = R = 1`, `B = 2`, zero latency): at each
+/// instant, every free stage in stage order runs the op `pick` chooses;
+/// time then advances to the next op completion.
+fn unit_time(
+    p: usize,
+    n_micro: usize,
+    window: usize,
+    mut pick: impl FnMut(&Pipe, usize) -> Option<Op>,
+) -> StaticSchedule {
     assert!(p >= 1 && n_micro >= 1 && window >= 1);
     const F: f64 = 1.0;
     const R: f64 = 1.0;
     const B: f64 = 2.0;
 
-    struct St {
-        free_at: f64,
-        fwd_done: usize,
-        fwd_end: Vec<f64>,
-        bwd_done: Vec<bool>,
-        bwd_start: Vec<f64>,
-        bwd_end: Vec<f64>,
-        rec_done: Vec<bool>,
-        pending_rec: Option<usize>,
-        live: Option<usize>,
-        stash: usize,
-        order: Vec<Op>,
-    }
-
-    let mut st: Vec<St> = (0..p)
-        .map(|_| St {
-            free_at: 0.0,
-            fwd_done: 0,
-            fwd_end: vec![f64::INFINITY; n_micro],
-            bwd_done: vec![false; n_micro],
-            bwd_start: vec![f64::INFINITY; n_micro],
-            bwd_end: vec![f64::INFINITY; n_micro],
-            rec_done: vec![false; n_micro],
-            pending_rec: None,
-            live: None,
-            stash: 0,
-            order: Vec::with_capacity(3 * n_micro),
-        })
-        .collect();
-
-    // Time-stepped global simulation: at each step, dispatch on every free
-    // stage; advance time to the next completion.
-    let mut now = 0.0f64;
+    let mut pipe = Pipe {
+        stages: (0..p)
+            .map(|_| Stage {
+                free_at: 0.0,
+                fwd_done: 0,
+                fwd_end: vec![f64::INFINITY; n_micro],
+                bwd_done: vec![false; n_micro],
+                bwd_start: vec![f64::INFINITY; n_micro],
+                bwd_end: vec![f64::INFINITY; n_micro],
+                rec_done: vec![false; n_micro],
+                pending_rec: None,
+                live: None,
+                stash: 0,
+                order: Vec::with_capacity(3 * n_micro),
+            })
+            .collect(),
+        n_micro,
+        window,
+        now: 0.0,
+    };
     let total_backwards = p * n_micro;
     let mut done = 0usize;
     // A guard against rule bugs (the schedule must terminate).
@@ -102,82 +223,13 @@ pub fn enumerate(p: usize, n_micro: usize, window: usize, disc: Discipline) -> S
             guard < 100 * total_backwards + 100,
             "schedule enumeration diverged"
         );
-        // Dispatch every stage that is free at `now`.
         for s in 0..p {
-            if st[s].free_at > now {
+            if pipe.stages[s].free_at > pipe.now {
                 continue;
             }
-            let last = s == p - 1;
-            // Gradient for micro-batch m is available at stage s when
-            // stage s+1's backward ended (zero-latency offline model); for
-            // the last stage, when its own forward ended.
-            let grad_ready = |st: &[St], m: usize| -> bool {
-                if last {
-                    st[s].fwd_end[m] <= now
-                } else {
-                    st[s + 1].bwd_end[m] <= now
-                }
-            };
-            let op = {
-                let stage = &st[s];
-                // Constraint 2: a finished recompute commits the stage.
-                if let Some(m) = stage.pending_rec {
-                    if grad_ready(&st, m) {
-                        Some(Op::new(OpKind::Backward, m))
-                    } else {
-                        None
-                    }
-                } else {
-                    // Varuna drains backwards FIFO; GPipe walks them in
-                    // reverse micro-batch order.
-                    let next_b = match disc {
-                        Discipline::Varuna => (0..stage.fwd_done).find(|&m| !stage.bwd_done[m]),
-                        Discipline::GPipe => {
-                            (0..stage.fwd_done).rev().find(|&m| !stage.bwd_done[m])
-                        }
-                    };
-                    let backward_ok = next_b.is_some_and(|m| {
-                        grad_ready(&st, m)
-                            && (stage.rec_done[m]
-                                || stage.live == Some(m)
-                                || !needs_rec(disc, last))
-                    });
-                    let forwards_first = disc == Discipline::GPipe && stage.fwd_done < n_micro;
-                    if backward_ok && !forwards_first {
-                        Some(Op::new(OpKind::Backward, next_b.unwrap()))
-                    } else if let Some(m) = next_b.filter(|&m| {
-                        // Constraint 1 (Varuna only): recompute once the
-                        // downstream backward has started, so the
-                        // recompute completes just as the gradient lands.
-                        // GPipe has no such lead: it recomputes only after
-                        // the gradient arrives, serializing R into the
-                        // backward wave — the structural inefficiency of
-                        // Figure 4.
-                        let window_open = match disc {
-                            Discipline::Varuna => {
-                                last || st[s + 1].bwd_start[m] <= now || grad_ready(&st, m)
-                            }
-                            Discipline::GPipe => grad_ready(&st, m),
-                        };
-                        needs_rec(disc, last)
-                            && !stage.rec_done[m]
-                            && stage.live != Some(m)
-                            && !forwards_first
-                            && window_open
-                    }) {
-                        Some(Op::new(OpKind::Recompute, m))
-                    } else if stage.fwd_done < n_micro
-                        && stage.stash < window
-                        && (s == 0 || st[s - 1].fwd_end[stage.fwd_done] <= now)
-                    {
-                        Some(Op::new(OpKind::Forward, stage.fwd_done))
-                    } else {
-                        None
-                    }
-                }
-            };
-            let Some(op) = op else { continue };
-            let stage = &mut st[s];
+            let Some(op) = pick(&pipe, s) else { continue };
+            let now = pipe.now;
+            let stage = &mut pipe.stages[s];
             stage.order.push(op);
             match op.kind {
                 OpKind::Forward => {
@@ -205,216 +257,28 @@ pub fn enumerate(p: usize, n_micro: usize, window: usize, disc: Discipline) -> S
                 }
             }
         }
-        // Advance to the next interesting time: the earliest stage-free or
-        // completion boundary strictly after `now`.
-        let mut next = f64::INFINITY;
-        for stage in &st {
-            if stage.free_at > now {
-                next = next.min(stage.free_at);
-            }
-        }
-        if next.is_finite() {
-            now = next;
-        } else if done < total_backwards {
-            // Everyone idle at `now` with nothing dispatched: advance by
-            // the smallest quantum to re-evaluate (should not happen; the
-            // guard above catches true deadlock).
-            now += F;
-        }
+        // Advance to the earliest completion strictly after `now`; when
+        // every stage idles, step one quantum and re-evaluate (the guard
+        // above catches true deadlock).
+        let now = pipe.now;
+        let next = pipe
+            .stages
+            .iter()
+            .map(|stage| stage.free_at)
+            .filter(|&t| t > now)
+            .fold(f64::INFINITY, f64::min);
+        pipe.now = if next.is_finite() { next } else { now + F };
     }
-    let makespan = st
+    let makespan = pipe
+        .stages
         .iter()
-        .flat_map(|s| s.bwd_end.iter())
+        .flat_map(|stage| stage.bwd_end.iter())
         .fold(0.0f64, |a, &b| a.max(b));
     StaticSchedule {
         p,
         n_micro,
-        per_stage: st.into_iter().map(|s| s.order).collect(),
+        per_stage: pipe.stages.into_iter().map(|stage| stage.order).collect(),
         makespan,
-    }
-}
-
-/// Enumerates the offline op order produced by an arbitrary
-/// [`SchedulePolicy`] under the same idealized unit-time model as
-/// [`enumerate`] (`F = R = 1`, `B = 2`, zero network latency).
-///
-/// Where [`enumerate`] hard-codes the Varuna/GPipe dispatch rules, this
-/// drives one policy instance per stage through the [`StageView`] legality
-/// interface — exactly as the emulator and the numeric trainer do — so any
-/// discipline (1F1B, PipeDream, greedy, …) can be rendered as a
-/// [`StaticSchedule`] without a second rule encoding. Pass
-/// `recompute_enabled = false` for disciplines that store activations
-/// instead of rematerializing them (PipeDream).
-///
-/// # Panics
-///
-/// Panics if a policy returns an illegal op, or if the policies wedge (no
-/// stage can make progress and the schedule cannot terminate).
-pub fn enumerate_policy(
-    p: usize,
-    n_micro: usize,
-    window: usize,
-    recompute_enabled: bool,
-    factory: &PolicyFactory<'_>,
-) -> StaticSchedule {
-    assert!(p >= 1 && n_micro >= 1 && window >= 1);
-    const F: f64 = 1.0;
-    const R: f64 = 1.0;
-    const B: f64 = 2.0;
-
-    struct St {
-        policy: Box<dyn SchedulePolicy>,
-        free_at: f64,
-        fwd_done: usize,
-        fwd_end: Vec<f64>,
-        bwd_done: Vec<bool>,
-        bwd_end: Vec<f64>,
-        rec_done: Vec<bool>,
-        pending_rec: Option<usize>,
-        live: Option<usize>,
-        stash: usize,
-        order: Vec<Op>,
-    }
-
-    let mut st: Vec<St> = (0..p)
-        .map(|s| St {
-            policy: factory(s, 0),
-            free_at: 0.0,
-            fwd_done: 0,
-            fwd_end: vec![f64::INFINITY; n_micro],
-            bwd_done: vec![false; n_micro],
-            bwd_end: vec![f64::INFINITY; n_micro],
-            rec_done: vec![false; n_micro],
-            pending_rec: None,
-            live: None,
-            stash: 0,
-            order: Vec::with_capacity(3 * n_micro),
-        })
-        .collect();
-
-    let mut now = 0.0f64;
-    let total_backwards = p * n_micro;
-    let mut done = 0usize;
-    let mut guard = 0usize;
-    while done < total_backwards {
-        guard += 1;
-        assert!(
-            guard < 100 * total_backwards + 100,
-            "policy enumeration diverged"
-        );
-        for s in 0..p {
-            if st[s].free_at > now {
-                continue;
-            }
-            let last = s == p - 1;
-            // Zero-latency event model, identical to `enumerate`: the
-            // gradient for micro-batch m lands at stage s when stage s+1's
-            // backward ends (for the last stage, when its own forward
-            // ends); the input for the next forward lands when stage s-1's
-            // forward ends.
-            let grads_ready: Vec<bool> = (0..n_micro)
-                .map(|m| {
-                    !st[s].bwd_done[m]
-                        && if last {
-                            st[s].fwd_end[m] <= now
-                        } else {
-                            st[s + 1].bwd_end[m] <= now
-                        }
-                })
-                .collect();
-            let stage = &st[s];
-            let next_forward_ready = stage.fwd_done < n_micro
-                && stage.stash < window
-                && (s == 0 || st[s - 1].fwd_end[stage.fwd_done] <= now);
-            // Snapshot the per-mb state so the view does not hold a borrow
-            // of `st` across the (mutable) policy pick.
-            let rec_done = stage.rec_done.clone();
-            let bwd_done = stage.bwd_done.clone();
-            let view = StageView {
-                stage: s,
-                p,
-                last_stage: last,
-                n_micro,
-                forwards_done: stage.fwd_done,
-                next_forward_ready,
-                grads_ready: &grads_ready,
-                recomputes_done: &rec_done,
-                backwards_done: &bwd_done,
-                live_acts: stage.live,
-                pending_recompute: stage.pending_rec,
-                stash_len: stage.stash,
-                stash_window: window,
-                recompute_enabled,
-            };
-            let Some(op) = st[s].policy.pick(&view) else {
-                continue;
-            };
-            assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
-            let stage = &mut st[s];
-            stage.order.push(op);
-            // Starting any op other than the backward that consumes them
-            // invalidates live activations (same rule as the emulator).
-            if !(op.kind == OpKind::Backward && stage.live == Some(op.micro)) {
-                stage.live = None;
-            }
-            match op.kind {
-                OpKind::Forward => {
-                    stage.fwd_end[op.micro] = now + F;
-                    stage.fwd_done += 1;
-                    stage.stash += 1;
-                    stage.live = Some(op.micro);
-                    stage.free_at = now + F;
-                }
-                OpKind::Recompute => {
-                    stage.rec_done[op.micro] = true;
-                    stage.pending_rec = Some(op.micro);
-                    stage.live = Some(op.micro);
-                    stage.free_at = now + R;
-                }
-                OpKind::Backward => {
-                    stage.bwd_done[op.micro] = true;
-                    stage.bwd_end[op.micro] = now + B;
-                    stage.pending_rec = None;
-                    stage.live = None;
-                    stage.stash -= 1;
-                    stage.free_at = now + B;
-                    done += 1;
-                }
-            }
-        }
-        let mut next = f64::INFINITY;
-        for stage in &st {
-            if stage.free_at > now {
-                next = next.min(stage.free_at);
-            }
-        }
-        if next.is_finite() {
-            now = next;
-        } else if done < total_backwards {
-            now += F;
-        }
-    }
-    let makespan = st
-        .iter()
-        .flat_map(|s| s.bwd_end.iter())
-        .filter(|e| e.is_finite())
-        .fold(0.0f64, |a, &b| a.max(b));
-    StaticSchedule {
-        p,
-        n_micro,
-        per_stage: st.into_iter().map(|s| s.order).collect(),
-        makespan,
-    }
-}
-
-/// Whether a stage recomputes under the given discipline. In Varuna the
-/// last stage never recomputes (its backward chases its forward, paper
-/// Figure 4); in GPipe only the final micro-batch escapes (handled by the
-/// live-activation rule).
-fn needs_rec(disc: Discipline, last: bool) -> bool {
-    match disc {
-        Discipline::Varuna => !last,
-        Discipline::GPipe => true,
     }
 }
 
@@ -605,13 +469,38 @@ fn pick_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::GPipePolicy;
+
+    fn gpipe(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
+        enumerate_policy(p, n_micro, window, true, &|_, _| Box::new(GPipePolicy))
+    }
+
+    /// Asserts every stage forwards and backpropagates each micro-batch
+    /// once and never holds more than `window` stashes.
+    fn assert_complete_within(s: &StaticSchedule, window: usize) {
+        for (stage, ops) in s.per_stage.iter().enumerate() {
+            let f = ops.iter().filter(|o| o.kind == OpKind::Forward).count();
+            let b = ops.iter().filter(|o| o.kind == OpKind::Backward).count();
+            assert_eq!(f, s.n_micro, "stage {stage} forwards");
+            assert_eq!(b, s.n_micro, "stage {stage} backwards");
+            let mut outstanding = 0usize;
+            for op in ops {
+                match op.kind {
+                    OpKind::Forward => outstanding += 1,
+                    OpKind::Backward => outstanding -= 1,
+                    OpKind::Recompute => {}
+                }
+                assert!(outstanding <= window, "window violated in {ops:?}");
+            }
+        }
+    }
 
     #[test]
     fn figure4_varuna_beats_gpipe_makespan() {
         // Figure 4: 4 stages, 5 micro-batches — Varuna's schedule is
         // strictly shorter than GPipe's.
-        let v = enumerate(4, 5, usize::MAX, Discipline::Varuna);
-        let g = enumerate(4, 5, usize::MAX, Discipline::GPipe);
+        let v = generate_schedule(4, 5, usize::MAX);
+        let g = gpipe(4, 5, usize::MAX);
         assert!(
             v.makespan + 0.5 < g.makespan,
             "varuna {} vs gpipe {}",
@@ -623,13 +512,7 @@ mod tests {
     #[test]
     fn every_stage_schedules_every_microbatch() {
         for (p, n) in [(1, 4), (2, 3), (4, 5), (6, 12)] {
-            let s = generate_schedule(p, n, usize::MAX);
-            for (stage, ops) in s.per_stage.iter().enumerate() {
-                let f = ops.iter().filter(|o| o.kind == OpKind::Forward).count();
-                let b = ops.iter().filter(|o| o.kind == OpKind::Backward).count();
-                assert_eq!(f, n, "stage {stage} forwards");
-                assert_eq!(b, n, "stage {stage} backwards");
-            }
+            assert_complete_within(&generate_schedule(p, n, usize::MAX), usize::MAX);
         }
     }
 
@@ -662,13 +545,27 @@ mod tests {
 
     #[test]
     fn gpipe_backwards_are_reverse_order() {
-        let s = enumerate(3, 4, usize::MAX, Discipline::GPipe);
+        let s = gpipe(3, 4, usize::MAX);
         let order: Vec<usize> = s.per_stage[0]
             .iter()
             .filter(|o| o.kind == OpKind::Backward)
             .map(|o| o.micro)
             .collect();
         assert_eq!(order, vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn gpipe_drains_forwarded_microbatches_under_a_tight_stash_window() {
+        // With fewer stash slots than micro-batches, GPipe's phase 2 must
+        // drain the micro-batches it has forwarded to make room for the
+        // rest, not wait on one whose forward never ran.
+        for p in 1..=5 {
+            for n in 2..=9 {
+                for window in 1..n {
+                    assert_complete_within(&gpipe(p, n, window), window);
+                }
+            }
+        }
     }
 
     #[test]
@@ -688,32 +585,16 @@ mod tests {
 
     #[test]
     fn window_limits_forward_runahead() {
-        let s = generate_schedule(4, 12, 2);
         // With a window of 2, no stage's schedule may have more than 2
         // forwards not yet matched by backwards at any prefix.
-        for ops in &s.per_stage {
-            let mut outstanding = 0i64;
-            for op in ops {
-                match op.kind {
-                    OpKind::Forward => outstanding += 1,
-                    OpKind::Backward => outstanding -= 1,
-                    OpKind::Recompute => {}
-                }
-                assert!(outstanding <= 2, "window violated in {ops:?}");
-            }
-        }
+        assert_complete_within(&generate_schedule(4, 12, 2), 2);
     }
 
     #[test]
     fn policy_enumeration_runs_greedy_to_completion() {
         use crate::policy::GreedyPolicy;
         let s = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GreedyPolicy));
-        for (stage, ops) in s.per_stage.iter().enumerate() {
-            let f = ops.iter().filter(|o| o.kind == OpKind::Forward).count();
-            let b = ops.iter().filter(|o| o.kind == OpKind::Backward).count();
-            assert_eq!(f, 5, "stage {stage} forwards");
-            assert_eq!(b, 5, "stage {stage} backwards");
-        }
+        assert_complete_within(&s, usize::MAX);
         assert!(s.makespan > 0.0);
     }
 

@@ -3,10 +3,10 @@
 //! Prints ASCII Gantt charts of the offline schedules — Varuna, GPipe,
 //! 1F1B, and PipeDream — for a 4-stage pipeline with 5 micro-batches,
 //! then executes Varuna and GPipe on the discrete-event emulator to show
-//! the gap widening under network jitter. Every chart is produced by the
-//! same `varuna-sched` enumerator: the built-in disciplines via
-//! [`enumerate`], the baseline policies via [`enumerate_policy`], which
-//! drives any [`SchedulePolicy`] through the unit-time offline model.
+//! the gap widening under network jitter. Every chart comes from the same
+//! `varuna-sched` unit-time model: Varuna's rules via
+//! [`generate_schedule`], and GPipe, 1F1B and PipeDream via
+//! [`enumerate_policy`], which drives any [`SchedulePolicy`] through it.
 //!
 //! ```console
 //! $ cargo run --release --example schedule_viz
@@ -21,12 +21,12 @@ use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
 use varuna_obs::{profile::spans, EventBus, ProfileSpan, VecSink};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy};
-use varuna_sched::schedule::{enumerate, enumerate_policy, Discipline, VarunaPolicy};
+use varuna_sched::schedule::{enumerate_policy, generate_schedule, VarunaPolicy};
 
 fn main() {
     // Offline unit-time schedules (F = R = 1, B = 2), as in Figure 4.
-    let v = enumerate(4, 5, usize::MAX, Discipline::Varuna);
-    let g = enumerate(4, 5, usize::MAX, Discipline::GPipe);
+    let v = generate_schedule(4, 5, usize::MAX);
+    let g = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
     let f = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(OneF1BPolicy));
     let d = enumerate_policy(4, 5, usize::MAX, false, &|_, _| Box::new(PipeDreamPolicy));
     println!("Varuna static schedule (makespan {} units):", v.makespan);
@@ -57,7 +57,7 @@ fn main() {
         Topology::commodity_1gpu(4),
         Placement::one_stage_per_gpu(4, 1),
     );
-    let sched = varuna_sched::schedule::generate_schedule(4, 16, usize::MAX);
+    let sched = generate_schedule(4, 16, usize::MAX);
     let (varuna_run, varuna_spans) = run(&job, &move |s, _| -> Box<dyn SchedulePolicy> {
         Box::new(VarunaPolicy::for_stage(&sched, s))
     });

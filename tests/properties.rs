@@ -6,7 +6,8 @@ use varuna_models::{CutpointGraph, ModelZoo};
 use varuna_net::collective::{allreduce_time, AllreduceSpec};
 use varuna_net::Link;
 use varuna_sched::op::OpKind;
-use varuna_sched::schedule::{enumerate, generate_schedule, Discipline};
+use varuna_sched::policy::GPipePolicy;
+use varuna_sched::schedule::{enumerate_policy, generate_schedule};
 use varuna_train::data::{Corpus, VOCAB};
 use varuna_train::model::ModelConfig;
 use varuna_train::pipeline::PipelineTrainer;
@@ -58,8 +59,8 @@ proptest! {
     /// Varuna's offline makespan never loses to GPipe's, at any shape.
     #[test]
     fn varuna_never_loses_to_gpipe_offline(p in 2usize..7, n in 2usize..16) {
-        let v = enumerate(p, n, usize::MAX, Discipline::Varuna);
-        let g = enumerate(p, n, usize::MAX, Discipline::GPipe);
+        let v = generate_schedule(p, n, usize::MAX);
+        let g = enumerate_policy(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
         prop_assert!(
             v.makespan <= g.makespan + 1e-9,
             "varuna {} vs gpipe {} at p={} n={}", v.makespan, g.makespan, p, n
