@@ -76,7 +76,6 @@ fn main() -> ExitCode {
             TimelineEvent::Morph { p, d } => format!("morph -> {p}x{d}"),
             TimelineEvent::Replacement => "p".to_string(),
             TimelineEvent::Checkpoint => "ckpt".to_string(),
-            TimelineEvent::Steady => String::new(),
         };
         println!(
             "{:>7.2} {:>5} {:>8} {:>9.1} {:>10.2}  {}",

@@ -6,12 +6,13 @@
 //! $ cargo run --release -p varuna-bench --bin profile_stream -- --smoke # ~120k events
 //! ```
 //!
-//! Exits nonzero if either streamed report (single profiler, or sharded
-//! fan-out merged) diverges from the post-hoc profile by a single byte,
-//! if any stream counter flags a violation, if the bounded channels
-//! dropped an event, if resident state grew past a small fraction of the
-//! stream, or if incremental streaming fell more than a constant factor
-//! below the batch post-hoc pass — the gates CI holds with `--smoke`.
+//! Exits nonzero if either streamed report (single windowed profiler, or
+//! sharded fan-out merged) diverges from `profile()` of the whole trace
+//! (the same engine sealed once) by a single byte, if any stream counter
+//! flags a violation, if the bounded channels dropped an event, if
+//! resident state grew past a small fraction of the stream, or if
+//! windowed streaming fell more than a constant factor below the
+//! sealed-once pass — the gates CI holds with `--smoke`.
 
 use varuna_bench::profile_stream::{self, MAX_RESIDENT_RATIO, MAX_SLOWDOWN_VS_POSTHOC};
 use varuna_bench::util::print_table;

@@ -149,6 +149,11 @@ fn digest_iter<'a>(events: impl IntoIterator<Item = &'a Event>) -> u64 {
 /// at micro-batch 4), checks the event stream against
 /// [`check_invariants`], and fingerprints the stream.
 ///
+/// A [`StreamSink`] rides the same bus. Its report must equal
+/// [`profile()`] of the captured stream with zero stream-counter
+/// violations; `profile` is the same engine sealed once, so this checks
+/// that the live sink saw every event, in order, without anomaly.
+///
 /// # Errors
 ///
 /// Returns [`ChaosError::InvalidConfig`] for a bad configuration and
@@ -190,8 +195,9 @@ pub fn run_chaos(
     }
 
     // The always-on streaming profiler must account for the faulted run
-    // exactly as the post-hoc profiler does: any byte of divergence or
-    // internal anomaly is itself an invariant violation.
+    // exactly as `profile()` of the capture does: any byte of divergence
+    // (a lost or reordered delivery) or internal anomaly is itself an
+    // invariant violation.
     let streamed = live.take_partial();
     let stream_anomalies = streamed.counters().violations();
     if stream_anomalies > 0 {

@@ -323,7 +323,6 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
             TimelineEvent::Morph { p, d } => format!("morph -> {p}x{d}"),
             TimelineEvent::Replacement => "p".into(),
             TimelineEvent::Checkpoint => "ckpt".into(),
-            TimelineEvent::Steady => String::new(),
         };
         println!(
             "{:>7.2} {:>5} {:>8} {:>9.1} {:>10.2}  {}",

@@ -17,8 +17,6 @@ pub enum TimelineEvent {
     Replacement,
     /// A periodic checkpoint (the paper's throughput spikes).
     Checkpoint,
-    /// Steady-state sample.
-    Steady,
 }
 
 /// One sample of the dynamic training timeline.

@@ -28,7 +28,6 @@
 //! - [`oom`]: activation-stash windows and out-of-memory detection.
 //! - [`gantt`]: ASCII Gantt charts (paper Figure 7).
 //! - [`metrics`]: throughput and TFLOP/s summaries.
-//! - [`observe`]: adapters between the emulator and the `varuna-obs` bus.
 //! - [`background`]: the overlapped checkpoint-write lane (paper §4.5).
 
 pub mod background;
@@ -36,7 +35,6 @@ pub mod engine;
 pub mod gantt;
 pub mod job;
 pub mod metrics;
-pub mod observe;
 pub mod oom;
 pub mod pipeline;
 pub mod placement;
@@ -49,7 +47,6 @@ pub use varuna_sched::{op, policy};
 pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
-pub use observe::StreamingCapture;
 pub use pipeline::{
     simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule, simulate_schedule_on_bus,
     MinibatchResult, SimOptions,

@@ -1,8 +1,9 @@
 //! End-to-end checks that the `varuna-obs` profiler attributes emulator
 //! time correctly: every extracted span pairs with the `OpStart` emitted
 //! when its op was dispatched, every lane's decomposition sums to the
-//! makespan, blocking sends show up as send time, and the critical path
-//! is internally consistent.
+//! makespan, blocking sends show up as send time, the critical path is
+//! internally consistent, and a `StreamSink` on the live bus reports
+//! exactly what `profile()` computes from the capture.
 
 use std::collections::HashMap;
 
@@ -11,7 +12,7 @@ use varuna_exec::pipeline::{simulate_minibatch_on_bus, SimOptions};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
-use varuna_obs::{profile, EventBus, EventKind, VecSink};
+use varuna_obs::{profile, EventBus, EventKind, StreamSink, VecSink};
 use varuna_sched::policy::{GreedyPolicy, SchedulePolicy};
 
 fn job(p: usize, d: usize, n_micro: usize, m: usize) -> PlacedJob {
@@ -161,4 +162,30 @@ fn the_critical_path_is_consistent_with_the_timeline() {
     for lane in &r.lanes {
         assert!(lane.bubble() >= 0.0);
     }
+}
+
+#[test]
+fn a_live_stream_sink_reports_what_profile_computes_from_the_capture() {
+    let j = job(3, 2, 4, 2);
+    let tape = VecSink::new();
+    let live = StreamSink::default();
+    let mut bus = EventBus::with_sink(Box::new(tape.clone()));
+    bus.add_sink(Box::new(live.clone()));
+    simulate_minibatch_on_bus(&j, &greedy(), &SimOptions::default(), &mut bus)
+        .expect("minibatch simulates");
+
+    let events = tape.take();
+    assert!(!events.is_empty(), "emulator must emit events");
+    let partial = live.take_partial();
+    let counters = *partial.counters();
+    assert_eq!(
+        counters.violations(),
+        0,
+        "live emulator stream must profile cleanly: {counters:?}"
+    );
+    assert_eq!(
+        partial.into_report().to_json(),
+        profile(&events).to_json(),
+        "live report must equal profile() of the capture byte-for-byte"
+    );
 }

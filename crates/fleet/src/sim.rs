@@ -168,13 +168,17 @@ pub struct FleetRun {
     pub fleet_events: Vec<Event>,
     /// Each job's manager event stream, in submission order.
     pub job_events: Vec<Vec<Event>>,
-    /// Per-bus streaming-vs-post-hoc accounting checks.
+    /// Per-bus live-stream-vs-capture accounting checks.
     pub stream: FleetStreamCheck,
 }
 
 /// Result of folding one bus's events through the streaming profiler
-/// while the run was live, then comparing its sealed report against the
-/// post-hoc `profile()` of the same stream.
+/// while the run was live, then comparing its sealed report against
+/// `profile()` of the captured stream.
+///
+/// `profile()` is the same engine sealed once, so a match checks bus
+/// delivery (the live sink saw every captured event, in order) and zero
+/// violations checks that the live fold flagged no anomaly.
 ///
 /// Each bus carries one logical event lane (one manager, or the fleet
 /// control plane), so every per-bus report is exact; cross-bus partials
@@ -182,7 +186,8 @@ pub struct FleetRun {
 /// timelines, and merging them would sum unrelated makespans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheck {
-    /// Whether the streamed report equals the post-hoc one byte-for-byte.
+    /// Whether the live report equals `profile()` of the capture
+    /// byte-for-byte.
     pub matches_posthoc: bool,
     /// `StreamCounters::violations()` for the live fold. Must be 0.
     pub violations: usize,
@@ -211,8 +216,8 @@ impl FleetStreamCheck {
     }
 }
 
-/// Seals a live partial and scores it against the post-hoc profile of
-/// the same event stream.
+/// Seals a live partial and scores it against `profile()` of the captured
+/// event stream.
 fn check_stream(partial: PartialReport, events: &[Event]) -> StreamCheck {
     let violations = partial.counters().violations();
     let peak_resident = partial.counters().peak_resident;

@@ -1,14 +1,12 @@
-//! Critical-path extraction and downtime pricing for the profiler.
+//! Critical-path and downtime attribution for the profiler.
 //!
-//! Two passes sit on top of the per-lane decomposition in
+//! Two results sit on top of the per-lane decomposition in
 //! [`crate::profile()`]:
 //!
-//! - [`critical_path`] walks the op dependency graph backwards from the
-//!   last op to finish, at each step following the *binding* predecessor
-//!   (the latest-finishing of: the previous op on the same GPU lane, the
-//!   upstream forward the op's input came from, or the downstream
-//!   backward its gradient came from). The per-stage time along that
-//!   path names the bottleneck stage — the stage to speed up next.
+//! - [`CriticalPath`]: the chain of binding dependencies that ends at the
+//!   last op to finish. The per-stage time along it names the bottleneck
+//!   stage — the stage to speed up next. The walk that builds it lives in
+//!   [`crate::stream`] with the rest of the attribution engine.
 //! - [`downtime`] scans manager / cluster events and prices everything
 //!   that is *not* useful training time on a spot trace: degraded
 //!   pauses, morph restarts, checkpoint write stalls, and re-run (lost)
@@ -18,9 +16,20 @@
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, EventKind};
-use crate::profile::ProfileSpan;
 
-/// The critical path through one mini-batch's op graph.
+/// The critical path through the stream's op graph.
+///
+/// The dependency model matches the emulator: an op waits on the
+/// previous op of its own lane; a forward additionally waits on the same
+/// micro-batch's forward one stage upstream; a backward additionally
+/// waits on the same micro-batch's backward one stage downstream. Each op
+/// is bound to whichever candidate finished last, by the op's start (ties
+/// break toward the lowest `(stage, replica)`), as ops fold in start
+/// order; when a key repeats (a later mini-batch on the same stream), the
+/// latest op with that key is the candidate. A chain starts at an op with
+/// no such predecessor, whose start time is charged as initial wait. The
+/// path is the chain ending at the last op to finish (ties toward the
+/// lowest `(stage, replica, micro)`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CriticalPath {
     /// End time of the path's final op — the pipeline makespan the path
@@ -39,221 +48,6 @@ pub struct CriticalPath {
     pub bottleneck_stage: usize,
     /// Per-stage compute seconds along the path (index = stage).
     pub stage_seconds: Vec<f64>,
-}
-
-/// Running decomposition of one dependency chain, folded op by op in
-/// *chain order* (chain start first).
-///
-/// Both the post-hoc [`critical_path`] walk and the streaming profiler's
-/// incremental pass build their sums through this one type, in the same
-/// canonical order, so the two paths produce byte-identical `f64`s — the
-/// property the streamed-equals-posthoc proptests pin.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ChainSummary {
-    /// End time of the chain's latest op, seconds.
-    pub end: f64,
-    /// Compute seconds summed along the chain, in chain order.
-    pub compute: f64,
-    /// Wait seconds (initial warmup + inter-op gaps), in chain order.
-    pub wait: f64,
-    /// Ops on the chain.
-    pub ops: usize,
-    /// Per-stage compute seconds (grown on demand; padded at finish).
-    pub stage_seconds: Vec<f64>,
-}
-
-impl ChainSummary {
-    /// A one-op chain starting from scratch: the op's start time is
-    /// charged as initial wait.
-    pub fn leaf(s: &ProfileSpan) -> Self {
-        let mut c = ChainSummary {
-            end: s.end,
-            compute: 0.0,
-            wait: s.start.max(0.0),
-            ops: 0,
-            stage_seconds: Vec::new(),
-        };
-        c.charge(s);
-        c
-    }
-
-    /// A one-op chain whose true predecessor was lost (the post-hoc
-    /// walk's iteration bound was exhausted): no initial wait is charged.
-    pub fn leaf_truncated(s: &ProfileSpan) -> Self {
-        let mut c = ChainSummary {
-            end: s.end,
-            compute: 0.0,
-            wait: 0.0,
-            ops: 0,
-            stage_seconds: Vec::new(),
-        };
-        c.charge(s);
-        c
-    }
-
-    /// Extends the chain by one dependent op: the gap since the chain's
-    /// previous end is charged as wait, the op's duration as compute.
-    pub fn extend(&self, s: &ProfileSpan) -> Self {
-        let mut c = self.clone();
-        c.wait += (s.start - self.end).max(0.0);
-        c.end = s.end;
-        c.charge(s);
-        c
-    }
-
-    fn charge(&mut self, s: &ProfileSpan) {
-        let dur = s.duration();
-        self.compute += dur;
-        if self.stage_seconds.len() <= s.stage {
-            self.stage_seconds.resize(s.stage + 1, 0.0);
-        }
-        self.stage_seconds[s.stage] += dur;
-        self.ops += 1;
-    }
-}
-
-/// Turns a finished chain into a [`CriticalPath`], padding the per-stage
-/// vector to `max_stage` (the highest stage over *all* spans, on or off
-/// the path) and naming the bottleneck.
-pub(crate) fn finish_critical_path(
-    chain: ChainSummary,
-    length: f64,
-    max_stage: usize,
-) -> CriticalPath {
-    let mut stage_seconds = chain.stage_seconds;
-    if stage_seconds.len() <= max_stage {
-        stage_seconds.resize(max_stage + 1, 0.0);
-    }
-    // Strict `>` keeps the first (lowest) stage on ties.
-    let mut bottleneck_stage = 0;
-    for (s, &v) in stage_seconds.iter().enumerate() {
-        if v > stage_seconds[bottleneck_stage] {
-            bottleneck_stage = s;
-        }
-    }
-    CriticalPath {
-        length,
-        compute_seconds: chain.compute,
-        wait_seconds: chain.wait,
-        ops: chain.ops,
-        bottleneck_stage,
-        stage_seconds,
-    }
-}
-
-/// Extracts the critical path from op spans (`None` when empty).
-///
-/// The dependency model matches the emulator: an op waits on the
-/// previous op of its own lane; a forward additionally waits on the same
-/// micro-batch's forward one stage upstream; a backward additionally
-/// waits on the same micro-batch's backward one stage downstream. The
-/// binding predecessor is whichever candidate finished last (ties break
-/// deterministically toward the lowest `(stage, replica)`), and the walk
-/// ends at an op with no earlier predecessor — its start time is charged
-/// as initial wait.
-pub fn critical_path(spans: &[ProfileSpan]) -> Option<CriticalPath> {
-    use std::collections::HashMap;
-
-    if spans.is_empty() {
-        return None;
-    }
-
-    // Lane-sorted order and per-op lookup.
-    let mut by_lane: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut by_key: HashMap<(usize, usize, char, usize), usize> = HashMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        by_lane.entry((s.stage, s.replica)).or_default().push(i);
-        by_key.insert((s.stage, s.replica, s.op, s.micro), i);
-    }
-    let mut lane_pos: HashMap<usize, usize> = HashMap::new();
-    for lane in by_lane.values_mut() {
-        lane.sort_by(|&a, &b| {
-            spans[a]
-                .start
-                .total_cmp(&spans[b].start)
-                .then(spans[a].end.total_cmp(&spans[b].end))
-        });
-        for (pos, &i) in lane.iter().enumerate() {
-            lane_pos.insert(i, pos);
-        }
-    }
-
-    // Start from the last op to finish (deterministic tie-break).
-    let mut cur = 0;
-    for (i, s) in spans.iter().enumerate() {
-        let best = &spans[cur];
-        if s.end > best.end
-            || (s.end == best.end
-                && (s.stage, s.replica, s.micro) < (best.stage, best.replica, best.micro))
-        {
-            cur = i;
-        }
-    }
-
-    let length = spans[cur].end;
-    let max_stage = spans.iter().map(|s| s.stage).max().unwrap_or(0);
-    let eps = 1e-9;
-
-    // Bounded walk: each step moves to an op ending at or before the
-    // current op's start, so `spans.len()` steps always suffice. The
-    // path is only *collected* here — sums are folded afterwards in
-    // forward (chain) order through `ChainSummary`, the same order the
-    // streaming profiler uses, so both produce byte-identical `f64`s.
-    let mut path: Vec<usize> = Vec::new();
-    let mut rooted = false;
-    for _ in 0..=spans.len() {
-        let s = spans[cur];
-        path.push(cur);
-
-        let mut candidates: Vec<usize> = Vec::with_capacity(3);
-        if let Some(pos) = lane_pos.get(&cur) {
-            if *pos > 0 {
-                candidates.push(by_lane[&(s.stage, s.replica)][pos - 1]);
-            }
-        }
-        if s.op == 'F' && s.stage > 0 {
-            if let Some(&i) = by_key.get(&(s.stage - 1, s.replica, 'F', s.micro)) {
-                candidates.push(i);
-            }
-        }
-        if s.op == 'B' {
-            if let Some(&i) = by_key.get(&(s.stage + 1, s.replica, 'B', s.micro)) {
-                candidates.push(i);
-            }
-        }
-        let pred = candidates
-            .into_iter()
-            .filter(|&i| i != cur && spans[i].end <= s.start + eps)
-            .max_by(|&a, &b| {
-                spans[a].end.total_cmp(&spans[b].end).then_with(|| {
-                    // Lower (stage, replica) wins ties, so the pick is
-                    // deterministic regardless of candidate order.
-                    (spans[b].stage, spans[b].replica).cmp(&(spans[a].stage, spans[a].replica))
-                })
-            });
-        match pred {
-            Some(p) => {
-                cur = p;
-            }
-            None => {
-                rooted = true;
-                break;
-            }
-        }
-    }
-
-    path.reverse();
-    let mut it = path.iter();
-    let first = *it.next().expect("path has at least the terminal op");
-    let mut chain = if rooted {
-        ChainSummary::leaf(&spans[first])
-    } else {
-        ChainSummary::leaf_truncated(&spans[first])
-    };
-    for &i in it {
-        chain = chain.extend(&spans[i]);
-    }
-    Some(finish_critical_path(chain, length, max_stage))
 }
 
 /// Priced downtime over a manager / spot-trace event stream.
@@ -331,9 +125,9 @@ impl DowntimeProfile {
 }
 
 /// Incremental [`DowntimeProfile`] accumulator — the single place the
-/// per-event pricing rules live. Both the post-hoc [`downtime`] scan and
-/// the streaming profiler feed events through `observe` one at a time
-/// (in the same order), so both produce byte-identical sums.
+/// per-event pricing rules live. Both the [`downtime`] scan and the
+/// streaming profiler feed events through `observe` one at a time (in
+/// the same order), so both produce byte-identical sums.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct DowntimeAcc {
     /// The profile under construction (`useful_seconds` unset until
@@ -436,40 +230,36 @@ pub fn downtime(events: &[Event], makespan: f64) -> DowntimeProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::profile;
 
-    fn span(
-        stage: usize,
-        replica: usize,
-        op: char,
-        micro: usize,
-        start: f64,
-        end: f64,
-    ) -> ProfileSpan {
-        ProfileSpan {
-            stage,
-            replica,
-            op,
-            micro,
-            start,
+    fn op(stage: usize, replica: usize, op: char, micro: usize, start: f64, end: f64) -> Event {
+        Event::exec(
             end,
-        }
+            EventKind::OpEnd {
+                stage,
+                replica,
+                op,
+                micro,
+                start,
+            },
+        )
     }
 
     #[test]
     fn empty_spans_have_no_critical_path() {
-        assert!(critical_path(&[]).is_none());
+        assert!(profile(&[]).critical_path.is_none());
     }
 
     #[test]
     fn a_chained_pipeline_is_fully_explained() {
         // Exact chaining: F0 -> F1 -> B1 -> B0, zero latency.
-        let spans = vec![
-            span(0, 0, 'F', 0, 0.0, 1.0),
-            span(1, 0, 'F', 0, 1.0, 2.0),
-            span(1, 0, 'B', 0, 2.0, 4.0),
-            span(0, 0, 'B', 0, 4.0, 6.0),
+        let events = vec![
+            op(0, 0, 'F', 0, 0.0, 1.0),
+            op(1, 0, 'F', 0, 1.0, 2.0),
+            op(1, 0, 'B', 0, 2.0, 4.0),
+            op(0, 0, 'B', 0, 4.0, 6.0),
         ];
-        let c = critical_path(&spans).unwrap();
+        let c = profile(&events).critical_path.unwrap();
         assert_eq!(c.length, 6.0);
         assert_eq!(c.ops, 4);
         assert!((c.compute_seconds - 6.0).abs() < 1e-9);
@@ -482,11 +272,11 @@ mod tests {
 
     #[test]
     fn transfer_latency_appears_as_wait() {
-        let spans = vec![
-            span(0, 0, 'F', 0, 0.5, 1.0),  // 0.5 initial wait
-            span(1, 0, 'F', 0, 1.25, 2.0), // 0.25 transfer gap
+        let events = vec![
+            op(0, 0, 'F', 0, 0.5, 1.0),  // 0.5 initial wait
+            op(1, 0, 'F', 0, 1.25, 2.0), // 0.25 transfer gap
         ];
-        let c = critical_path(&spans).unwrap();
+        let c = profile(&events).critical_path.unwrap();
         assert_eq!(c.length, 2.0);
         assert!((c.compute_seconds - 1.25).abs() < 1e-9);
         assert!((c.wait_seconds - 0.75).abs() < 1e-9);
@@ -496,31 +286,52 @@ mod tests {
     #[test]
     fn the_slow_stage_is_the_bottleneck() {
         // Stage 1 is 4x slower; the path should spend its time there.
-        let spans = vec![
-            span(0, 0, 'F', 0, 0.0, 1.0),
-            span(0, 0, 'F', 1, 1.0, 2.0),
-            span(1, 0, 'F', 0, 1.0, 5.0),
-            span(1, 0, 'F', 1, 5.0, 9.0),
-            span(1, 0, 'B', 1, 9.0, 13.0),
-            span(0, 0, 'B', 1, 13.0, 14.0),
+        let events = vec![
+            op(0, 0, 'F', 0, 0.0, 1.0),
+            op(0, 0, 'F', 1, 1.0, 2.0),
+            op(1, 0, 'F', 0, 1.0, 5.0),
+            op(1, 0, 'F', 1, 5.0, 9.0),
+            op(1, 0, 'B', 1, 9.0, 13.0),
+            op(0, 0, 'B', 1, 13.0, 14.0),
         ];
-        let c = critical_path(&spans).unwrap();
+        let c = profile(&events).critical_path.unwrap();
         assert_eq!(c.bottleneck_stage, 1);
         assert!(c.stage_seconds[1] > c.stage_seconds[0]);
         assert!((c.compute_seconds + c.wait_seconds - c.length).abs() < 1e-9);
     }
 
     #[test]
+    fn repeated_op_keys_bind_the_latest_minibatch() {
+        // Two back-to-back mini-batches of a 2-stage pipeline on one
+        // stream, `micro` 0 in both: the second mini-batch's ops repeat
+        // the first's keys. The path runs through both mini-batches and
+        // charges only the 6 s -> 10 s gap between them as wait.
+        let mut events = Vec::new();
+        for t0 in [0.0, 10.0] {
+            events.push(op(0, 0, 'F', 0, t0, t0 + 1.0));
+            events.push(op(1, 0, 'F', 0, t0 + 1.0, t0 + 2.0));
+            events.push(op(1, 0, 'B', 0, t0 + 2.0, t0 + 4.0));
+            events.push(op(0, 0, 'B', 0, t0 + 4.0, t0 + 6.0));
+        }
+        let c = profile(&events).critical_path.unwrap();
+        assert_eq!(c.length, 16.0);
+        assert_eq!(c.ops, 8);
+        assert_eq!(c.compute_seconds, 12.0);
+        assert_eq!(c.wait_seconds, 4.0);
+        assert_eq!(c.stage_seconds, vec![6.0, 6.0]);
+    }
+
+    #[test]
     fn zero_duration_spans_terminate() {
         // Degenerate all-zero spans at t=0 must not loop forever.
-        let spans = vec![
-            span(0, 0, 'F', 0, 0.0, 0.0),
-            span(0, 0, 'F', 1, 0.0, 0.0),
-            span(1, 0, 'F', 0, 0.0, 0.0),
+        let events = vec![
+            op(0, 0, 'F', 0, 0.0, 0.0),
+            op(0, 0, 'F', 1, 0.0, 0.0),
+            op(1, 0, 'F', 0, 0.0, 0.0),
         ];
-        let c = critical_path(&spans).unwrap();
+        let c = profile(&events).critical_path.unwrap();
         assert_eq!(c.length, 0.0);
-        assert!(c.ops <= spans.len() + 1);
+        assert!(c.ops <= events.len() + 1);
     }
 
     #[test]

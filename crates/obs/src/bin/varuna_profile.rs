@@ -11,10 +11,11 @@
 //! ```
 //!
 //! With `--follow` the input is a *growing* JSONL capture: the file is
-//! tailed incrementally through the streaming profiler (bounded memory,
-//! byte-identical attribution), a one-line status is printed as the
-//! stream grows, and `--serve ADDR` exposes the live report over HTTP
-//! (`/report`, `/downtime`, `/counters`, `/healthz`):
+//! tailed incrementally through the same streaming profiler one-shot mode
+//! seals once (bounded memory, byte-identical final report), lines are
+//! decoded by the same validating decoder, a one-line status is printed
+//! as the stream grows, and `--serve ADDR` exposes the live report over
+//! HTTP (`/report`, `/downtime`, `/counters`, `/healthz`):
 //!
 //! ```text
 //! varuna-profile events.jsonl --follow --serve 127.0.0.1:7777
@@ -26,8 +27,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use varuna_obs::{
-    events_from_chrome_trace, events_from_jsonl, profile, spawn_http, Event, PartialReport,
-    ProfileReport, StreamConfig, StreamingProfiler,
+    event_from_jsonl, events_from_chrome_trace, events_from_jsonl, profile, spawn_http,
+    PartialReport, ProfileReport, StreamConfig, StreamingProfiler,
 };
 
 const USAGE: &str = "usage: varuna-profile <capture.{jsonl,json} | -> [options]
@@ -174,8 +175,8 @@ fn write_out(report: &ProfileReport, out: &Option<String>) -> Result<(), ExitCod
     Ok(())
 }
 
-/// One-shot mode: read the whole capture (file or stdin), attribute
-/// post-hoc, print, optionally write the JSON report.
+/// One-shot mode: read the whole capture (file or stdin), attribute it,
+/// print, optionally write the JSON report.
 fn run_oneshot(opts: &Opts) -> ExitCode {
     let (text, label) = if opts.input == "-" {
         let mut text = String::new();
@@ -230,8 +231,7 @@ impl Follow {
             if line.trim().is_empty() {
                 continue;
             }
-            let event: Event =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", self.lines))?;
+            let event = event_from_jsonl(line).map_err(|e| format!("line {}: {e}", self.lines))?;
             self.profiler.observe(&event);
             fresh += 1;
         }

@@ -625,7 +625,7 @@ mod tests {
     }
 
     /// End-to-end: the async sharded fan-out feeding per-shard streaming
-    /// profilers reproduces the post-hoc report byte-for-byte.
+    /// profilers reproduces `profile()` of the whole stream byte-for-byte.
     #[test]
     fn sharded_streaming_profilers_match_posthoc_bytes() {
         use crate::stream::{merge_partials, StreamConfig, StreamSink};

@@ -403,7 +403,8 @@ fn slice_event(s: &Value) -> Result<Option<Event>, String> {
 ///
 /// Input that is not JSON, has no `traceEvents` array, or holds a slice
 /// that does not decode (a marker whose `cat` is not a [`Source`] or whose
-/// `args` is not an [`EventKind`], a slice without a numeric `ts`) is an
+/// `args` is not an [`EventKind`], a slice without a numeric `ts`, an
+/// event naming a stage beyond [`MAX_STAGE`](crate::MAX_STAGE)) is an
 /// error naming the offending slice's index.
 pub fn events_from_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
     let doc = serde_json::parse_value(text).map_err(|e| format!("not valid JSON: {e}"))?;
@@ -418,7 +419,8 @@ pub fn events_from_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
             Some(Value::Str(ph)) if ph == "i" => instant_event(s).map(Some),
             Some(Value::Str(ph)) if ph == "X" => slice_event(s),
             _ => Ok(None),
-        };
+        }
+        .and_then(|e| e.map(Event::within_bounds).transpose());
         events.extend(decoded.map_err(|e| format!("trace slice {i}: {e}"))?);
     }
     Ok(events)

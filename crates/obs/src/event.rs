@@ -352,6 +352,35 @@ pub enum EventKind {
     },
 }
 
+/// The highest pipeline stage index an imported capture may name.
+///
+/// The profiler keeps per-stage state indexed by stage, so the importers
+/// ([`events_from_jsonl`](crate::events_from_jsonl),
+/// [`events_from_chrome_trace`](crate::events_from_chrome_trace)) reject
+/// an event naming a deeper stage instead of sizing that state to it.
+/// The deepest model in the zoo has 100 layers, one stage each at most.
+pub const MAX_STAGE: usize = 4096;
+
+impl EventKind {
+    /// The deepest pipeline stage the event names (0 for kinds that name
+    /// none).
+    fn max_stage(&self) -> usize {
+        match self {
+            EventKind::OpStart { stage, .. }
+            | EventKind::OpEnd { stage, .. }
+            | EventKind::SendBusy { stage, .. }
+            | EventKind::Allreduce { stage, .. }
+            | EventKind::OomKill { stage, .. } => *stage,
+            EventKind::Transfer {
+                from_stage,
+                to_stage,
+                ..
+            } => (*from_stage).max(*to_stage),
+            _ => 0,
+        }
+    }
+}
+
 /// One timestamped observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
@@ -425,6 +454,16 @@ impl Event {
             source: Source::Recovery,
             kind,
         }
+    }
+
+    /// The importers' bound check: passes the event through unless it
+    /// names a stage deeper than [`MAX_STAGE`].
+    pub(crate) fn within_bounds(self) -> Result<Self, String> {
+        let stage = self.kind.max_stage();
+        if stage > MAX_STAGE {
+            return Err(format!("stage {stage} exceeds MAX_STAGE ({MAX_STAGE})"));
+        }
+        Ok(self)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Post-hoc time attribution over an [`Event`] stream.
+//! Time attribution over an [`Event`] stream: the report types.
 //!
 //! [`profile`] consumes any capture of the event bus — an in-memory
 //! [`VecSink`](crate::VecSink) buffer, a JSONL file, or an imported
@@ -23,11 +23,17 @@
 //! replicas), and — for manager / spot-trace streams — downtime
 //! accounting that prices morph restarts, checkpoint writes, degraded
 //! pauses, and lost work (see [`crate::attrib`]).
+//!
+//! There is one attribution engine, [`crate::stream`]: [`profile`] feeds
+//! a [`StreamingProfiler`] every event and seals it once. This module
+//! holds the report it produces, the per-op span view ([`spans`]) and the
+//! JSONL decoder.
 
 use serde::{Deserialize, Serialize};
 
-use crate::attrib::{self, CriticalPath, DowntimeProfile};
+use crate::attrib::{CriticalPath, DowntimeProfile};
 use crate::event::{Event, EventKind};
+use crate::stream::StreamingProfiler;
 
 /// Schema tag stamped into every [`ProfileReport`].
 pub const PROFILE_SCHEMA: &str = "varuna-profile/v1";
@@ -299,335 +305,32 @@ impl ProfileReport {
     }
 }
 
-/// What a busy interval was doing, for attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BusyKind {
-    /// Forward op compute.
-    Forward,
-    /// Recompute (activation rematerialization).
-    Recompute,
-    /// Backward op compute.
-    Backward,
-    /// Sender-blocked serialization.
-    Send,
-    /// Data-parallel gradient allreduce.
-    Allreduce,
-}
-
-/// Incremental cursor sweep over one lane's busy intervals — the single
-/// implementation of the lane decomposition, shared by the post-hoc
-/// [`profile`] and the streaming profiler so both produce byte-identical
-/// `f64`s.
+/// Profiles an event stream into a [`ProfileReport`]: one
+/// [`StreamingProfiler`] fed every event in order and sealed once.
 ///
-/// Intervals must be pushed in `(start, end)` order (the post-hoc path
-/// sorts first; the streaming path drains its pending buffer in key
-/// order). The post-hoc path clips each interval to the (already-known)
-/// makespan; the streaming path passes `f64::INFINITY` — exact all the
-/// same, because every interval's end is itself a makespan candidate, so
-/// `end.min(makespan) == end` whenever the interval is well-formed.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LaneFold {
-    /// Seconds attributed to forward ops so far.
-    pub forward: f64,
-    /// Seconds attributed to recompute ops so far.
-    pub recompute: f64,
-    /// Seconds attributed to backward ops so far.
-    pub backward: f64,
-    /// Seconds attributed to blocked sends so far.
-    pub send: f64,
-    /// Seconds attributed to allreduces so far.
-    pub allreduce: f64,
-    /// Idle seconds before the first busy interval.
-    pub warmup: f64,
-    /// Idle seconds between busy intervals.
-    pub stall: f64,
-    /// Sweep cursor: the latest attributed instant.
-    pub cursor: f64,
-    /// True until the first interval is pushed (gap → warmup).
-    pub first: bool,
-    /// Intervals pushed (used by the streaming merge to pick between
-    /// redundant synthetic-lane copies).
-    pub pushes: usize,
-}
-
-impl Default for LaneFold {
-    fn default() -> Self {
-        LaneFold {
-            forward: 0.0,
-            recompute: 0.0,
-            backward: 0.0,
-            send: 0.0,
-            allreduce: 0.0,
-            warmup: 0.0,
-            stall: 0.0,
-            cursor: 0.0,
-            first: true,
-            pushes: 0,
-        }
-    }
-}
-
-impl LaneFold {
-    /// Folds the next busy interval (in sorted order), clipping its end
-    /// to `clip` and its start to the cursor so overlaps never
-    /// double-count.
-    pub fn push_clipped(&mut self, start: f64, end: f64, kind: BusyKind, clip: f64) {
-        let gap = start - self.cursor;
-        if gap > 0.0 {
-            if self.first {
-                self.warmup += gap;
-            } else {
-                self.stall += gap;
-            }
-            self.cursor = start;
-        }
-        self.first = false;
-        let contrib = end.min(clip) - start.max(self.cursor);
-        if contrib > 0.0 {
-            match kind {
-                BusyKind::Forward => self.forward += contrib,
-                BusyKind::Recompute => self.recompute += contrib,
-                BusyKind::Backward => self.backward += contrib,
-                BusyKind::Send => self.send += contrib,
-                BusyKind::Allreduce => self.allreduce += contrib,
-            }
-        }
-        self.cursor = self.cursor.max(end.min(clip));
-        self.pushes += 1;
-    }
-
-    /// Closes the sweep at `makespan`: everything after the cursor is
-    /// drain.
-    pub fn finish(&self, stage: usize, replica: usize, ops: usize, makespan: f64) -> LaneProfile {
-        LaneProfile {
-            stage,
-            replica,
-            forward: self.forward,
-            recompute: self.recompute,
-            backward: self.backward,
-            send: self.send,
-            allreduce: self.allreduce,
-            warmup: self.warmup,
-            stall: self.stall,
-            drain: (makespan - self.cursor).max(0.0),
-            ops,
-        }
-    }
-}
-
-/// Assembles finished lanes into a [`ProfileReport`]: per-stage
-/// aggregation, straggler scores, and the bubble fraction. One
-/// implementation shared by [`profile`] and the streaming finish so the
-/// aggregation sums run in the same (lane-sorted) order on both paths.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_report(
-    events: usize,
-    makespan: f64,
-    pipeline_end: f64,
-    lanes: Vec<LaneProfile>,
-    transfer_seconds: f64,
-    transfer_out: &std::collections::BTreeMap<usize, f64>,
-    critical_path: Option<CriticalPath>,
-    downtime: DowntimeProfile,
-) -> ProfileReport {
-    let mut stages: Vec<StageProfile> = Vec::new();
-    let mut i = 0;
-    while i < lanes.len() {
-        let stage = lanes[i].stage;
-        let mut j = i;
-        while j < lanes.len() && lanes[j].stage == stage {
-            j += 1;
-        }
-        let group = &lanes[i..j];
-        let n = group.len() as f64;
-        let busy_mean = group.iter().map(|l| l.busy()).sum::<f64>() / n;
-        let busy_max = group.iter().map(|l| l.busy()).fold(0.0f64, f64::max);
-        stages.push(StageProfile {
-            stage,
-            replicas: group.len(),
-            compute: group.iter().map(|l| l.compute()).sum::<f64>() / n,
-            send: group.iter().map(|l| l.send).sum::<f64>() / n,
-            allreduce: group.iter().map(|l| l.allreduce).sum::<f64>() / n,
-            warmup: group.iter().map(|l| l.warmup).sum::<f64>() / n,
-            stall: group.iter().map(|l| l.stall).sum::<f64>() / n,
-            drain: group.iter().map(|l| l.drain).sum::<f64>() / n,
-            transfer_out: transfer_out.get(&stage).copied().unwrap_or(0.0),
-            busy_mean,
-            busy_max,
-            straggler: if busy_mean > 0.0 {
-                busy_max / busy_mean
-            } else {
-                0.0
-            },
-            utilization: if makespan > 0.0 {
-                busy_mean / makespan
-            } else {
-                0.0
-            },
-        });
-        i = j;
-    }
-
-    let bubble_fraction = if !lanes.is_empty() && makespan > 0.0 {
-        lanes.iter().map(|l| l.bubble()).sum::<f64>() / (lanes.len() as f64 * makespan)
-    } else {
-        0.0
-    };
-
-    ProfileReport {
-        schema: PROFILE_SCHEMA.to_string(),
-        events,
-        makespan,
-        pipeline_end,
-        lanes,
-        stages,
-        bubble_fraction,
-        transfer_seconds,
-        critical_path,
-        downtime,
-    }
-}
-
-#[derive(Clone, Copy)]
-struct BusyInterval {
-    start: f64,
-    end: f64,
-    kind: BusyKind,
-}
-
-/// Profiles an event stream into a [`ProfileReport`].
-///
-/// The stream may come from any sink — the report is a pure function of
-/// the event *contents*, not their order (intervals are re-sorted per
-/// lane), so a `VecSink` capture and its JSONL round trip profile
-/// identically.
+/// The stream may come from any sink. Each lane's intervals are folded in
+/// `(start, end)` order, not arrival order, so a `VecSink` capture and its
+/// JSONL round trip profile identically.
 pub fn profile(events: &[Event]) -> ProfileReport {
-    use std::collections::BTreeMap;
-
-    // Makespan: the latest instant any event touches.
-    let mut makespan: f64 = 0.0;
+    let mut profiler = StreamingProfiler::default();
     for e in events {
-        let end = match &e.kind {
-            EventKind::SendBusy { seconds, .. } => e.t_sim + seconds,
-            EventKind::Transfer { seconds, .. } => e.t_sim + seconds,
-            _ => e.t_sim,
-        };
-        if end.is_finite() {
-            makespan = makespan.max(end);
-        }
+        profiler.observe(e);
     }
+    profiler.into_partial().into_report()
+}
 
-    // Per-lane busy intervals.
-    let mut lanes_map: BTreeMap<(usize, usize), Vec<BusyInterval>> = BTreeMap::new();
-    let mut lane_ops: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut pipeline_end: f64 = 0.0;
-    let mut transfer_seconds = 0.0;
-    let mut transfer_out: BTreeMap<usize, f64> = BTreeMap::new();
-    // Allreduces are per-stage events (no replica): remember them and
-    // attach to every lane of the stage once all lanes are known.
-    let mut allreduces: Vec<(usize, f64, f64)> = Vec::new();
-
-    for e in events {
-        match &e.kind {
-            EventKind::OpEnd {
-                stage,
-                replica,
-                op,
-                start,
-                ..
-            } => {
-                let kind = match op {
-                    'F' => BusyKind::Forward,
-                    'R' => BusyKind::Recompute,
-                    _ => BusyKind::Backward,
-                };
-                lanes_map
-                    .entry((*stage, *replica))
-                    .or_default()
-                    .push(BusyInterval {
-                        start: start.max(0.0),
-                        end: e.t_sim,
-                        kind,
-                    });
-                *lane_ops.entry((*stage, *replica)).or_default() += 1;
-                pipeline_end = pipeline_end.max(e.t_sim);
-            }
-            EventKind::SendBusy {
-                stage,
-                replica,
-                seconds,
-                ..
-            } => {
-                lanes_map
-                    .entry((*stage, *replica))
-                    .or_default()
-                    .push(BusyInterval {
-                        start: e.t_sim.max(0.0),
-                        end: e.t_sim + seconds,
-                        kind: BusyKind::Send,
-                    });
-            }
-            EventKind::Allreduce { stage, seconds, .. } => {
-                allreduces.push((*stage, (e.t_sim - seconds).max(0.0), e.t_sim));
-            }
-            EventKind::Transfer {
-                from_stage,
-                seconds,
-                ..
-            } => {
-                transfer_seconds += seconds;
-                *transfer_out.entry(*from_stage).or_default() += seconds;
-            }
-            _ => {}
-        }
-    }
-
-    // Attach each stage's allreduce to every lane of that stage (all
-    // replicas participate simultaneously); a stage with no op lanes at
-    // all gets a synthetic replica-0 lane so the time is still visible.
-    for (stage, start, end) in allreduces {
-        let lane_keys: Vec<(usize, usize)> = lanes_map
-            .range((stage, 0)..(stage + 1, 0))
-            .map(|(k, _)| *k)
-            .collect();
-        let targets = if lane_keys.is_empty() {
-            vec![(stage, 0)]
-        } else {
-            lane_keys
-        };
-        for key in targets {
-            lanes_map.entry(key).or_default().push(BusyInterval {
-                start,
-                end,
-                kind: BusyKind::Allreduce,
-            });
-        }
-    }
-
-    // Decompose each lane over [0, makespan]: one cursor sweep over the
-    // sorted intervals, clipping overlaps, classifying gaps.
-    let mut lanes: Vec<LaneProfile> = Vec::with_capacity(lanes_map.len());
-    for ((stage, replica), mut intervals) in lanes_map {
-        intervals.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
-        let mut fold = LaneFold::default();
-        for iv in intervals {
-            fold.push_clipped(iv.start, iv.end, iv.kind, makespan);
-        }
-        let ops = lane_ops.get(&(stage, replica)).copied().unwrap_or(0);
-        lanes.push(fold.finish(stage, replica, ops, makespan));
-    }
-
-    let op_spans = spans(events);
-    assemble_report(
-        events.len(),
-        makespan,
-        pipeline_end,
-        lanes,
-        transfer_seconds,
-        &transfer_out,
-        attrib::critical_path(&op_spans),
-        attrib::downtime(events, makespan),
-    )
+/// Decodes one JSONL capture line (as written by
+/// [`JsonlSink`](crate::JsonlSink)) into an event. The one decoder behind
+/// [`events_from_jsonl`] and `varuna-profile --follow`.
+///
+/// # Errors
+///
+/// A line that is not an `Event`, or whose event names a stage beyond
+/// [`MAX_STAGE`](crate::MAX_STAGE), is an error.
+pub fn event_from_jsonl(line: &str) -> Result<Event, String> {
+    serde_json::from_str::<Event>(line)
+        .map_err(|err| err.to_string())?
+        .within_bounds()
 }
 
 /// Parses a JSONL capture (one `Event` per line, as written by
@@ -635,7 +338,8 @@ pub fn profile(events: &[Event]) -> ProfileReport {
 ///
 /// # Errors
 ///
-/// Returns the 1-based line number and parse error of the first bad line.
+/// Returns the 1-based line number and error of the first line
+/// [`event_from_jsonl`] rejects.
 pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -643,9 +347,7 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
         if line.is_empty() {
             continue;
         }
-        let e: Event =
-            serde_json::from_str(line).map_err(|err| format!("line {}: {err:?}", i + 1))?;
-        events.push(e);
+        events.push(event_from_jsonl(line).map_err(|err| format!("line {}: {err}", i + 1))?);
     }
     Ok(events)
 }

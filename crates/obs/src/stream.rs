@@ -1,25 +1,23 @@
-//! Streaming (incremental, bounded-memory) time attribution.
+//! The attribution engine: incremental, bounded-memory time attribution.
 //!
-//! The post-hoc [`profile`](crate::profile()) pass needs every event in
-//! memory before it can attribute anything. A week-long fleet sweep at
-//! emulator speeds emits tens of millions of events — this module is the
-//! third consumption mode (after post-hoc capture and the chaos flight
-//! recorder): a [`StreamingProfiler`] that folds events as they arrive,
-//! holding `O(stages × replicas)` lane state plus a bounded reorder
-//! window instead of `O(events)`, and a mergeable [`PartialReport`] so
-//! per-shard streams folded in *any* grouping reproduce the post-hoc
-//! [`ProfileReport`] **byte-for-byte**.
+//! [`profile`](crate::profile()) is one [`StreamingProfiler`] fed every
+//! event and sealed once, so the lane sweep, the critical-path walk and
+//! report assembly exist here and nowhere else. Fed live instead, the
+//! same profiler folds events as they arrive — a week-long fleet sweep at
+//! emulator speeds emits tens of millions of them — holding `O(stages ×
+//! replicas)` lane state plus a bounded reorder window instead of
+//! `O(events)`, and its mergeable [`PartialReport`] lets per-shard
+//! streams folded in *any* grouping reproduce `profile()` of the whole
+//! stream **byte-for-byte**.
 //!
-//! # Why byte-identity is possible at all
+//! # Why sharding and windowing stay exact
 //!
 //! Three observations carry the whole design:
 //!
-//! 1. **Makespan clipping is a no-op on well-formed streams.** The
-//!    post-hoc lane sweep clips every busy interval to the (globally
-//!    known) makespan — but every interval's end is itself a makespan
-//!    candidate, so `end.min(makespan) == end` bit-for-bit. The
-//!    streaming fold therefore clips to `f64::INFINITY` and never needs
-//!    the makespan until `finish`, after all shards merged.
+//! 1. **The lane sweep needs the makespan only at the end.** Each lane
+//!    folds its busy intervals in `(start, end)` order; the cursor never
+//!    passes an interval's own end, and only the drain term reads the
+//!    makespan, when the report is assembled after all shards merged.
 //! 2. **Every critical-path dependency is replica-local.** An op's
 //!    candidate predecessors are the previous op on its own `(stage,
 //!    replica)` lane, the same-micro forward one stage upstream (same
@@ -36,7 +34,7 @@
 //! silent*: late arrivals, duplicate op keys, lane collisions, split
 //! degraded episodes, irregular intervals ([`StreamCounters`]). The
 //! proptests pin that when [`StreamCounters::violations`] is zero the
-//! merged report is byte-identical to the post-hoc one.
+//! merged report is byte-identical to `profile()` of the whole stream.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -45,10 +43,10 @@ use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
 
-use crate::attrib::{finish_critical_path, ChainSummary, DowntimeAcc};
+use crate::attrib::{CriticalPath, DowntimeAcc, DowntimeProfile};
 use crate::bus::{allreduce_owner, EventSink};
 use crate::event::{Event, EventKind};
-use crate::profile::{assemble_report, BusyKind, LaneFold, LaneProfile, ProfileReport};
+use crate::profile::{LaneProfile, ProfileReport, ProfileSpan, StageProfile, PROFILE_SCHEMA};
 
 const EPS: f64 = 1e-9;
 
@@ -97,13 +95,13 @@ impl StreamConfig {
 
 /// Accounting the streaming pass keeps about itself.
 ///
-/// `violations()` totals the conditions under which byte-identity with
-/// the post-hoc profiler is no longer guaranteed — the CI smoke gate
-/// pins it at zero.
+/// `violations()` totals the conditions under which a windowed or
+/// sharded fold is no longer guaranteed to equal `profile()` of the whole
+/// stream — the CI smoke gate pins it at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct StreamCounters {
     /// Events this shard owns (ghost broadcast copies excluded); merged
-    /// reports sum to the post-hoc `events` field.
+    /// reports sum to the whole stream's event count.
     pub events: usize,
     /// Intervals that arrived after their window had already folded.
     pub late_events: usize,
@@ -134,8 +132,8 @@ pub struct StreamCounters {
 }
 
 impl StreamCounters {
-    /// Conditions under which byte-identity with the post-hoc profiler
-    /// is no longer guaranteed.
+    /// Conditions under which the fold is no longer guaranteed to equal
+    /// `profile()` of the whole stream.
     pub fn violations(&self) -> usize {
         self.late_events
             + self.late_allreduce_lanes
@@ -162,6 +160,173 @@ impl StreamCounters {
     }
 }
 
+/// What a busy interval was doing, for attribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BusyKind {
+    /// Forward op compute.
+    Forward,
+    /// Recompute (activation rematerialization).
+    Recompute,
+    /// Backward op compute.
+    Backward,
+    /// Sender-blocked serialization.
+    Send,
+    /// Data-parallel gradient allreduce.
+    Allreduce,
+}
+
+/// Incremental cursor sweep over one lane's busy intervals: the lane
+/// decomposition. Intervals must be pushed in `(start, end)` order (the
+/// pending buffer drains in key order).
+#[derive(Debug, Clone, PartialEq, Default)]
+struct LaneFold {
+    /// Seconds attributed to forward ops so far.
+    forward: f64,
+    /// Seconds attributed to recompute ops so far.
+    recompute: f64,
+    /// Seconds attributed to backward ops so far.
+    backward: f64,
+    /// Seconds attributed to blocked sends so far.
+    send: f64,
+    /// Seconds attributed to allreduces so far.
+    allreduce: f64,
+    /// Idle seconds before the first busy interval.
+    warmup: f64,
+    /// Idle seconds between busy intervals.
+    stall: f64,
+    /// Sweep cursor: the latest attributed instant.
+    cursor: f64,
+    /// False until the first interval is pushed (gap → warmup).
+    started: bool,
+    /// Intervals pushed (used by the merge to pick between redundant
+    /// synthetic-lane copies).
+    pushes: usize,
+}
+
+impl LaneFold {
+    /// Folds the next busy interval (in sorted order), clipping its start
+    /// to the cursor so overlaps never double-count.
+    fn push(&mut self, start: f64, end: f64, kind: BusyKind) {
+        let gap = start - self.cursor;
+        if gap > 0.0 {
+            if self.started {
+                self.stall += gap;
+            } else {
+                self.warmup += gap;
+            }
+            self.cursor = start;
+        }
+        self.started = true;
+        let contrib = end - start.max(self.cursor);
+        if contrib > 0.0 {
+            match kind {
+                BusyKind::Forward => self.forward += contrib,
+                BusyKind::Recompute => self.recompute += contrib,
+                BusyKind::Backward => self.backward += contrib,
+                BusyKind::Send => self.send += contrib,
+                BusyKind::Allreduce => self.allreduce += contrib,
+            }
+        }
+        self.cursor = self.cursor.max(end);
+        self.pushes += 1;
+    }
+
+    /// Closes the sweep at `makespan`: everything after the cursor is
+    /// drain.
+    fn finish(&self, stage: usize, replica: usize, ops: usize, makespan: f64) -> LaneProfile {
+        LaneProfile {
+            stage,
+            replica,
+            forward: self.forward,
+            recompute: self.recompute,
+            backward: self.backward,
+            send: self.send,
+            allreduce: self.allreduce,
+            warmup: self.warmup,
+            stall: self.stall,
+            drain: (makespan - self.cursor).max(0.0),
+            ops,
+        }
+    }
+}
+
+/// Running decomposition of one dependency chain, folded op by op in
+/// chain order (chain start first): the critical-path walk's state.
+#[derive(Debug, Clone, PartialEq)]
+struct ChainSummary {
+    /// End time of the chain's latest op, seconds.
+    end: f64,
+    /// Compute seconds summed along the chain, in chain order.
+    compute: f64,
+    /// Wait seconds (initial warmup + inter-op gaps), in chain order.
+    wait: f64,
+    /// Ops on the chain.
+    ops: usize,
+    /// Per-stage compute seconds (grown on demand; padded at finish).
+    stage_seconds: Vec<f64>,
+}
+
+impl ChainSummary {
+    /// A one-op chain starting from scratch: the op's start time is
+    /// charged as initial wait.
+    fn leaf(s: &ProfileSpan) -> Self {
+        let mut c = ChainSummary {
+            end: s.end,
+            compute: 0.0,
+            wait: s.start.max(0.0),
+            ops: 0,
+            stage_seconds: Vec::new(),
+        };
+        c.charge(s);
+        c
+    }
+
+    /// Extends the chain by one dependent op: the gap since the chain's
+    /// previous end is charged as wait, the op's duration as compute.
+    fn extend(&self, s: &ProfileSpan) -> Self {
+        let mut c = self.clone();
+        c.wait += (s.start - self.end).max(0.0);
+        c.end = s.end;
+        c.charge(s);
+        c
+    }
+
+    fn charge(&mut self, s: &ProfileSpan) {
+        let dur = s.duration();
+        self.compute += dur;
+        if self.stage_seconds.len() <= s.stage {
+            self.stage_seconds.resize(s.stage + 1, 0.0);
+        }
+        self.stage_seconds[s.stage] += dur;
+        self.ops += 1;
+    }
+
+    /// Turns the terminal chain into a [`CriticalPath`], padding the
+    /// per-stage vector to `max_stage` (the highest stage over *all* ops,
+    /// on or off the path) and naming the bottleneck.
+    fn finish(self, length: f64, max_stage: usize) -> CriticalPath {
+        let mut stage_seconds = self.stage_seconds;
+        if stage_seconds.len() <= max_stage {
+            stage_seconds.resize(max_stage + 1, 0.0);
+        }
+        // Strict `>` keeps the first (lowest) stage on ties.
+        let mut bottleneck_stage = 0;
+        for (s, &v) in stage_seconds.iter().enumerate() {
+            if v > stage_seconds[bottleneck_stage] {
+                bottleneck_stage = s;
+            }
+        }
+        CriticalPath {
+            length,
+            compute_seconds: self.compute,
+            wait_seconds: self.wait,
+            ops: self.ops,
+            bottleneck_stage,
+            stage_seconds,
+        }
+    }
+}
+
 /// `f64` with a total order, usable as a `BTreeMap` key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Tf64(f64);
@@ -180,11 +345,11 @@ impl Ord for Tf64 {
     }
 }
 
-/// Pending-buffer key. The ordering — `(start, end, class, seq)` with
-/// data intervals (`class` 0) before allreduces (`class` 1) and `seq`
-/// preserving arrival order — reproduces exactly the post-hoc per-lane
-/// stable sort: intervals pushed in arrival order, allreduces appended
-/// after, stably sorted by `(start, end)`.
+/// Pending-buffer key: the order each lane folds its intervals in.
+/// `(start, end, class, seq)` puts data intervals (`class` 0) before
+/// allreduces (`class` 1) on equal bounds, and `seq` keeps arrival order
+/// among the rest, so the fold does not depend on how the events were
+/// interleaved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PendKey {
     start: Tf64,
@@ -213,36 +378,18 @@ enum Pend {
     Allreduce { stage: usize },
 }
 
-/// Per-lane streaming state: the shared cursor sweep plus the last op's
+/// Per-lane streaming state: the cursor sweep plus the last op's
 /// chain summary (the lane-predecessor candidate for the next op).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct LaneState {
     fold: LaneFold,
     ops: usize,
     last_op: Option<ChainSummary>,
 }
 
-impl LaneState {
-    fn new() -> Self {
-        LaneState {
-            fold: LaneFold::default(),
-            ops: 0,
-            last_op: None,
-        }
-    }
-}
-
-/// The stage's synthetic replica-0 lane candidate, used at finish only
-/// if the stage ended up with no real lanes (matching the post-hoc
-/// behavior for allreduce-only stages).
-#[derive(Debug, Clone, PartialEq)]
-struct SynthLane {
-    fold: LaneFold,
-}
-
 /// The terminal candidate for the critical path: the last op to finish,
-/// ties broken toward the lowest `(stage, replica, micro)` — the same
-/// total order the post-hoc pass uses, hence order- and merge-invariant.
+/// ties broken toward the lowest `(stage, replica, micro)` — a total
+/// order, hence order- and merge-invariant.
 #[derive(Debug, Clone, PartialEq)]
 struct Terminal {
     end: f64,
@@ -258,7 +405,7 @@ struct Terminal {
 /// produces the same final [`ProfileReport`]. `report`/`into_report`
 /// close the stream at the current makespan, so every intermediate
 /// partial satisfies the same sum-to-makespan and downtime identities
-/// the post-hoc report does.
+/// the sealed report does.
 #[derive(Debug, Clone)]
 pub struct PartialReport {
     cfg: StreamConfig,
@@ -270,7 +417,10 @@ pub struct PartialReport {
     frontier: Option<PendKey>,
     pending: BTreeMap<PendKey, Pend>,
     lanes: BTreeMap<(usize, usize), LaneState>,
-    synth: BTreeMap<usize, SynthLane>,
+    /// Each stage's synthetic replica-0 lane candidate (its allreduces
+    /// alone), used at finish only if the stage ended up with no real
+    /// lanes, so an allreduce-only stage's time is still visible.
+    synth: BTreeMap<usize, LaneFold>,
     folded_ars: BTreeMap<usize, usize>,
     inflight: BTreeMap<(usize, usize, char, usize), ChainSummary>,
     prune_watermark: usize,
@@ -332,9 +482,7 @@ impl PartialReport {
         {
             self.counters.late_allreduce_lanes += 1;
         }
-        self.lanes
-            .entry((stage, replica))
-            .or_insert_with(LaneState::new)
+        self.lanes.entry((stage, replica)).or_default()
     }
 
     fn push_pend(&mut self, start: f64, end: f64, class: u8, pend: Pend) {
@@ -530,9 +678,8 @@ impl PartialReport {
                     .lanes
                     .get_mut(&(stage, replica))
                     .expect("lane created at pend time");
-                lane.fold
-                    .push_clipped(key.start.0, key.end.0, kind, f64::INFINITY);
-                self.walk_op(crate::profile::ProfileSpan {
+                lane.fold.push(key.start.0, key.end.0, kind);
+                self.walk_op(ProfileSpan {
                     stage,
                     replica,
                     op,
@@ -546,8 +693,7 @@ impl PartialReport {
                     .lanes
                     .get_mut(&(stage, replica))
                     .expect("lane created at pend time");
-                lane.fold
-                    .push_clipped(key.start.0, key.end.0, BusyKind::Send, f64::INFINITY);
+                lane.fold.push(key.start.0, key.end.0, BusyKind::Send);
             }
             Pend::Allreduce { stage } => {
                 let keys: Vec<(usize, usize)> = self
@@ -560,25 +706,24 @@ impl PartialReport {
                         .get_mut(&k)
                         .expect("ranged key exists")
                         .fold
-                        .push_clipped(key.start.0, key.end.0, BusyKind::Allreduce, f64::INFINITY);
+                        .push(key.start.0, key.end.0, BusyKind::Allreduce);
                 }
-                self.synth
-                    .entry(stage)
-                    .or_insert_with(|| SynthLane {
-                        fold: LaneFold::default(),
-                    })
-                    .fold
-                    .push_clipped(key.start.0, key.end.0, BusyKind::Allreduce, f64::INFINITY);
+                self.synth.entry(stage).or_default().push(
+                    key.start.0,
+                    key.end.0,
+                    BusyKind::Allreduce,
+                );
                 *self.folded_ars.entry(stage).or_default() += 1;
             }
         }
     }
 
-    /// One step of the incremental critical-path walk: bind the op to
-    /// its latest-finishing eligible predecessor (same candidate set,
-    /// filter, and tie-break as the post-hoc backward walk) and extend
-    /// that predecessor's chain summary.
-    fn walk_op(&mut self, s: crate::profile::ProfileSpan) {
+    /// One step of the critical-path walk (see [`CriticalPath`] for the
+    /// dependency model): bind the op to its latest-finishing candidate
+    /// predecessor that ended by the op's start (ties toward the lowest
+    /// `(stage, replica)`) and extend that predecessor's chain summary,
+    /// or start a new chain when there is none.
+    fn walk_op(&mut self, s: ProfileSpan) {
         // Consume-on-lookup: each F/B key has exactly one possible
         // dependent (this op), so the entry is dead after this lookup
         // whether or not it wins.
@@ -709,7 +854,7 @@ impl PartialReport {
                     mine.fold.stall += ls.fold.stall;
                     mine.fold.cursor = mine.fold.cursor.max(ls.fold.cursor);
                     mine.fold.pushes += ls.fold.pushes;
-                    mine.fold.first = mine.fold.first && ls.fold.first;
+                    mine.fold.started = mine.fold.started || ls.fold.started;
                     if match (&mine.last_op, &ls.last_op) {
                         (None, Some(_)) => true,
                         (Some(a), Some(b)) => b.end > a.end,
@@ -730,7 +875,7 @@ impl PartialReport {
                     e.insert(sy);
                 }
                 std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if sy.fold.pushes > e.get().fold.pushes {
+                    if sy.pushes > e.get().pushes {
                         *e.get_mut() = sy;
                     }
                 }
@@ -808,7 +953,7 @@ impl PartialReport {
         let makespan = self.makespan;
 
         // Real lanes, plus each allreduce-only stage's synthetic
-        // replica-0 lane (post-hoc parity).
+        // replica-0 lane.
         let mut all: BTreeMap<(usize, usize), (LaneFold, usize)> = self
             .lanes
             .into_iter()
@@ -816,7 +961,7 @@ impl PartialReport {
             .collect();
         for (stage, sy) in self.synth {
             if all.range((stage, 0)..(stage + 1, 0)).next().is_none() {
-                all.insert((stage, 0), (sy.fold, 0));
+                all.insert((stage, 0), (sy, 0));
             }
         }
         let lanes: Vec<LaneProfile> = all
@@ -826,7 +971,7 @@ impl PartialReport {
 
         let critical_path = self
             .terminal
-            .map(|t| finish_critical_path(t.chain, t.end, self.max_op_stage));
+            .map(|t| t.chain.finish(t.end, self.max_op_stage));
 
         assemble_report(
             self.counters.events,
@@ -847,13 +992,85 @@ impl PartialReport {
     }
 }
 
+/// Assembles finished lanes into a [`ProfileReport`]: per-stage
+/// aggregation, straggler scores, and the bubble fraction, summed in
+/// lane-sorted order.
+#[allow(clippy::too_many_arguments)]
+fn assemble_report(
+    events: usize,
+    makespan: f64,
+    pipeline_end: f64,
+    lanes: Vec<LaneProfile>,
+    transfer_seconds: f64,
+    transfer_out: &BTreeMap<usize, f64>,
+    critical_path: Option<CriticalPath>,
+    downtime: DowntimeProfile,
+) -> ProfileReport {
+    let mut stages: Vec<StageProfile> = Vec::new();
+    let mut i = 0;
+    while i < lanes.len() {
+        let stage = lanes[i].stage;
+        let mut j = i;
+        while j < lanes.len() && lanes[j].stage == stage {
+            j += 1;
+        }
+        let group = &lanes[i..j];
+        let n = group.len() as f64;
+        let busy_mean = group.iter().map(|l| l.busy()).sum::<f64>() / n;
+        let busy_max = group.iter().map(|l| l.busy()).fold(0.0f64, f64::max);
+        stages.push(StageProfile {
+            stage,
+            replicas: group.len(),
+            compute: group.iter().map(|l| l.compute()).sum::<f64>() / n,
+            send: group.iter().map(|l| l.send).sum::<f64>() / n,
+            allreduce: group.iter().map(|l| l.allreduce).sum::<f64>() / n,
+            warmup: group.iter().map(|l| l.warmup).sum::<f64>() / n,
+            stall: group.iter().map(|l| l.stall).sum::<f64>() / n,
+            drain: group.iter().map(|l| l.drain).sum::<f64>() / n,
+            transfer_out: transfer_out.get(&stage).copied().unwrap_or(0.0),
+            busy_mean,
+            busy_max,
+            straggler: if busy_mean > 0.0 {
+                busy_max / busy_mean
+            } else {
+                0.0
+            },
+            utilization: if makespan > 0.0 {
+                busy_mean / makespan
+            } else {
+                0.0
+            },
+        });
+        i = j;
+    }
+
+    let bubble_fraction = if !lanes.is_empty() && makespan > 0.0 {
+        lanes.iter().map(|l| l.bubble()).sum::<f64>() / (lanes.len() as f64 * makespan)
+    } else {
+        0.0
+    };
+
+    ProfileReport {
+        schema: PROFILE_SCHEMA.to_string(),
+        events,
+        makespan,
+        pipeline_end,
+        lanes,
+        stages,
+        bubble_fraction,
+        transfer_seconds,
+        critical_path,
+        downtime,
+    }
+}
+
 /// Incremental profiler over one event stream (one shard).
 ///
 /// Feed events with [`observe`](StreamingProfiler::observe) (or
 /// [`observe_ghost`](StreamingProfiler::observe_ghost) for broadcast
 /// copies this shard does not own), then take the [`PartialReport`] and
 /// merge it with the other shards'. A single profiler observing the full
-/// stream reproduces the post-hoc report exactly.
+/// stream and sealed once is [`profile`](crate::profile()).
 #[derive(Debug, Clone)]
 pub struct StreamingProfiler {
     part: PartialReport,
@@ -1083,88 +1300,6 @@ mod tests {
         )
     }
 
-    fn stream_all(events: &[Event]) -> ProfileReport {
-        let mut p = StreamingProfiler::default();
-        for e in events {
-            p.observe(e);
-        }
-        p.into_partial().into_report()
-    }
-
-    #[test]
-    fn empty_stream_matches_posthoc() {
-        assert_eq!(stream_all(&[]).to_json(), profile(&[]).to_json());
-    }
-
-    #[test]
-    fn simple_pipeline_matches_posthoc_bytes() {
-        let events = vec![
-            op(0, 0, 'F', 0, 0.0, 1.0),
-            op(0, 0, 'F', 1, 1.0, 2.0),
-            op(1, 0, 'F', 0, 1.5, 2.5),
-            op(1, 0, 'B', 0, 2.5, 4.5),
-            op(0, 0, 'B', 0, 5.0, 7.0),
-        ];
-        assert_eq!(stream_all(&events).to_json(), profile(&events).to_json());
-    }
-
-    #[test]
-    fn sends_allreduces_and_control_match_posthoc_bytes() {
-        let events = vec![
-            op(0, 0, 'F', 0, 0.0, 1.0),
-            Event::exec(
-                1.0,
-                EventKind::SendBusy {
-                    stage: 0,
-                    replica: 0,
-                    micro: 0,
-                    seconds: 0.5,
-                },
-            ),
-            Event::exec(
-                1.2,
-                EventKind::Transfer {
-                    from_stage: 0,
-                    to_stage: 1,
-                    replica: 0,
-                    micro: 0,
-                    bytes: 1e6,
-                    seconds: 0.125,
-                },
-            ),
-            op(1, 0, 'F', 0, 1.625, 2.625),
-            op(1, 0, 'B', 0, 2.625, 3.625),
-            op(0, 0, 'B', 0, 4.0, 5.0),
-            Event::exec(
-                5.5,
-                EventKind::Allreduce {
-                    stage: 0,
-                    bytes: 1e9,
-                    ring: 2,
-                    seconds: 0.5,
-                },
-            ),
-            Event::exec(
-                5.75,
-                EventKind::Allreduce {
-                    stage: 1,
-                    bytes: 1e9,
-                    ring: 2,
-                    seconds: 0.25,
-                },
-            ),
-            Event::manager(
-                6.0,
-                EventKind::LostWork {
-                    minibatches: 1,
-                    seconds: 0.5,
-                },
-            ),
-        ];
-        let streamed = stream_all(&events);
-        assert_eq!(streamed.to_json(), profile(&events).to_json());
-    }
-
     #[test]
     fn allreduce_only_stage_gets_a_synthetic_lane() {
         let events = vec![Event::exec(
@@ -1176,14 +1311,14 @@ mod tests {
                 seconds: 0.5,
             },
         )];
-        let streamed = stream_all(&events);
-        assert_eq!(streamed.to_json(), profile(&events).to_json());
-        assert_eq!(streamed.lanes.len(), 1);
-        assert_eq!((streamed.lanes[0].stage, streamed.lanes[0].replica), (3, 0));
+        let r = profile(&events);
+        assert_eq!(r.lanes.len(), 1);
+        assert_eq!((r.lanes[0].stage, r.lanes[0].replica), (3, 0));
+        assert_eq!(r.lanes[0].allreduce, 0.5);
     }
 
     #[test]
-    fn sharded_merge_matches_posthoc_bytes() {
+    fn sharded_merge_matches_the_sealed_profile() {
         let mut events = Vec::new();
         for r in 0..3usize {
             for m in 0..4usize {

@@ -1,7 +1,7 @@
 //! End-to-end coverage of the live profiler surface: `varuna-profile
 //! --follow` tailing a growing JSONL capture, the `--serve` HTTP
-//! endpoint, `-` stdin input, `--top` truncation, and malformed-input
-//! exit codes.
+//! endpoint, `-` stdin input, `--top` truncation, and malformed or
+//! hostile input exit codes.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -174,12 +174,12 @@ fn follow_serves_live_reports_and_finishes_byte_identical_to_posthoc() {
     let status = wait_with_timeout(&mut child, Duration::from_secs(20));
     assert!(status.success(), "follow mode must exit cleanly: {status}");
 
-    // The written report is byte-identical to the post-hoc profiler.
+    // The written report is byte-identical to `profile()` of the file.
     let written = std::fs::read_to_string(&out).expect("read --out report");
     assert_eq!(
         written,
         profile(&events).to_json(),
-        "streamed report must match post-hoc byte-for-byte"
+        "streamed report must match profile() byte-for-byte"
     );
 
     // --top 1 truncates the stage table and says so.
@@ -241,6 +241,41 @@ fn malformed_jsonl_exits_nonzero_with_line_number() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("line 3"), "stderr:\n{stderr}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_stage_beyond_max_stage_exits_nonzero_with_line_number() {
+    let dir = scratch("hostile");
+    let capture = dir.join("hostile.jsonl");
+    let good = jsonl(&sample_events()[..1]);
+    for stage in [1usize << 40, usize::MAX] {
+        let hostile = jsonl(&[op(stage, 0, 'F', 0, 0.0, 1.0)]);
+        std::fs::write(&capture, format!("{good}{hostile}")).expect("write capture");
+
+        let output = Command::new(BIN)
+            .arg(capture.to_str().unwrap())
+            .output()
+            .expect("run varuna-profile");
+        assert_eq!(output.status.code(), Some(1), "stage {stage}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("line 2"),
+            "stage {stage}, stderr:\n{stderr}"
+        );
+
+        let output = Command::new(BIN)
+            .arg(capture.to_str().unwrap())
+            .args(["--follow", "--poll-ms", "10", "--idle-exit", "5"])
+            .output()
+            .expect("run varuna-profile --follow");
+        assert_eq!(output.status.code(), Some(1), "stage {stage}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("line 2"),
+            "stage {stage}, stderr:\n{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

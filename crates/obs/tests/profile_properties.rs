@@ -10,11 +10,16 @@
 //!    `[0, 1)`,
 //! 3. critical path length <= makespan <= sum of lane busy times (the
 //!    chain construction leaves no instant where every lane idles),
-//! 4. a JSONL round trip of the stream profiles identically.
+//! 4. a JSONL round trip of the stream profiles identically,
+//! 5. makespan, lanes and critical path equal the test-only
+//!    sort-and-sweep oracle's bit for bit.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use varuna_obs::{downtime, profile, Event, EventKind};
+
+#[path = "support/posthoc.rs"]
+mod posthoc;
 
 /// Stages never exceed this, so duration vectors are drawn at this
 /// length and sliced to the drawn `p`.
@@ -245,6 +250,8 @@ proptest! {
         let events = gpipe_events(p, d, n_micro, &fwd[..p], &bwd[..p]);
         let r = profile(&events);
         prop_assert!(r.makespan > 0.0);
+        let oracle = posthoc::check(&events);
+        prop_assert!(oracle.is_ok(), "{:?}", oracle);
         for lane in &r.lanes {
             prop_assert!(
                 (lane.total() - r.makespan).abs() <= 1e-9 * r.makespan,

@@ -1,18 +1,23 @@
 //! Property-based pins for the streaming profiler: random event
 //! streams, random (lane-preserving) shard assignments, and random merge
-//! groupings must reproduce the post-hoc `profile()` report
+//! groupings must reproduce `profile()` of the whole stream
 //! byte-for-byte, and every intermediate partial must satisfy the same
-//! sum-to-makespan and downtime identities the post-hoc report does.
+//! sum-to-makespan and downtime identities the sealed report does. The
+//! makespan, lanes and critical path of every stream (and every prefix)
+//! also match the test-only sort-and-sweep oracle bit for bit.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use varuna_obs::{profile, Event, EventKind, PartialReport, StreamConfig, StreamingProfiler};
 
+#[path = "support/posthoc.rs"]
+mod posthoc;
+
 const MAX_P: usize = 4;
 
-/// Same dependency-consistent GPipe generator the post-hoc proptests
-/// use: forwards chain down the pipeline, backwards chain back up, every
+/// Same dependency-consistent GPipe generator `profile_properties.rs`
+/// uses: forwards chain down the pipeline, backwards chain back up, every
 /// op starts exactly when its latest prerequisite ends.
 fn gpipe_events(p: usize, d: usize, n_micro: usize, fwd: &[f64], bwd: &[f64]) -> Vec<Event> {
     let mut events = Vec::new();
@@ -183,8 +188,8 @@ fn assert_partial_identities(r: &varuna_obs::ProfileReport) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole acceptance pin: streamed shards merged in a random
-    /// grouping reproduce the post-hoc report byte-for-byte, with zero
+    /// Streamed shards merged in a random grouping reproduce `profile()`
+    /// of the whole stream byte-for-byte, with zero
     /// attribution violations, and every intermediate partial (each
     /// shard alone, and every merge step's operands) satisfies the
     /// sum-to-makespan and downtime identities.
@@ -208,7 +213,9 @@ proptest! {
         let ctrl: Vec<(f64, f64)> = (0..n_ctrl).map(|i| (ctrl_dts[i], ctrl_secs[i])).collect();
         let mut events = gpipe_events(p, d, n_micro, &fwd[..p], &bwd[..p]);
         garnish(&mut events, p, &ctrl);
-        let posthoc = profile(&events).to_json();
+        let oracle = posthoc::check(&events);
+        prop_assert!(oracle.is_ok(), "{:?}", oracle);
+        let sealed = profile(&events).to_json();
 
         let parts = route(&events, shards, replica_salt, owner_salt, ctrl_shard);
         let mut owned_events = 0;
@@ -222,12 +229,13 @@ proptest! {
         let merged = merge_randomly(parts, merge_seed);
         prop_assert_eq!(merged.counters().violations(), 0);
         assert_partial_identities(&merged.report())?;
-        prop_assert_eq!(merged.into_report().to_json(), posthoc);
+        prop_assert_eq!(merged.into_report().to_json(), sealed);
     }
 
-    /// Every prefix of the stream — not just the end — reproduces the
-    /// post-hoc profile of that prefix byte-for-byte, so the live
-    /// `--follow` view is exact at all times, and its identities hold.
+    /// Every prefix of the stream — not just the end — reproduces
+    /// `profile()` of that prefix byte-for-byte, so the live `--follow`
+    /// view is exact at all times, its identities hold, and it agrees
+    /// with the oracle.
     #[test]
     fn every_prefix_matches_posthoc_bytes(
         p in 1usize..MAX_P + 1,
@@ -252,6 +260,8 @@ proptest! {
                 "prefix of {} events diverged",
                 i + 1
             );
+            let oracle = posthoc::check(&events[..=i]);
+            prop_assert!(oracle.is_ok(), "{:?}", oracle);
         }
     }
 
@@ -269,7 +279,7 @@ proptest! {
         let mut events = gpipe_events(p, d, n_micro, &fwd[..p], &bwd[..p]);
         garnish(&mut events, p, &[]);
         events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim));
-        let posthoc = profile(&events).to_json();
+        let sealed = profile(&events).to_json();
 
         // Longest interval: ops span at most max(fwd)+max(bwd); the
         // garnish allreduce lasts 0.5 s. Any window beyond that plus the
@@ -297,6 +307,96 @@ proptest! {
             lanes,
             per_lane_in_window
         );
-        prop_assert_eq!(prof.into_partial().into_report().to_json(), posthoc);
+        prop_assert_eq!(prof.into_partial().into_report().to_json(), sealed);
+    }
+}
+
+fn op(stage: usize, replica: usize, op: char, micro: usize, start: f64, end: f64) -> Event {
+    Event::exec(
+        end,
+        EventKind::OpEnd {
+            stage,
+            replica,
+            op,
+            micro,
+            start,
+        },
+    )
+}
+
+/// Hand-built streams covering what the generators above do not: sends,
+/// transfers, overlapping intervals, an allreduce-only stage, control
+/// traffic, and the empty stream.
+#[test]
+fn fixed_streams_match_the_posthoc_oracle() {
+    let allreduce = |t: f64, stage: usize, seconds: f64| {
+        Event::exec(
+            t,
+            EventKind::Allreduce {
+                stage,
+                bytes: 1e9,
+                ring: 2,
+                seconds,
+            },
+        )
+    };
+    let send = |t: f64, stage: usize, seconds: f64| {
+        Event::exec(
+            t,
+            EventKind::SendBusy {
+                stage,
+                replica: 0,
+                micro: 0,
+                seconds,
+            },
+        )
+    };
+    let streams = vec![
+        vec![],
+        vec![
+            op(0, 0, 'F', 0, 0.0, 1.0),
+            op(0, 0, 'F', 1, 1.0, 2.0),
+            op(1, 0, 'F', 0, 1.5, 2.5),
+            op(1, 0, 'B', 0, 2.5, 4.5),
+            op(0, 0, 'B', 0, 5.0, 7.0),
+        ],
+        vec![
+            op(0, 0, 'F', 0, 0.0, 1.0),
+            send(1.0, 0, 0.5),
+            Event::exec(
+                1.2,
+                EventKind::Transfer {
+                    from_stage: 0,
+                    to_stage: 1,
+                    replica: 0,
+                    micro: 0,
+                    bytes: 1e6,
+                    seconds: 0.125,
+                },
+            ),
+            op(1, 0, 'F', 0, 1.625, 2.625),
+            op(1, 0, 'B', 0, 2.625, 3.625),
+            op(0, 0, 'B', 0, 4.0, 5.0),
+            allreduce(5.5, 0, 0.5),
+            allreduce(5.75, 1, 0.25),
+            Event::manager(
+                6.0,
+                EventKind::LostWork {
+                    minibatches: 1,
+                    seconds: 0.5,
+                },
+            ),
+        ],
+        vec![
+            op(1, 0, 'B', 0, 0.0, 1.0),
+            send(1.0, 1, 1.0),
+            allreduce(2.5, 1, 1.5),
+        ],
+        vec![allreduce(2.0, 3, 0.5)],
+    ];
+    for events in &streams {
+        if let Err(e) = posthoc::check(events) {
+            panic!("{e} on {events:?}");
+        }
     }
 }

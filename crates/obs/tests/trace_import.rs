@@ -7,12 +7,14 @@
 //!   `Exec`.
 //! - A JSONL capture round-trips every event as is.
 //! - Hostile input (deep nesting, flipped, truncated or spliced bytes)
-//!   yields `Ok` or `Err`, never a panic or an abort.
+//!   yields `Ok` or `Err`, never a panic or an abort, and whatever
+//!   imports also profiles.
 
 use proptest::prelude::*;
 use serde::Value;
 use varuna_obs::{
-    chrome_trace_json, events_from_chrome_trace, events_from_jsonl, Event, EventKind,
+    chrome_trace_json, events_from_chrome_trace, events_from_jsonl, profile, Event, EventKind,
+    MAX_STAGE,
 };
 
 /// One event of each of the 29 kinds, at distinct dyadic timestamps
@@ -386,6 +388,42 @@ fn jsonl_round_trips_every_kind() {
 }
 
 #[test]
+fn a_stage_beyond_max_stage_is_an_error() {
+    for stage in [MAX_STAGE + 1, 1 << 40] {
+        let e = Event::exec(
+            1.0,
+            EventKind::OpEnd {
+                stage,
+                replica: 0,
+                op: 'F',
+                micro: 0,
+                start: 0.0,
+            },
+        );
+        let err = events_from_jsonl(&jsonl(std::slice::from_ref(&e))).unwrap_err();
+        assert!(
+            err.starts_with("line 1") && err.contains("MAX_STAGE"),
+            "{err}"
+        );
+        let err = events_from_chrome_trace(&chrome_trace_json(&[e])).unwrap_err();
+        assert!(
+            err.starts_with("trace slice 0") && err.contains("MAX_STAGE"),
+            "{err}"
+        );
+    }
+    let deepest = Event::exec(
+        1.0,
+        EventKind::Allreduce {
+            stage: MAX_STAGE,
+            bytes: 1.0,
+            ring: 1,
+            seconds: 0.5,
+        },
+    );
+    assert!(events_from_jsonl(&jsonl(&[deepest])).is_ok());
+}
+
+#[test]
 fn deeply_nested_input_is_an_error_not_an_abort() {
     let deep = "[".repeat(1_000_000);
     assert!(events_from_chrome_trace(&deep).is_err());
@@ -424,7 +462,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
     /// Every mutated chrome trace or JSONL capture imports to `Ok` or
-    /// `Err`; whatever imports also re-exports without a panic.
+    /// `Err`; whatever imports also re-exports and profiles without a
+    /// panic.
     #[test]
     fn mutated_captures_never_panic_the_importers(
         op in 0usize..3,
@@ -436,13 +475,13 @@ proptest! {
         let events = every_kind();
         let trace = mutate(chrome_trace_json(&events).as_bytes(), op, at, from, len, mask);
         let got = std::panic::catch_unwind(|| {
-            events_from_chrome_trace(&trace).map(|back| chrome_trace_json(&back))
+            events_from_chrome_trace(&trace).map(|back| (chrome_trace_json(&back), profile(&back)))
         });
         prop_assert!(got.is_ok(), "chrome importer panicked on:\n{trace}");
 
         let capture = mutate(jsonl(&events).as_bytes(), op, at, from, len, mask);
         let got = std::panic::catch_unwind(|| {
-            events_from_jsonl(&capture).map(|back| jsonl(&back))
+            events_from_jsonl(&capture).map(|back| (jsonl(&back), profile(&back)))
         });
         prop_assert!(got.is_ok(), "JSONL importer panicked on:\n{capture}");
     }

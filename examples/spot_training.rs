@@ -43,7 +43,6 @@ fn main() {
             TimelineEvent::Morph { p, d } => format!("morph -> {p}x{d}"),
             TimelineEvent::Replacement => "p (replaced)".to_string(),
             TimelineEvent::Checkpoint => "checkpoint".to_string(),
-            TimelineEvent::Steady => String::new(),
         };
         println!(
             "{:>7.2} {:>5} {:>8} {:>9.1} {:>12.2} {}",
