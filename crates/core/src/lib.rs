@@ -44,7 +44,6 @@ pub mod error;
 pub mod job;
 pub mod manager;
 pub mod morph;
-pub mod observe;
 pub mod oracle;
 pub mod partition;
 pub mod planner;
@@ -65,7 +64,6 @@ pub use error::VarunaError;
 pub use job::TrainingJob;
 pub use manager::{GracePolicy, Manager, ManagerState, TimelinePoint};
 pub use morph::{MorphBackoff, MorphController};
-pub use observe::TimelineCollector;
 pub use oracle::{AnalyticOracle, Oracle, PlanOracle};
 pub use partition::balanced_partition;
 pub use planner::{Config, FallbackLevel, Planner};

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use varuna_cluster::trace::{ClusterEventKind, ClusterTrace};
-use varuna_obs::{Event, EventBus, EventKind};
+use varuna_obs::{Event, EventBus, EventKind, VecSink};
 
 use varuna_exec::{BackgroundLane, LaneCharge};
 
@@ -17,7 +17,6 @@ use super::walled::AttemptAt;
 use super::{Manager, ManagerState, TimelinePoint};
 use crate::checkpoint::{CheckpointKind, PartialWrite};
 use crate::error::VarunaError;
-use crate::observe::TimelineCollector;
 use crate::planner::Config;
 use crate::wal::{ManagerWal, RecoveryReport, WalError, WalRecord};
 
@@ -218,10 +217,9 @@ impl Manager<'_> {
     /// Replays a cluster trace, morphing on every capacity change, and
     /// returns the Figure 8 timeline.
     ///
-    /// A convenience wrapper over [`Manager::replay_on_bus`]: it attaches
-    /// a [`TimelineCollector`] to a private bus and returns the derived
-    /// timeline (identical to what this method historically built
-    /// in-line).
+    /// A convenience wrapper over [`Manager::replay_on_bus`]: it captures
+    /// the events on a private bus and maps them through
+    /// [`TimelinePoint::from_event`].
     ///
     /// # Errors
     ///
@@ -229,10 +227,14 @@ impl Manager<'_> {
     /// in [`ManagerState::Degraded`] and retries — so errors are reserved
     /// for genuinely invalid inputs.
     pub fn replay(&mut self, trace: &ClusterTrace) -> Result<Vec<TimelinePoint>, VarunaError> {
-        let collector = TimelineCollector::new();
-        let mut bus = EventBus::with_sink(Box::new(collector.clone()));
+        let sink = VecSink::new();
+        let mut bus = EventBus::with_sink(Box::new(sink.clone()));
         self.replay_on_bus(trace, &mut bus)?;
-        Ok(collector.take())
+        Ok(sink
+            .take()
+            .iter()
+            .filter_map(TimelinePoint::from_event)
+            .collect())
     }
 
     /// Replays a cluster trace against a fresh write-ahead log.
@@ -295,9 +297,9 @@ impl Manager<'_> {
     /// historical un-walled replay.
     ///
     /// Morph and checkpoint events are self-contained — they carry the
-    /// held/used GPU counts and throughputs — so a [`TimelineCollector`]
-    /// sink rebuilds the Figure 8 [`TimelinePoint`] sequence from the
-    /// stream alone (fault and recovery events are ignored by it).
+    /// held/used GPU counts and throughputs — so
+    /// [`TimelinePoint::from_event`] rebuilds the Figure 8 timeline from
+    /// the stream alone (fault and recovery events map to no point).
     ///
     /// The replay is a small discrete-event loop over *action points*:
     /// trace-event timestamps, silence-grace expiries, and backoff-gated

@@ -48,9 +48,9 @@ fn schedule_prints_figure_4_for_both_disciplines() {
     for (discipline, want) in [
         (
             "varuna",
-            "Varuna schedule, 4 stages x 5 micro-batches (makespan 30 units):\n  \
+            "Varuna schedule, 4 stages x 5 micro-batches (makespan 26 units):\n  \
              S4: F1 B1 F2 B2 F3 B3 F4 B4 F5 B5\n  \
-             S3: F1 F2 F3 R1 B1 R2 B2 R3 B3 F4 F5 R4 B4 R5 B5\n  \
+             S3: F1 F2 F3 R1 B1 F4 F5 R2 B2 R3 B3 R4 B4 R5 B5\n  \
              S2: F1 F2 F3 F4 F5 R1 B1 R2 B2 R3 B3 R4 B4 R5 B5\n  \
              S1: F1 F2 F3 F4 F5 R1 B1 R2 B2 R3 B3 R4 B4 R5 B5\n",
         ),

@@ -23,7 +23,6 @@
 //! - [`job`]: stage specifications and placed jobs.
 //! - [`placement`]: mapping (stage, replica) to GPUs/VMs.
 //! - [`policy`]: the schedule policy trait and the greedy reference policy.
-//! - [`engine`]: the time-ordered event queue.
 //! - [`pipeline`]: the mini-batch simulation driver.
 //! - [`oom`]: activation-stash windows and out-of-memory detection.
 //! - [`gantt`]: ASCII Gantt charts (paper Figure 7).
@@ -31,7 +30,6 @@
 //! - [`background`]: the overlapped checkpoint-write lane (paper §4.5).
 
 pub mod background;
-pub mod engine;
 pub mod gantt;
 pub mod job;
 pub mod metrics;

@@ -14,10 +14,10 @@ use varuna_net::jitter::PreparedJitter;
 use varuna_net::transfer::fair_share;
 use varuna_obs::{Event, EventBus, EventKind};
 
-use crate::engine::EventQueue;
 use crate::job::PlacedJob;
 use varuna_sched::op::{Op, OpKind};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy, StageView};
+use varuna_sched::queue::EventQueue;
 use varuna_sched::schedule::{StageOrder, StaticSchedule};
 
 /// Options controlling one simulation run.

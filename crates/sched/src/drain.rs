@@ -8,7 +8,7 @@
 //! directly or transitively, on an output the drained stage would only
 //! have produced after its cut.
 //!
-//! The dependency model matches the enumerators in [`crate::schedule`]:
+//! The dependency model matches the schedules in [`crate::schedule`]:
 //! each stage executes its static order sequentially; a forward for
 //! micro-batch `m` additionally needs the upstream stage's forward of
 //! `m`; a backward needs the downstream stage's backward of `m`;

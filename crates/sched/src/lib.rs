@@ -11,8 +11,13 @@
 //! - [`op`]: the `F`/`R`/`B` operation vocabulary.
 //! - [`policy`]: the [`SchedulePolicy`] trait, the [`StageView`] legality
 //!   interface, the greedy reference policy and GPipe.
-//! - [`schedule`]: the offline [`StaticSchedule`] enumerators (paper §3.2)
-//!   and the run-time [`VarunaPolicy`] that follows one opportunistically.
+//! - [`schedule`]: Varuna's schedule rules (paper §3.2), written once as
+//!   the event-driven kernel [`varuna_schedule`] — the planner runs it at
+//!   calibrated times, [`generate_schedule`] at unit times — plus the
+//!   unit-time [`enumerate_policy`] for any other policy, and the run-time
+//!   [`VarunaPolicy`] that follows a static order opportunistically.
+//! - [`queue`]: the deterministic `(time, seq)` [`EventQueue`] that orders
+//!   the kernel's events and the `varuna-exec` emulator's.
 //!
 //! The contract splits responsibility in two:
 //!
@@ -33,9 +38,13 @@
 pub mod drain;
 pub mod op;
 pub mod policy;
+pub mod queue;
 pub mod schedule;
 
 pub use drain::{boundary_drain_legal, drain_in_place_legal};
 pub use op::{Op, OpKind};
 pub use policy::{GPipePolicy, GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
-pub use schedule::{enumerate_policy, generate_schedule, StageOrder, StaticSchedule, VarunaPolicy};
+pub use queue::EventQueue;
+pub use schedule::{
+    enumerate_policy, generate_schedule, varuna_schedule, StageOrder, StaticSchedule, VarunaPolicy,
+};

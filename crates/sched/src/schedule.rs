@@ -1,8 +1,7 @@
 //! Varuna's pipeline schedule (paper §3.2).
 //!
-//! A **static rule-based schedule** is enumerated offline for a given
-//! pipeline depth and micro-batch count, enforcing the paper's three
-//! constraints:
+//! A **static rule-based schedule** is planned offline for a pipeline,
+//! enforcing the paper's three constraints:
 //!
 //! 1. recompute for micro-batch `m` at stage `k` is timed so it completes
 //!    just as `m`'s gradient arrives from stage `k+1` (lead time `> T_f`);
@@ -10,13 +9,18 @@
 //!    corresponding backward (a forward would double activation memory);
 //! 3. when both a forward and a backward are ready, the backward wins.
 //!
-//! Both offline enumerators here run one unit-time model (`F = R = 1`,
-//! `B = 2`, zero network latency) and differ only in who picks each op:
-//! [`generate_schedule`] applies Varuna's rules above, while
-//! [`enumerate_policy`] asks any [`SchedulePolicy`] — GPipe's Figure 4
-//! schedule is [`crate::policy::GPipePolicy`] run through it. The planner's
-//! calibrated schedule (`varuna::simulator::plan_schedule`) is a separate,
-//! event-driven model with its own rules.
+//! The rules live in one place, the event-driven kernel
+//! [`varuna_schedule`], which takes per-stage forward and backward times,
+//! boundary delays and stash windows. The planner feeds it calibrated
+//! times (`varuna::simulator::plan_schedule`); [`generate_schedule`] is
+//! the same kernel at unit times (`F = R = 1`, `B = 2`, zero network
+//! latency). Its events are ordered by the [`EventQueue`] in
+//! [`crate::queue`].
+//!
+//! [`enumerate_policy`] renders any other [`SchedulePolicy`] under that
+//! unit-time model with a time-stepped loop — GPipe's Figure 4 schedule
+//! is [`crate::policy::GPipePolicy`] run through it; GPipe's
+//! reverse-order backwards do not fit the kernel's FIFO gradients.
 //!
 //! At run time each stage follows its static order, but when the
 //! designated op is blocked (gradients delayed by network jitter) the
@@ -28,6 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::op::{Op, OpKind};
 use crate::policy::{PolicyFactory, SchedulePolicy, StageView};
+use crate::queue::EventQueue;
 
 /// An offline-enumerated schedule: one ordered op list per stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,55 +43,276 @@ pub struct StaticSchedule {
     pub n_micro: usize,
     /// Per-stage op order.
     pub per_stage: Vec<Vec<Op>>,
-    /// Makespan of the order. The enumerators in this module give it in
-    /// unit time (`F = R = 1`, `B = 2`, zero network latency); a schedule
-    /// planned from calibrated times (`varuna::simulator::plan_schedule`)
-    /// gives it in seconds.
+    /// Makespan of the order, in the units of the times it was planned
+    /// with: unit time (`F = R = 1`, `B = 2`) for [`generate_schedule`]
+    /// and [`enumerate_policy`], seconds for a schedule planned from
+    /// calibrated times (`varuna::simulator::plan_schedule`).
     pub makespan: f64,
 }
 
 /// Generates the Varuna static schedule for `p` stages and `n_micro`
-/// micro-batches with activation-stash window `window`.
+/// micro-batches with activation-stash window `window`: the
+/// [`varuna_schedule`] kernel at unit times (`F = R = 1`, `B = 2`, zero
+/// network latency, window `window` on every stage).
 ///
 /// # Panics
 ///
 /// Panics if any argument is zero.
 pub fn generate_schedule(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
-    unit_time(p, n_micro, window, |pipe, s| {
-        let stage = &pipe.stages[s];
-        let last = s == p - 1;
-        // Constraint 2: a finished recompute commits the stage.
-        if let Some(m) = stage.pending_rec {
-            return pipe
-                .grad_ready(s, m)
-                .then_some(Op::new(OpKind::Backward, m));
+    assert!(p >= 1 && n_micro >= 1 && window >= 1);
+    varuna_schedule(
+        &vec![1.0; p],
+        &vec![2.0; p],
+        &vec![0.0; p - 1],
+        &vec![window; p],
+        n_micro,
+    )
+    .0
+}
+
+/// Plans the Varuna schedule event-driven from per-stage times: forward
+/// times `fwd` (a recompute re-runs the forward at the same cost),
+/// backward times `bwd`, the transfer delay across each stage boundary
+/// `delay` (`delay[s]` between stages `s` and `s + 1`), per-stage
+/// activation-stash windows `window`, and `n_micro` micro-batches.
+///
+/// Returns the schedule, whose makespan is the last backward's
+/// completion, and each stage's last-backward completion time.
+/// `O(P · N_m log)` — fast enough to re-plan on every preemption (§7.2).
+///
+/// # Panics
+///
+/// Panics if the slices' lengths disagree, or if the rules wedge (a zero
+/// window).
+pub fn varuna_schedule(
+    fwd: &[f64],
+    bwd: &[f64],
+    delay: &[f64],
+    window: &[usize],
+    n_micro: usize,
+) -> (StaticSchedule, Vec<f64>) {
+    let p = fwd.len();
+    assert!(
+        bwd.len() == p && window.len() == p && delay.len() == p.saturating_sub(1),
+        "one time and window per stage, one delay per boundary"
+    );
+    let mut kernel = Kernel {
+        fwd,
+        bwd,
+        delay,
+        window,
+        n_micro,
+        stages: (0..p)
+            .map(|s| KernelStage {
+                fwd_done: 0,
+                acts_arrived: if s == 0 { n_micro } else { 0 },
+                grads_arrived: 0,
+                bwd_count: 0,
+                rec_done: vec![false; n_micro],
+                rec_open: vec![false; n_micro],
+                pending_rec: false,
+                live: None,
+                stash: 0,
+                running: None,
+                last_bwd: 0.0,
+                order: Vec::with_capacity(3 * n_micro),
+            })
+            .collect(),
+        q: EventQueue::new(),
+    };
+    for s in 0..p {
+        kernel.q.push(0.0, Ev::Free(s));
+    }
+    kernel.run();
+    let done: usize = kernel.stages.iter().map(|s| s.bwd_count).sum();
+    assert_eq!(
+        done,
+        p * n_micro,
+        "schedule kernel wedged: {done}/{} backwards",
+        p * n_micro
+    );
+    let makespan = kernel.stages.iter().map(|s| s.last_bwd).fold(0.0, f64::max);
+    let mut finish = Vec::with_capacity(p);
+    let mut per_stage = Vec::with_capacity(p);
+    for s in kernel.stages {
+        finish.push(s.last_bwd);
+        per_stage.push(s.order);
+    }
+    let schedule = StaticSchedule {
+        p,
+        n_micro,
+        per_stage,
+        makespan,
+    };
+    (schedule, finish)
+}
+
+/// An event of [`varuna_schedule`]'s loop.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// A stage finished its current op.
+    Free(usize),
+    /// The next forward input arrived at a stage.
+    Act(usize),
+    /// The next FIFO gradient arrived at a stage.
+    Grad(usize),
+    /// Constraint-1 window opened: stage `.0` may recompute micro-batch
+    /// `.1`.
+    RecWindow(usize, usize),
+}
+
+/// One stage of [`varuna_schedule`]'s loop.
+struct KernelStage {
+    fwd_done: usize,
+    acts_arrived: usize,
+    grads_arrived: usize,
+    bwd_count: usize,
+    rec_done: Vec<bool>,
+    rec_open: Vec<bool>,
+    pending_rec: bool,
+    live: Option<usize>,
+    stash: usize,
+    running: Option<Op>,
+    last_bwd: f64,
+    order: Vec<Op>,
+}
+
+/// [`varuna_schedule`]'s inputs and loop state.
+struct Kernel<'a> {
+    fwd: &'a [f64],
+    bwd: &'a [f64],
+    delay: &'a [f64],
+    window: &'a [usize],
+    n_micro: usize,
+    stages: Vec<KernelStage>,
+    q: EventQueue<Ev>,
+}
+
+impl Kernel<'_> {
+    /// Drains the event queue.
+    fn run(&mut self) {
+        let p = self.stages.len();
+        while let Some((now, ev)) = self.q.pop() {
+            let s = match ev {
+                Ev::Free(s) => {
+                    // Complete the running op, if any: a stage has one
+                    // pending `Free` per op it starts, plus the initial one.
+                    let stage = &mut self.stages[s];
+                    if let Some(op) = stage.running.take() {
+                        match op.kind {
+                            OpKind::Forward => {
+                                stage.fwd_done += 1;
+                                stage.stash += 1;
+                                stage.live = Some(op.micro);
+                                if s + 1 < p {
+                                    self.q.push(now + self.delay[s], Ev::Act(s + 1));
+                                } else {
+                                    // Loss gradient is locally available.
+                                    stage.grads_arrived += 1;
+                                }
+                            }
+                            OpKind::Recompute => {
+                                stage.rec_done[op.micro] = true;
+                                stage.pending_rec = true;
+                                stage.live = Some(op.micro);
+                            }
+                            OpKind::Backward => {
+                                stage.bwd_count += 1;
+                                stage.pending_rec = false;
+                                stage.live = None;
+                                stage.stash -= 1;
+                                stage.last_bwd = now;
+                                if s > 0 {
+                                    self.q.push(now + self.delay[s - 1], Ev::Grad(s - 1));
+                                }
+                            }
+                        }
+                    }
+                    s
+                }
+                Ev::Act(s) => {
+                    self.stages[s].acts_arrived += 1;
+                    s
+                }
+                Ev::Grad(s) => {
+                    self.stages[s].grads_arrived += 1;
+                    s
+                }
+                Ev::RecWindow(s, m) => {
+                    self.stages[s].rec_open[m] = true;
+                    s
+                }
+            };
+            self.dispatch(s, now);
         }
-        // Backwards drain FIFO.
-        if let Some(m) = (0..stage.fwd_done).find(|&m| !stage.bwd_done[m]) {
-            let acts = stage.rec_done[m] || stage.live == Some(m);
-            // Constraint 3: a ready backward wins. The last stage never
-            // recomputes: its backward chases its forward (Figure 4).
-            if pipe.grad_ready(s, m) && (last || acts) {
-                return Some(Op::new(OpKind::Backward, m));
-            }
-            // Constraint 1: recompute once the downstream backward has
-            // started, so the recompute completes just as the gradient
-            // lands.
-            if !last
-                && !acts
-                && (pipe.stages[s + 1].bwd_start[m] <= pipe.now || pipe.grad_ready(s, m))
-            {
-                return Some(Op::new(OpKind::Recompute, m));
-            }
+    }
+
+    /// Starts at most one op on stage `s` at time `now`, by Varuna's rules.
+    fn dispatch(&mut self, s: usize, now: f64) {
+        let stage = &self.stages[s];
+        if stage.running.is_some() {
+            return;
         }
-        pipe.forward_ready(s)
-            .then_some(Op::new(OpKind::Forward, stage.fwd_done))
-    })
+        let last = s == self.stages.len() - 1;
+        let next_b = stage.bwd_count;
+        let grad_ready = next_b < stage.grads_arrived;
+        let fwd_ready = stage.fwd_done < self.n_micro
+            && stage.stash < self.window[s]
+            && stage.fwd_done < stage.acts_arrived;
+        let op = if stage.pending_rec {
+            // Constraint 2: a finished recompute commits the stage.
+            grad_ready.then_some(Op::new(OpKind::Backward, next_b))
+        } else if next_b < stage.fwd_done
+            && grad_ready
+            && (last || stage.rec_done[next_b] || stage.live == Some(next_b))
+        {
+            // Constraint 3: a ready backward always wins. The last stage
+            // never recomputes: its backward chases its forward.
+            Some(Op::new(OpKind::Backward, next_b))
+        } else if fwd_ready && (!grad_ready || last) {
+            // Keep the pipe filled: run forwards ahead rather than
+            // committing to a recompute whose gradient is not in hand
+            // (constraint 2 would then idle the stage) — the same
+            // preference the runtime policy's opportunistic deviation
+            // expresses.
+            Some(Op::new(OpKind::Forward, stage.fwd_done))
+        } else if !last
+            && next_b < stage.fwd_done
+            && !stage.rec_done[next_b]
+            && stage.live != Some(next_b)
+            && (stage.rec_open[next_b] || grad_ready)
+        {
+            Some(Op::new(OpKind::Recompute, next_b))
+        } else if fwd_ready {
+            Some(Op::new(OpKind::Forward, stage.fwd_done))
+        } else {
+            None
+        };
+        let Some(op) = op else { return };
+        let dur = match op.kind {
+            OpKind::Forward | OpKind::Recompute => self.fwd[s],
+            OpKind::Backward => self.bwd[s],
+        };
+        let stage = &mut self.stages[s];
+        stage.running = Some(op);
+        stage.order.push(op);
+        if op.kind == OpKind::Backward && s > 0 {
+            // Constraint 1: open the upstream recompute window so the
+            // recompute lands just before this backward's gradient
+            // arrives.
+            let arrival = now + dur + self.delay[s - 1];
+            let open = (arrival - self.fwd[s - 1] - self.fwd[s - 1]).max(now);
+            self.q.push(open, Ev::RecWindow(s - 1, op.micro));
+        }
+        self.q.push(now + dur, Ev::Free(s));
+    }
 }
 
 /// Enumerates the offline op order produced by an arbitrary
-/// [`SchedulePolicy`] under the same unit-time model as
-/// [`generate_schedule`] (`F = R = 1`, `B = 2`, zero network latency).
+/// [`SchedulePolicy`] under the unit-time model of [`generate_schedule`]
+/// (`F = R = 1`, `B = 2`, zero network latency): at each instant, every
+/// free stage in stage order runs the op its policy picks; time then
+/// advances to the next op completion.
 ///
 /// One policy instance per stage is driven through the [`StageView`]
 /// legality interface — exactly as the emulator and the numeric trainer
@@ -107,92 +333,12 @@ pub fn enumerate_policy(
     recompute_enabled: bool,
     factory: &PolicyFactory<'_>,
 ) -> StaticSchedule {
-    let mut policies: Vec<Box<dyn SchedulePolicy>> = (0..p).map(|s| factory(s, 0)).collect();
-    unit_time(p, n_micro, window, |pipe, s| {
-        let stage = &pipe.stages[s];
-        let grads_ready: Vec<bool> = (0..n_micro)
-            .map(|m| !stage.bwd_done[m] && pipe.grad_ready(s, m))
-            .collect();
-        let view = StageView {
-            stage: s,
-            p,
-            last_stage: s == p - 1,
-            n_micro,
-            forwards_done: stage.fwd_done,
-            next_forward_ready: pipe.forward_ready(s),
-            grads_ready: &grads_ready,
-            recomputes_done: &stage.rec_done,
-            backwards_done: &stage.bwd_done,
-            live_acts: stage.live,
-            pending_recompute: stage.pending_rec,
-            stash_len: stage.stash,
-            stash_window: window,
-            recompute_enabled,
-        };
-        let op = policies[s].pick(&view)?;
-        assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
-        Some(op)
-    })
-}
-
-/// One stage of the unit-time model.
-struct Stage {
-    free_at: f64,
-    fwd_done: usize,
-    fwd_end: Vec<f64>,
-    bwd_done: Vec<bool>,
-    bwd_start: Vec<f64>,
-    bwd_end: Vec<f64>,
-    rec_done: Vec<bool>,
-    pending_rec: Option<usize>,
-    live: Option<usize>,
-    stash: usize,
-    order: Vec<Op>,
-}
-
-/// The unit-time model's state at instant `now`, as a picker sees it.
-struct Pipe {
-    stages: Vec<Stage>,
-    n_micro: usize,
-    window: usize,
-    now: f64,
-}
-
-impl Pipe {
-    /// Whether stage `s` holds the gradient for micro-batch `m`: stage
-    /// `s+1`'s backward has ended (zero latency) or, on the last stage, its
-    /// own forward has.
-    fn grad_ready(&self, s: usize, m: usize) -> bool {
-        match self.stages.get(s + 1) {
-            Some(next) => next.bwd_end[m] <= self.now,
-            None => self.stages[s].fwd_end[m] <= self.now,
-        }
-    }
-
-    /// Whether stage `s`'s next forward may start: micro-batches remain,
-    /// the stash has room, and the upstream forward has ended.
-    fn forward_ready(&self, s: usize) -> bool {
-        let stage = &self.stages[s];
-        stage.fwd_done < self.n_micro
-            && stage.stash < self.window
-            && (s == 0 || self.stages[s - 1].fwd_end[stage.fwd_done] <= self.now)
-    }
-}
-
-/// The unit-time loop (`F = R = 1`, `B = 2`, zero latency): at each
-/// instant, every free stage in stage order runs the op `pick` chooses;
-/// time then advances to the next op completion.
-fn unit_time(
-    p: usize,
-    n_micro: usize,
-    window: usize,
-    mut pick: impl FnMut(&Pipe, usize) -> Option<Op>,
-) -> StaticSchedule {
     assert!(p >= 1 && n_micro >= 1 && window >= 1);
     const F: f64 = 1.0;
     const R: f64 = 1.0;
     const B: f64 = 2.0;
 
+    let mut policies: Vec<Box<dyn SchedulePolicy>> = (0..p).map(|s| factory(s, 0)).collect();
     let mut pipe = Pipe {
         stages: (0..p)
             .map(|_| Stage {
@@ -200,7 +346,6 @@ fn unit_time(
                 fwd_done: 0,
                 fwd_end: vec![f64::INFINITY; n_micro],
                 bwd_done: vec![false; n_micro],
-                bwd_start: vec![f64::INFINITY; n_micro],
                 bwd_end: vec![f64::INFINITY; n_micro],
                 rec_done: vec![false; n_micro],
                 pending_rec: None,
@@ -215,7 +360,7 @@ fn unit_time(
     };
     let total_backwards = p * n_micro;
     let mut done = 0usize;
-    // A guard against rule bugs (the schedule must terminate).
+    // A guard against policy bugs (the schedule must terminate).
     let mut guard = 0usize;
     while done < total_backwards {
         guard += 1;
@@ -223,11 +368,34 @@ fn unit_time(
             guard < 100 * total_backwards + 100,
             "schedule enumeration diverged"
         );
-        for s in 0..p {
+        for (s, policy) in policies.iter_mut().enumerate() {
             if pipe.stages[s].free_at > pipe.now {
                 continue;
             }
-            let Some(op) = pick(&pipe, s) else { continue };
+            let stage = &pipe.stages[s];
+            let grads_ready: Vec<bool> = (0..n_micro)
+                .map(|m| !stage.bwd_done[m] && pipe.grad_ready(s, m))
+                .collect();
+            let view = StageView {
+                stage: s,
+                p,
+                last_stage: s == p - 1,
+                n_micro,
+                forwards_done: stage.fwd_done,
+                next_forward_ready: pipe.forward_ready(s),
+                grads_ready: &grads_ready,
+                recomputes_done: &stage.rec_done,
+                backwards_done: &stage.bwd_done,
+                live_acts: stage.live,
+                pending_recompute: stage.pending_rec,
+                stash_len: stage.stash,
+                stash_window: window,
+                recompute_enabled,
+            };
+            let Some(op) = policy.pick(&view) else {
+                continue;
+            };
+            assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
             let now = pipe.now;
             let stage = &mut pipe.stages[s];
             stage.order.push(op);
@@ -247,7 +415,6 @@ fn unit_time(
                 }
                 OpKind::Backward => {
                     stage.bwd_done[op.micro] = true;
-                    stage.bwd_start[op.micro] = now;
                     stage.bwd_end[op.micro] = now + B;
                     stage.pending_rec = None;
                     stage.live = None;
@@ -279,6 +446,49 @@ fn unit_time(
         n_micro,
         per_stage: pipe.stages.into_iter().map(|stage| stage.order).collect(),
         makespan,
+    }
+}
+
+/// One stage of [`enumerate_policy`]'s unit-time model.
+struct Stage {
+    free_at: f64,
+    fwd_done: usize,
+    fwd_end: Vec<f64>,
+    bwd_done: Vec<bool>,
+    bwd_end: Vec<f64>,
+    rec_done: Vec<bool>,
+    pending_rec: Option<usize>,
+    live: Option<usize>,
+    stash: usize,
+    order: Vec<Op>,
+}
+
+/// [`enumerate_policy`]'s unit-time model at instant `now`.
+struct Pipe {
+    stages: Vec<Stage>,
+    n_micro: usize,
+    window: usize,
+    now: f64,
+}
+
+impl Pipe {
+    /// Whether stage `s` holds the gradient for micro-batch `m`: stage
+    /// `s+1`'s backward has ended (zero latency) or, on the last stage, its
+    /// own forward has.
+    fn grad_ready(&self, s: usize, m: usize) -> bool {
+        match self.stages.get(s + 1) {
+            Some(next) => next.bwd_end[m] <= self.now,
+            None => self.stages[s].fwd_end[m] <= self.now,
+        }
+    }
+
+    /// Whether stage `s`'s next forward may start: micro-batches remain,
+    /// the stash has room, and the upstream forward has ended.
+    fn forward_ready(&self, s: usize) -> bool {
+        let stage = &self.stages[s];
+        stage.fwd_done < self.n_micro
+            && stage.stash < self.window
+            && (s == 0 || self.stages[s - 1].fwd_end[stage.fwd_done] <= self.now)
     }
 }
 
@@ -601,13 +811,20 @@ mod tests {
     #[test]
     fn strict_varuna_policy_replays_its_static_schedule() {
         // Driving the strict VarunaPolicy through the generic enumerator
-        // under the same unit-time model must reproduce the static order —
-        // the policy and the offline rules are two views of one schedule.
-        let s = generate_schedule(4, 6, usize::MAX);
-        let replayed = enumerate_policy(4, 6, usize::MAX, true, &|stage, _| {
-            Box::new(VarunaPolicy::strict_for_stage(&s, stage))
-        });
-        assert_eq!(s.per_stage, replayed.per_stage);
+        // under the same unit-time model must reproduce the kernel's order
+        // on every shape — the policy and the kernel's rules are two views
+        // of one schedule.
+        for p in 1..=8 {
+            for n in 1..=16 {
+                for w in [1, 2, 3, 4, 8, usize::MAX] {
+                    let s = generate_schedule(p, n, w);
+                    let replayed = enumerate_policy(p, n, w, true, &|stage, _| {
+                        Box::new(VarunaPolicy::strict_for_stage(&s, stage))
+                    });
+                    assert_eq!(s.per_stage, replayed.per_stage, "p={p} n={n} w={w}");
+                }
+            }
+        }
     }
 
     #[test]

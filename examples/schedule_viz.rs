@@ -3,10 +3,11 @@
 //! Prints ASCII Gantt charts of the offline schedules — Varuna, GPipe,
 //! 1F1B, and PipeDream — for a 4-stage pipeline with 5 micro-batches,
 //! then executes Varuna and GPipe on the discrete-event emulator to show
-//! the gap widening under network jitter. Every chart comes from the same
-//! `varuna-sched` unit-time model: Varuna's rules via
-//! [`generate_schedule`], and GPipe, 1F1B and PipeDream via
-//! [`enumerate_policy`], which drives any [`SchedulePolicy`] through it.
+//! the gap widening under network jitter. Every chart is in `varuna-sched`
+//! unit time (`F = R = 1`, `B = 2`): Varuna's via [`generate_schedule`],
+//! the planner's schedule kernel at unit times, and GPipe, 1F1B and
+//! PipeDream via [`enumerate_policy`], which drives any
+//! [`SchedulePolicy`] through a unit-time loop.
 //!
 //! ```console
 //! $ cargo run --release --example schedule_viz
