@@ -5,20 +5,15 @@
 //! $ cargo run --release -p varuna-bench --bin chaos_sweep -- 50
 //! ```
 //!
-//! The optional argument is the number of seeds (default 50). Exits
-//! nonzero if any seed panics or violates an invariant, so CI can use it
-//! as a smoke gate.
+//! The optional argument is the number of seeds (positive, default 50);
+//! any other argument prints usage and exits 2 before anything runs.
+//! Exits nonzero if any seed panics or violates an invariant, so CI can
+//! use it as a smoke gate.
 
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, sweep_args};
 
 fn main() {
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .map(|a| {
-            a.parse()
-                .expect("seed count must be a non-negative integer")
-        })
-        .unwrap_or(50);
+    let seeds = sweep_args("chaos_sweep [SEEDS]", false).count.unwrap_or(50);
     println!("Chaos sweep: {seeds} seeded fault schedules vs the manager\n");
     let s = varuna_bench::chaos_sweep::run(seeds);
 

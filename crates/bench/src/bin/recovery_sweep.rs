@@ -8,23 +8,18 @@
 //! ```
 //!
 //! Exhaustive mode kills at every WAL record boundary (clean and torn);
-//! smoke mode takes the injector-planned kill per seed. Exits nonzero if
-//! any kill point panics, diverges from the uninterrupted digest, leaves
+//! smoke mode takes the injector-planned kill per seed. The seed count is
+//! positive and `--smoke` may come before or after it; any other argument
+//! prints usage and exits 2 before anything runs. Exits nonzero if any
+//! kill point panics, diverges from the uninterrupted digest, leaves
 //! different WAL bytes, or misses a torn tail — so CI can gate on it.
 
 use varuna_bench::recovery_sweep;
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, sweep_args};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .filter(|a| a != "--smoke")
-        .map(|a| {
-            a.parse()
-                .expect("seed count must be a non-negative integer")
-        })
-        .unwrap_or(8);
+    let args = sweep_args("recovery_sweep [--smoke] [SEEDS]", true);
+    let (smoke, seeds) = (args.smoke, args.count.unwrap_or(8));
     println!(
         "Recovery sweep{}: {seeds} seeded kill schedules vs the WAL-recovered manager\n",
         if smoke { " (smoke)" } else { " (exhaustive)" }

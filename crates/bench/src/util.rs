@@ -80,10 +80,81 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// The arguments of a seeded sweep binary: `--smoke` (where the binary
+/// has a smoke mode) anywhere, and at most one positive count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// Whether `--smoke` was given.
+    pub smoke: bool,
+    /// The count, if one was given.
+    pub count: Option<u64>,
+}
+
+/// Parses a sweep binary's arguments (program name excluded).
+///
+/// # Errors
+///
+/// Describes the first argument that is neither an accepted `--smoke`
+/// nor the first positive count.
+fn parse_sweep_args(
+    args: impl IntoIterator<Item = String>,
+    accepts_smoke: bool,
+) -> Result<SweepArgs, String> {
+    let mut parsed = SweepArgs {
+        smoke: false,
+        count: None,
+    };
+    for arg in args {
+        match arg.parse::<u64>() {
+            _ if accepts_smoke && arg == "--smoke" => parsed.smoke = true,
+            Ok(n) if n > 0 && parsed.count.is_none() => parsed.count = Some(n),
+            Ok(0) => return Err("the count must be positive".to_string()),
+            Ok(_) => return Err(format!("unexpected second count '{arg}'")),
+            Err(_) => return Err(format!("unexpected argument '{arg}'")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// Parses the process's own arguments as [`SweepArgs`]. On error, prints
+/// the error and `usage` to stderr and exits with status 2, before the
+/// binary runs or writes anything.
+pub fn sweep_args(usage: &str, accepts_smoke: bool) -> SweepArgs {
+    parse_sweep_args(std::env::args().skip(1), accepts_smoke).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use varuna_models::ModelZoo;
+
+    fn parse(args: &[&str], accepts_smoke: bool) -> Result<SweepArgs, String> {
+        parse_sweep_args(args.iter().map(|a| a.to_string()), accepts_smoke)
+    }
+
+    #[test]
+    fn sweep_args_take_smoke_anywhere_and_one_positive_count() {
+        let args = |smoke, count| Ok(SweepArgs { smoke, count });
+        assert_eq!(parse(&[], true), args(false, None));
+        assert_eq!(parse(&["4"], true), args(false, Some(4)));
+        assert_eq!(parse(&["--smoke", "4"], true), args(true, Some(4)));
+        assert_eq!(parse(&["4", "--smoke"], true), args(true, Some(4)));
+        for bad in [
+            &["0"][..],
+            &["-3"],
+            &["abc"],
+            &["4", "5"],
+            &["--bogus"],
+            &["--smoke", "0"],
+            &["18446744073709551616"],
+        ] {
+            assert!(parse(bad, true).is_err(), "{bad:?}");
+        }
+        assert!(parse(&["--smoke"], false).is_err());
+    }
 
     #[test]
     fn varuna_throughput_runs_a_paper_config() {

@@ -11,9 +11,10 @@
 //!   ([`calibrate`], §4.3, Table 2),
 //! - a fast **parametrized simulator** that predicts mini-batch time for
 //!   any configuration ([`simulator`], §4.4),
-//! - a **planner** that sweeps configurations in `O(G)` ([`planner`]) and
-//!   a budgeted, memoized **simulator-in-the-loop search** over the same
-//!   candidates ([`plansearch`]), unified behind one plan [`oracle`],
+//! - a **planner** that sweeps configurations in `O(G)` ([`planner`]):
+//!   one planning loop ([`plansearch`]) whose candidates are scored either
+//!   analytically or by a budgeted, memoized **simulator-in-the-loop
+//!   search**, selected by the plan [`oracle`],
 //! - correctness-preserving **job morphing** across preemptions
 //!   ([`morph`], §4.2),
 //! - **continuous checkpointing** sharded across replicas
@@ -64,7 +65,7 @@ pub use error::VarunaError;
 pub use job::TrainingJob;
 pub use manager::{GracePolicy, Manager, ManagerState, TimelinePoint};
 pub use morph::{MorphBackoff, MorphController};
-pub use oracle::{AnalyticOracle, Oracle, PlanOracle};
+pub use oracle::Oracle;
 pub use partition::balanced_partition;
 pub use planner::{Config, FallbackLevel, Planner};
 pub use plansearch::{ClusterTemplate, EvalPath, PlanBudget, PlanMetrics, SimSearch};

@@ -164,7 +164,7 @@ impl<'a> Manager<'a> {
         self.with_oracle(crate::oracle::Oracle::sim(budget))
     }
 
-    /// Replaces the plan oracle ([`crate::oracle::PlanOracle`]) that
+    /// Replaces the plan oracle ([`crate::oracle::Oracle`]) that
     /// best-configuration decisions come from.
     pub fn with_oracle(mut self, oracle: crate::oracle::Oracle) -> Self {
         self.morph = self.morph.with_oracle(oracle);

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::calibrate::Calibration;
 use crate::checkpoint::CheckpointPolicy;
 use crate::error::VarunaError;
-use crate::oracle::{Oracle, PlanOracle};
+use crate::oracle::Oracle;
 use crate::planner::{Config, FallbackLevel, Planner};
 use crate::plansearch::{PlanBudget, PlanMetrics};
 
@@ -149,11 +149,10 @@ pub struct MorphController<'a> {
     plan_cache: std::collections::HashMap<usize, (Config, FallbackLevel)>,
     cache_hits: u64,
     cache_misses: u64,
-    /// Where best-configuration decisions come from. Whether they are
-    /// eligible for the outer capacity-keyed `plan_cache` is the oracle's
-    /// own property ([`PlanOracle::cacheable`]): the analytic path caches,
-    /// the simulated path re-ranks every morph (its memo table provides
-    /// the reuse) so per-event plan metrics stay honest.
+    /// Where best-configuration decisions come from. Only the analytic
+    /// path feeds the outer capacity-keyed `plan_cache`; the simulated
+    /// path re-ranks every morph (its memo table provides the reuse) so
+    /// per-event plan metrics stay honest.
     oracle: Oracle,
     last_plan: Option<PlanMetrics>,
 }
@@ -173,7 +172,7 @@ impl<'a> MorphController<'a> {
             plan_cache: std::collections::HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
-            oracle: Oracle::analytic(),
+            oracle: Oracle::Analytic,
             last_plan: None,
         }
     }
@@ -303,7 +302,8 @@ impl<'a> MorphController<'a> {
     }
 
     fn plan(&mut self, gpus: usize) -> Result<(Config, FallbackLevel), VarunaError> {
-        if self.oracle.cacheable() {
+        let cacheable = !self.oracle.is_sim();
+        if cacheable {
             if let Some(cached) = self.plan_cache.get(&gpus) {
                 self.cache_hits += 1;
                 return Ok(cached.clone());
@@ -313,15 +313,10 @@ impl<'a> MorphController<'a> {
         if let Some(m) = self.micro_override {
             planner = planner.micro_batch(m);
         }
-        let (config, level, metrics) = if self.fallback {
-            self.oracle.best_config_with_fallback(&planner, gpus)?
-        } else {
-            let (config, metrics) = self.oracle.best_config(&planner, gpus)?;
-            (config, FallbackLevel::None, metrics)
-        };
+        let (config, level, metrics) = self.oracle.plan(&planner, gpus, self.fallback)?;
         self.last_plan = metrics;
         let planned = (config, level);
-        if self.oracle.cacheable() {
+        if cacheable {
             self.cache_misses += 1;
             self.plan_cache.insert(gpus, planned.clone());
         }
@@ -330,12 +325,12 @@ impl<'a> MorphController<'a> {
 
     /// Reinstates a previously committed morph decision without
     /// re-planning — the WAL recovery path. The decision's configuration
-    /// becomes current, and on cacheable (analytic) oracles the
+    /// becomes current, and on the analytic oracle the
     /// capacity-keyed plan cache is fed exactly as the live plan would
     /// have fed it, so cache counters and later live plans match the
     /// uninterrupted run.
     pub fn restore_plan(&mut self, gpus: usize, decision: &MorphDecision) {
-        if self.oracle.cacheable() {
+        if !self.oracle.is_sim() {
             if self.plan_cache.contains_key(&gpus) {
                 self.cache_hits += 1;
             } else {

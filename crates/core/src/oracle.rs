@@ -1,117 +1,30 @@
-//! One planning interface over the analytic and simulated paths.
+//! The plan oracle: which scorer the planning loop runs under.
 //!
-//! The morph controller historically branched on an `Option<SimSearch>` at
-//! every call site — the analytic path going through its capacity-keyed
-//! plan cache, the simulator path bypassing it. [`PlanOracle`] folds that
-//! asymmetry into the oracle itself: callers (the controller, and each
-//! `varuna-fleet` job) pick an [`Oracle`] once and invoke one interface;
-//! whether results are eligible for an outer capacity-keyed cache is the
-//! oracle's own property ([`PlanOracle::cacheable`]).
+//! Callers (the morph controller, and each `varuna-fleet` job) pick an
+//! [`Oracle`] once and plan through it; the sweep, the pick and the
+//! recovery ladder are the same for both scorers (see
+//! [`crate::plansearch`]). Only the analytic path's decisions are pure
+//! functions of the GPU count, so only they are eligible for an outer
+//! capacity-keyed plan cache.
 
 use crate::error::VarunaError;
 use crate::planner::{Config, FallbackLevel, Planner};
-use crate::plansearch::{PlanBudget, PlanMetrics, SimSearch};
+use crate::plansearch::{self, PlanBudget, PlanMetrics, SimSearch};
 
-/// A source of best-configuration decisions for a capacity level.
-pub trait PlanOracle {
-    /// The best configuration for `g` GPUs. Returns search metrics when
-    /// the oracle runs a real search (`None` on closed-form paths).
-    ///
-    /// # Errors
-    ///
-    /// Fails when no configuration fits `g` GPUs.
-    fn best_config(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, Option<PlanMetrics>), VarunaError>;
-
-    /// Like [`PlanOracle::best_config`] but walking the recovery ladder
-    /// (reduced micro-batch, then offload) before giving up.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when no rung of the ladder fits `g` GPUs.
-    fn best_config_with_fallback(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, FallbackLevel, Option<PlanMetrics>), VarunaError>;
-
-    /// Whether decisions are pure functions of the GPU count alone, making
-    /// them eligible for an outer capacity-keyed plan cache. The simulated
-    /// path answers `false`: its memo table provides the reuse, and every
-    /// morph must re-rank so per-event metrics stay honest.
-    fn cacheable(&self) -> bool;
-}
-
-/// The closed-form `O(G)` sweep of paper §4.4 as an oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyticOracle;
-
-impl PlanOracle for AnalyticOracle {
-    fn best_config(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, Option<PlanMetrics>), VarunaError> {
-        planner.best_config(g).map(|c| (c, None))
-    }
-
-    fn best_config_with_fallback(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, FallbackLevel, Option<PlanMetrics>), VarunaError> {
-        planner
-            .best_config_with_fallback(g)
-            .map(|(c, l)| (c, l, None))
-    }
-
-    fn cacheable(&self) -> bool {
-        true
-    }
-}
-
-impl PlanOracle for SimSearch {
-    fn best_config(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, Option<PlanMetrics>), VarunaError> {
-        SimSearch::best_config(self, planner, g).map(|(c, m)| (c, Some(m)))
-    }
-
-    fn best_config_with_fallback(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-    ) -> Result<(Config, FallbackLevel, Option<PlanMetrics>), VarunaError> {
-        SimSearch::best_config_with_fallback(self, planner, g).map(|(c, l, m)| (c, l, Some(m)))
-    }
-
-    fn cacheable(&self) -> bool {
-        false
-    }
-}
-
-/// A clonable oracle selection: the two shipped implementations behind one
-/// value type, so controllers (which must stay `Clone`) can hold either
-/// without a boxed trait object.
-#[derive(Debug, Clone)]
+/// A clonable scorer selection, so controllers (which must stay `Clone`)
+/// can hold either.
+#[derive(Debug, Clone, Default)]
 pub enum Oracle {
     /// The closed-form analytic sweep.
-    Analytic(AnalyticOracle),
-    /// The budgeted, memoized simulator-in-the-loop search.
+    #[default]
+    Analytic,
+    /// The budgeted, memoized simulator-in-the-loop search. Its memo table
+    /// provides the reuse, and every morph re-ranks so per-event metrics
+    /// stay honest.
     Sim(SimSearch),
 }
 
 impl Oracle {
-    /// The analytic oracle.
-    pub fn analytic() -> Self {
-        Oracle::Analytic(AnalyticOracle)
-    }
-
     /// A simulator-in-the-loop oracle under `budget`.
     pub fn sim(budget: PlanBudget) -> Self {
         Oracle::Sim(SimSearch::new(budget))
@@ -122,39 +35,25 @@ impl Oracle {
         matches!(self, Oracle::Sim(_))
     }
 
-    fn as_dyn(&self) -> &dyn PlanOracle {
-        match self {
-            Oracle::Analytic(a) => a,
-            Oracle::Sim(s) => s,
-        }
-    }
-}
-
-impl Default for Oracle {
-    fn default() -> Self {
-        Oracle::analytic()
-    }
-}
-
-impl PlanOracle for Oracle {
-    fn best_config(
+    /// The best configuration for `g` GPUs, walking the recovery ladder
+    /// (reduced micro-batch, then offload) when `ladder` is set. Returns
+    /// search metrics on the simulated path (`None` on the analytic one).
+    ///
+    /// # Errors
+    ///
+    /// Fails when no configuration (no rung, with `ladder`) fits `g` GPUs.
+    pub fn plan(
         &self,
         planner: &Planner<'_>,
         g: usize,
-    ) -> Result<(Config, Option<PlanMetrics>), VarunaError> {
-        self.as_dyn().best_config(planner, g)
-    }
-
-    fn best_config_with_fallback(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
+        ladder: bool,
     ) -> Result<(Config, FallbackLevel, Option<PlanMetrics>), VarunaError> {
-        self.as_dyn().best_config_with_fallback(planner, g)
-    }
-
-    fn cacheable(&self) -> bool {
-        self.as_dyn().cacheable()
+        let search = match self {
+            Oracle::Analytic => None,
+            Oracle::Sim(search) => Some(search),
+        };
+        let (cfg, level, metrics) = plansearch::plan(planner, g, search, ladder)?;
+        Ok((cfg, level, search.map(|_| metrics)))
     }
 }
 
@@ -173,40 +72,39 @@ mod tests {
     fn analytic_oracle_matches_the_planner_and_reports_no_metrics() {
         let c = calib();
         let planner = Planner::new(&c.model, &c).batch_size(768).micro_batch(4);
-        let (cfg, metrics) = AnalyticOracle.best_config(&planner, 24).unwrap();
+        let (cfg, _, metrics) = Oracle::Analytic.plan(&planner, 24, false).unwrap();
         assert_eq!(cfg, planner.best_config(24).unwrap());
         assert!(metrics.is_none());
-        assert!(AnalyticOracle.cacheable());
+        assert!(!Oracle::Analytic.is_sim());
     }
 
     #[test]
     fn sim_oracle_reports_metrics_and_declines_caching() {
         let c = calib();
         let planner = Planner::new(&c.model, &c).batch_size(768).micro_batch(4);
-        let search = SimSearch::new(PlanBudget::unlimited());
-        let (cfg, metrics) = PlanOracle::best_config(&search, &planner, 24).unwrap();
+        let oracle = Oracle::sim(PlanBudget::unlimited());
+        let (cfg, _, metrics) = oracle.plan(&planner, 24, false).unwrap();
         let m = metrics.expect("sim path must report metrics");
         assert!(m.candidates > 0);
         assert!(cfg.gpus_used() <= 24);
-        assert!(!PlanOracle::cacheable(&search));
+        assert!(oracle.is_sim());
     }
 
     #[test]
     fn oracle_enum_dispatches_both_paths_uniformly() {
         let c = calib();
         let planner = Planner::new(&c.model, &c).batch_size(768).micro_batch(4);
-        for oracle in [Oracle::analytic(), Oracle::sim(PlanBudget::simulations(0))] {
-            let (cfg, level, metrics) = oracle.best_config_with_fallback(&planner, 24).unwrap();
+        for oracle in [Oracle::Analytic, Oracle::sim(PlanBudget::simulations(0))] {
+            let (cfg, level, metrics) = oracle.plan(&planner, 24, true).unwrap();
             assert_eq!(level, FallbackLevel::None);
             assert!(cfg.gpus_used() <= 24);
             assert_eq!(metrics.is_some(), oracle.is_sim());
-            assert_eq!(oracle.cacheable(), !oracle.is_sim());
         }
         // A zero-budget sim oracle degrades to the analytic ranking, so
         // both oracles agree on the best shape.
-        let (a, _) = Oracle::analytic().best_config(&planner, 24).unwrap();
-        let (s, _) = Oracle::sim(PlanBudget::simulations(0))
-            .best_config(&planner, 24)
+        let (a, ..) = Oracle::Analytic.plan(&planner, 24, false).unwrap();
+        let (s, ..) = Oracle::sim(PlanBudget::simulations(0))
+            .plan(&planner, 24, false)
             .unwrap();
         assert_eq!((a.p, a.d), (s.p, s.d));
     }

@@ -14,6 +14,7 @@ use varuna_models::config::TransformerConfig;
 use crate::calibrate::Calibration;
 use crate::error::VarunaError;
 use crate::partition::balanced_partition;
+use crate::plansearch;
 use crate::simulator::{estimate_minibatch_time, SimInput};
 
 /// A fully planned configuration.
@@ -199,13 +200,8 @@ impl<'a> Planner<'a> {
     /// candidate configs with their analytic scores (used by the Table 3
     /// sensitivity study).
     pub fn sweep(&self, g: usize) -> Vec<Config> {
-        self.candidates(g)
-            .into_iter()
-            .filter_map(|mut cfg| {
-                cfg.est_minibatch_time = self.estimate(&cfg).ok()?;
-                Some(cfg)
-            })
-            .collect()
+        let (scored, _) = plansearch::sweep(self, g, None);
+        scored.into_iter().map(|(cfg, _)| cfg).collect()
     }
 
     /// The best configuration for `g` GPUs by total throughput.
@@ -214,17 +210,7 @@ impl<'a> Planner<'a> {
     ///
     /// Fails when no pipeline depth fits memory on `g` GPUs.
     pub fn best_config(&self, g: usize) -> Result<Config, VarunaError> {
-        self.sweep(g)
-            .into_iter()
-            .max_by(|a, b| a.throughput().total_cmp(&b.throughput()))
-            .ok_or_else(|| VarunaError::NoFeasibleConfig {
-                gpus: g,
-                reason: format!(
-                    "{} ({}B params) has no memory-feasible pipeline depth",
-                    self.model.name,
-                    self.model.params_billions()
-                ),
-            })
+        plansearch::plan(self, g, None, false).map(|(cfg, ..)| cfg)
     }
 
     /// Like [`Planner::best_config`], but instead of failing outright when
@@ -241,26 +227,19 @@ impl<'a> Planner<'a> {
         &self,
         g: usize,
     ) -> Result<(Config, FallbackLevel), VarunaError> {
-        let primary = match self.best_config(g) {
-            Ok(cfg) => return Ok((cfg, FallbackLevel::None)),
-            Err(e) => e,
-        };
-        let mut m = self.chosen_m() / 2;
-        while m >= 1 {
-            let reduced = self.clone().micro_batch(m);
-            if let Ok(cfg) = reduced.best_config(g) {
-                return Ok((cfg, FallbackLevel::ReducedMicroBatch(m)));
-            }
-            if m == 1 {
-                break;
-            }
-            m /= 2;
+        plansearch::plan(self, g, None, true).map(|(cfg, level, _)| (cfg, level))
+    }
+
+    /// The error of a planning event that found no feasible candidate.
+    pub(crate) fn no_feasible(&self, g: usize) -> VarunaError {
+        VarunaError::NoFeasibleConfig {
+            gpus: g,
+            reason: format!(
+                "{} ({}B params) has no memory-feasible pipeline depth",
+                self.model.name,
+                self.model.params_billions()
+            ),
         }
-        let offloaded = self.clone().micro_batch(1).offload(true);
-        if let Ok(cfg) = offloaded.best_config(g) {
-            return Ok((cfg, FallbackLevel::Offload));
-        }
-        Err(primary)
     }
 }
 

@@ -18,6 +18,10 @@
 //!   deadline passed, or emulator error), degrading the search to the
 //!   paper's `O(G)` analytic ranking rather than failing; a warm revisit
 //!   served entirely from the memo runs no estimate at all.
+//!
+//! The planning loop itself (the sweep, the pick and the recovery ladder)
+//! lives here once. [`Planner`] runs it with the analytic estimate as the
+//! only scorer, and [`SimSearch`] runs it with the passes above.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -315,60 +319,22 @@ impl SimSearch {
         planner: &Planner<'_>,
         g: usize,
     ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
-        let start = Instant::now();
-        let deadline = self
-            .budget
-            .deadline_seconds
-            .map(|s| start + Duration::from_secs_f64(s));
-        let mut sims_left = self.budget.max_simulations.unwrap_or(usize::MAX);
-        let (scored, mut metrics) = self.sweep_inner(planner, g, deadline, &mut sims_left);
-        metrics.plan_seconds = start.elapsed().as_secs_f64();
-        (scored, metrics)
+        sweep(planner, g, Some(self))
     }
 
-    /// Like [`SimSearch::sweep_scored`] but dropping the per-candidate
-    /// evaluation paths.
-    pub fn sweep(&self, planner: &Planner<'_>, g: usize) -> (Vec<Config>, PlanMetrics) {
-        let (scored, metrics) = self.sweep_scored(planner, g);
-        (scored.into_iter().map(|(c, _)| c).collect(), metrics)
-    }
-
-    fn sweep_inner(
+    /// The emulation passes of a sweep over `scored`, every candidate
+    /// still on [`EvalPath::Analytic`]: a memo hit, else an emulation
+    /// through `simulate` while the simulation budget and the deadline
+    /// last. Returns whether a budget bound left a candidate unscored.
+    fn emulate(
         &self,
         planner: &Planner<'_>,
-        g: usize,
-        deadline: Option<Instant>,
-        sims_left: &mut usize,
-    ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
-        let calib = planner.calibration();
-        let template = ClusterTemplate::from_calibration(calib);
-        self.score_candidates(planner, g, deadline, sims_left, &|cfg: &Config| {
-            Self::simulate_candidate(calib, template, cfg)
-        })
-    }
-
-    /// Scores each of `planner`'s candidates for `g` GPUs exactly once: a
-    /// memo hit, else an emulation through `simulate`, else — only when the
-    /// budget, the deadline or the emulator leaves it unscored — the
-    /// analytic estimate.
-    fn score_candidates(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
+        scored: &mut [(Config, EvalPath)],
         deadline: Option<Instant>,
         sims_left: &mut usize,
         simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
-    ) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
+    ) -> bool {
         let fingerprint = search_fingerprint(planner.calibration());
-        let mut scored: Vec<(Config, EvalPath)> = planner
-            .candidates(g)
-            .into_iter()
-            .map(|c| (c, EvalPath::Analytic))
-            .collect();
-        let mut metrics = PlanMetrics {
-            candidates: scored.len() as u64,
-            ..PlanMetrics::default()
-        };
 
         // Memo pass: hits are free and never count against the budget.
         let mut misses: Vec<usize> = Vec::new();
@@ -378,7 +344,6 @@ impl SimSearch {
                 if let Some(&t) = memo.get(&MemoKey::of(cfg, fingerprint)) {
                     cfg.est_minibatch_time = t;
                     *path = EvalPath::Memoized;
-                    metrics.memo_hits += 1;
                 } else {
                     misses.push(i);
                 }
@@ -387,11 +352,8 @@ impl SimSearch {
 
         // Budget pass: only the first `sims_left` misses get emulated; the
         // rest fall back to their analytic estimate.
-        if misses.len() > *sims_left {
-            metrics.budget_exhausted = true;
-            metrics.analytic_fallbacks += (misses.len() - *sims_left) as u64;
-            misses.truncate(*sims_left);
-        }
+        let mut exhausted = misses.len() > *sims_left;
+        misses.truncate(*sims_left);
 
         // Parallel fan-out: scoped workers claim miss indices from a shared
         // cursor. Results land in per-slot cells, so the outcome is
@@ -424,62 +386,19 @@ impl SimSearch {
             match results[k].lock().expect("result slot poisoned").take() {
                 Some(Ok(t)) => {
                     *sims_left -= 1;
-                    metrics.simulated += 1;
                     let (cfg, path) = &mut scored[idx];
                     cfg.est_minibatch_time = t;
                     *path = EvalPath::Simulated;
                     memo.insert(MemoKey::of(cfg, fingerprint), t);
                 }
-                Some(Err(_)) => {
-                    // The planner accepted it but the emulator could not
-                    // run it; fall back to the analytic score.
-                    *sims_left = sims_left.saturating_sub(1);
-                    metrics.analytic_fallbacks += 1;
-                }
-                None => {
-                    // Deadline expired before a worker reached this slot.
-                    metrics.budget_exhausted = true;
-                    metrics.analytic_fallbacks += 1;
-                }
+                // The planner accepted it but the emulator could not run
+                // it; it keeps its analytic score.
+                Some(Err(_)) => *sims_left = sims_left.saturating_sub(1),
+                // Deadline expired before a worker reached this slot.
+                None => exhausted = true,
             }
         }
-        drop(memo);
-
-        // Analytic pass, for the unscored candidates only. One whose
-        // estimate fails is dropped, exactly as `Planner::sweep` drops it.
-        scored.retain_mut(|(cfg, path)| {
-            if *path != EvalPath::Analytic {
-                return true;
-            }
-            match planner.estimate(cfg) {
-                Ok(t) => {
-                    cfg.est_minibatch_time = t;
-                    true
-                }
-                Err(_) => {
-                    metrics.candidates -= 1;
-                    metrics.analytic_fallbacks -= 1;
-                    false
-                }
-            }
-        });
-        (scored, metrics)
-    }
-
-    fn try_best(
-        &self,
-        planner: &Planner<'_>,
-        g: usize,
-        deadline: Option<Instant>,
-        sims_left: &mut usize,
-        total: &mut PlanMetrics,
-    ) -> Option<Config> {
-        let (scored, metrics) = self.sweep_inner(planner, g, deadline, sims_left);
-        total.merge(&metrics);
-        scored
-            .into_iter()
-            .map(|(c, _)| c)
-            .max_by(|a, b| a.throughput().total_cmp(&b.throughput()))
+        exhausted
     }
 
     /// The best configuration for `g` GPUs by emulator-scored throughput.
@@ -493,24 +412,13 @@ impl SimSearch {
         planner: &Planner<'_>,
         g: usize,
     ) -> Result<(Config, PlanMetrics), VarunaError> {
-        let start = Instant::now();
-        let deadline = self
-            .budget
-            .deadline_seconds
-            .map(|s| start + Duration::from_secs_f64(s));
-        let mut sims_left = self.budget.max_simulations.unwrap_or(usize::MAX);
-        let mut metrics = PlanMetrics::default();
-        let best = self.try_best(planner, g, deadline, &mut sims_left, &mut metrics);
-        metrics.plan_seconds = start.elapsed().as_secs_f64();
-        best.map(|c| (c, metrics))
-            .ok_or_else(|| no_feasible(planner, g))
+        plan(planner, g, Some(self), false).map(|(cfg, _, metrics)| (cfg, metrics))
     }
 
     /// The emulator-scored counterpart of
-    /// [`Planner::best_config_with_fallback`]: the same recovery ladder
-    /// (halve the micro-batch to 1, then offload at `m = 1`), with every
-    /// rung's sweep scored by the emulator. The budget spans the whole
-    /// ladder, not each rung.
+    /// [`Planner::best_config_with_fallback`]: the same recovery ladder,
+    /// with every rung's sweep scored by the emulator. The budget spans
+    /// the whole ladder, not each rung.
     ///
     /// # Errors
     ///
@@ -520,49 +428,155 @@ impl SimSearch {
         planner: &Planner<'_>,
         g: usize,
     ) -> Result<(Config, FallbackLevel, PlanMetrics), VarunaError> {
-        let start = Instant::now();
-        let deadline = self
-            .budget
-            .deadline_seconds
-            .map(|s| start + Duration::from_secs_f64(s));
-        let mut sims_left = self.budget.max_simulations.unwrap_or(usize::MAX);
-        let mut metrics = PlanMetrics::default();
-        let finish = |cfg: Config, level: FallbackLevel, mut metrics: PlanMetrics| {
-            metrics.plan_seconds = start.elapsed().as_secs_f64();
-            Ok((cfg, level, metrics))
-        };
-        if let Some(cfg) = self.try_best(planner, g, deadline, &mut sims_left, &mut metrics) {
-            return finish(cfg, FallbackLevel::None, metrics);
-        }
-        let mut m = planner.chosen_m() / 2;
-        while m >= 1 {
-            let reduced = planner.clone().micro_batch(m);
-            if let Some(cfg) = self.try_best(&reduced, g, deadline, &mut sims_left, &mut metrics) {
-                return finish(cfg, FallbackLevel::ReducedMicroBatch(m), metrics);
-            }
-            if m == 1 {
-                break;
-            }
-            m /= 2;
-        }
-        let offloaded = planner.clone().micro_batch(1).offload(true);
-        if let Some(cfg) = self.try_best(&offloaded, g, deadline, &mut sims_left, &mut metrics) {
-            return finish(cfg, FallbackLevel::Offload, metrics);
-        }
-        Err(no_feasible(planner, g))
+        plan(planner, g, Some(self), true)
     }
 }
 
-fn no_feasible(planner: &Planner<'_>, g: usize) -> VarunaError {
-    let model = &planner.calibration().model;
-    VarunaError::NoFeasibleConfig {
-        gpus: g,
-        reason: format!(
-            "{} ({}B params) has no memory-feasible pipeline depth",
-            model.name,
-            model.params_billions()
-        ),
+/// One planning event: its clock, its deadline and the simulations it has
+/// left, shared by every rung of the recovery ladder. Without a
+/// [`SimSearch`] every candidate gets the analytic score and the bounds
+/// are unused.
+struct PlanEvent<'s> {
+    search: Option<&'s SimSearch>,
+    start: Instant,
+    deadline: Option<Instant>,
+    sims_left: usize,
+    metrics: PlanMetrics,
+}
+
+impl<'s> PlanEvent<'s> {
+    fn start(search: Option<&'s SimSearch>) -> Self {
+        let start = Instant::now();
+        let budget = search.map_or(PlanBudget::unlimited(), SimSearch::budget);
+        // A deadline too far out to represent is no deadline; a negative
+        // or NaN one has already passed.
+        let deadline = budget
+            .deadline_seconds
+            .and_then(|s| match Duration::try_from_secs_f64(s) {
+                Ok(d) => start.checked_add(d),
+                Err(_) if s > 0.0 => None,
+                Err(_) => Some(start),
+            });
+        PlanEvent {
+            search,
+            start,
+            deadline,
+            sims_left: budget.max_simulations.unwrap_or(usize::MAX),
+            metrics: PlanMetrics::default(),
+        }
     }
+
+    /// Scores each of `planner`'s candidates for `g` GPUs exactly once:
+    /// through [`SimSearch::emulate`] on the simulated path, then the
+    /// analytic estimate for whatever that left unscored (every candidate
+    /// on the analytic path). A candidate whose estimate fails is dropped.
+    fn score(
+        &mut self,
+        planner: &Planner<'_>,
+        g: usize,
+        simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
+    ) -> Vec<(Config, EvalPath)> {
+        let mut scored: Vec<(Config, EvalPath)> = planner
+            .candidates(g)
+            .into_iter()
+            .map(|c| (c, EvalPath::Analytic))
+            .collect();
+        let exhausted = self.search.is_some_and(|search| {
+            search.emulate(
+                planner,
+                &mut scored,
+                self.deadline,
+                &mut self.sims_left,
+                simulate,
+            )
+        });
+        scored.retain_mut(|(cfg, path)| {
+            *path != EvalPath::Analytic
+                || planner
+                    .estimate(cfg)
+                    .map(|t| cfg.est_minibatch_time = t)
+                    .is_ok()
+        });
+        let count = |want| scored.iter().filter(|(_, path)| *path == want).count() as u64;
+        self.metrics.merge(&PlanMetrics {
+            candidates: scored.len() as u64,
+            simulated: count(EvalPath::Simulated),
+            memo_hits: count(EvalPath::Memoized),
+            analytic_fallbacks: count(EvalPath::Analytic),
+            plan_seconds: 0.0,
+            budget_exhausted: exhausted,
+        });
+        scored
+    }
+
+    /// [`PlanEvent::score`] with the emulator as the simulator.
+    fn sweep(&mut self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+        let calib = planner.calibration();
+        let template = ClusterTemplate::from_calibration(calib);
+        self.score(planner, g, &|cfg: &Config| {
+            SimSearch::simulate_candidate(calib, template, cfg)
+        })
+    }
+
+    fn finish(mut self) -> PlanMetrics {
+        self.metrics.plan_seconds = self.start.elapsed().as_secs_f64();
+        self.metrics
+    }
+}
+
+/// One rung's scored sweep as a planning event of its own.
+pub(crate) fn sweep(
+    planner: &Planner<'_>,
+    g: usize,
+    search: Option<&SimSearch>,
+) -> (Vec<(Config, EvalPath)>, PlanMetrics) {
+    let mut event = PlanEvent::start(search);
+    let scored = event.sweep(planner, g);
+    (scored, event.finish())
+}
+
+/// The planning loop of paper §4.4, for both scorers. The rungs are the
+/// preferred micro-batch, then (with `ladder`) halving it down to 1, then
+/// CPU optimizer-state offload at `m = 1`. Each rung is swept under the
+/// one event's budget, and the first rung with a feasible candidate
+/// yields its highest-throughput one (the last of equal maxima).
+///
+/// # Errors
+///
+/// Fails when no rung has a feasible candidate for `g` GPUs.
+pub(crate) fn plan(
+    planner: &Planner<'_>,
+    g: usize,
+    search: Option<&SimSearch>,
+    ladder: bool,
+) -> Result<(Config, FallbackLevel, PlanMetrics), VarunaError> {
+    let mut rungs = vec![(planner.clone(), FallbackLevel::None)];
+    if ladder {
+        let mut m = planner.chosen_m() / 2;
+        while m >= 1 {
+            rungs.push((
+                planner.clone().micro_batch(m),
+                FallbackLevel::ReducedMicroBatch(m),
+            ));
+            m /= 2;
+        }
+        rungs.push((
+            planner.clone().micro_batch(1).offload(true),
+            FallbackLevel::Offload,
+        ));
+    }
+    let mut event = PlanEvent::start(search);
+    for (rung, level) in rungs {
+        let best = event
+            .sweep(&rung, g)
+            .into_iter()
+            .map(|(cfg, _)| cfg)
+            .max_by(|a, b| a.throughput().total_cmp(&b.throughput()));
+        if let Some(cfg) = best {
+            return Ok((cfg, level, event.finish()));
+        }
+    }
+    Err(planner.no_feasible(g))
 }
 
 #[cfg(test)]
@@ -572,6 +586,10 @@ mod tests {
 
     fn setup(gpus: usize) -> Calibration {
         Calibration::profile(&ModelZoo::gpt2_2_5b(), &VarunaCluster::commodity_1gpu(gpus))
+    }
+
+    fn configs(scored: Vec<(Config, EvalPath)>) -> Vec<Config> {
+        scored.into_iter().map(|(cfg, _)| cfg).collect()
     }
 
     #[test]
@@ -605,9 +623,13 @@ mod tests {
             .batch_size(768)
             .micro_batch(4);
         let search = SimSearch::new(PlanBudget::unlimited());
-        let (cold, m1) = search.sweep(&planner, 24);
-        let (warm, m2) = search.sweep(&planner, 24);
-        assert_eq!(cold, warm, "memoized scores must equal fresh ones");
+        let (cold, m1) = search.sweep_scored(&planner, 24);
+        let (warm, m2) = search.sweep_scored(&planner, 24);
+        assert_eq!(
+            configs(cold),
+            configs(warm),
+            "memoized scores must equal fresh ones"
+        );
         assert_eq!(m1.memo_hits, 0);
         assert_eq!(m2.memo_hits, m1.candidates);
         assert_eq!(m2.simulated, 0);
@@ -624,9 +646,9 @@ mod tests {
             .batch_size(768)
             .micro_batch(4);
         let search = SimSearch::new(PlanBudget::unlimited());
-        let (_, _) = search.sweep(&planner, 24);
-        let (_, down) = search.sweep(&planner, 12);
-        let (_, back) = search.sweep(&planner, 24);
+        let (_, _) = search.sweep_scored(&planner, 24);
+        let (_, down) = search.sweep_scored(&planner, 12);
+        let (_, back) = search.sweep_scored(&planner, 24);
         assert_eq!(back.memo_hits, back.candidates, "full revisit reuse");
         assert!(down.simulated <= down.candidates);
     }
@@ -705,9 +727,34 @@ mod tests {
             .micro_batch(4);
         let wide = SimSearch::new(PlanBudget::unlimited()).threads(8);
         let narrow = SimSearch::new(PlanBudget::unlimited()).threads(1);
-        let (a, _) = wide.sweep(&planner, 16);
-        let (b, _) = narrow.sweep(&planner, 16);
-        assert_eq!(a, b);
+        let (a, _) = wide.sweep_scored(&planner, 16);
+        let (b, _) = narrow.sweep_scored(&planner, 16);
+        assert_eq!(configs(a), configs(b));
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_plan_without_panicking() {
+        let calib = setup(8);
+        let planner = Planner::new(&calib.model, &calib)
+            .batch_size(256)
+            .micro_batch(4);
+        let analytic = planner.best_config(8).unwrap();
+        // Too far out to represent: no deadline, every candidate emulated.
+        for s in [f64::INFINITY, 1e19] {
+            let search = SimSearch::new(PlanBudget::deadline(s));
+            let (_, metrics) = search.best_config(&planner, 8).unwrap();
+            assert_eq!(metrics.simulated, metrics.candidates, "deadline {s}");
+            assert!(!metrics.budget_exhausted, "deadline {s}");
+        }
+        // Negative or NaN: already passed, so the analytic ranking.
+        for s in [-1.0, f64::NAN] {
+            let search = SimSearch::new(PlanBudget::deadline(s));
+            let (best, metrics) = search.best_config(&planner, 8).unwrap();
+            assert_eq!(metrics.simulated, 0, "deadline {s}");
+            assert!(metrics.budget_exhausted, "deadline {s}");
+            assert_eq!(metrics.analytic_fallbacks, metrics.candidates);
+            assert_eq!(best, analytic, "deadline {s}");
+        }
     }
 
     #[test]
@@ -801,9 +848,10 @@ mod tests {
         let reference = SimSearch::new(budget);
         let mut out = Vec::new();
         for &g in gs {
-            let mut left = budget.max_simulations.unwrap_or(usize::MAX);
-            let mut ref_left = left;
-            let (got, metrics) = search.score_candidates(planner, g, None, &mut left, simulate);
+            let mut event = PlanEvent::start(Some(&search));
+            let mut ref_left = event.sims_left;
+            let got = event.score(planner, g, simulate);
+            let (metrics, left) = (event.metrics, event.sims_left);
             let (want, ref_metrics) =
                 reference_sweep(&reference, planner, g, &mut ref_left, simulate);
             let shape = |v: &[(Config, EvalPath)]| -> Vec<_> {

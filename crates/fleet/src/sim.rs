@@ -53,7 +53,7 @@ impl FleetConfig {
             jobs,
             policy: ProvisionPolicy::SpotWithFallback,
             arbiter: ArbiterConfig::default_tuning(),
-            oracle: Oracle::analytic(),
+            oracle: Oracle::Analytic,
         }
     }
 
