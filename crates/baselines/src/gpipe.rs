@@ -1,9 +1,10 @@
 //! The GPipe schedule (Huang et al., NeurIPS'19).
 //!
-//! [`GPipePolicy`] lives in [`varuna_sched::policy`], where the offline
-//! enumerator also renders Figure 4's GPipe schedule from it; it is
-//! re-exported here with the other baselines. The tests below run it on
-//! the discrete-event emulator.
+//! [`GPipePolicy`] lives in [`varuna_sched::policy`] and is re-exported
+//! here with the other baselines. Figure 4's GPipe schedule is the
+//! emulator's unit-time render of it
+//! (`varuna_exec::pipeline::render_unit_schedule`); the tests below run it
+//! on the emulator at calibrated times.
 
 pub use varuna_sched::policy::GPipePolicy;
 

@@ -1,6 +1,11 @@
-//! Prints Figure 4: Varuna's micro-batch schedule vs GPipe's.
+//! Prints Figure 4: Varuna's micro-batch schedule vs GPipe's. Takes no
+//! arguments; CI diffs the output against
+//! `crates/bench/tests/goldens/fig4_schedule.txt`.
+
+use varuna_bench::util::smoke_flag;
 
 fn main() {
+    smoke_flag("fig4_schedule", false);
     let r = varuna_bench::fig4::run();
     println!("Figure 4: 4-stage pipeline, 5 micro-batches (F=R=1 unit, B=2)");
     println!("\nVaruna schedule (makespan {} units):", r.varuna.makespan);

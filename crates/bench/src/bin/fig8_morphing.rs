@@ -5,11 +5,14 @@
 //! nonzero unless the zero-downtime policy cuts the profiler-attributed
 //! downtime fraction by at least 30% versus the full-restart baseline —
 //! the CI gate on the morphing path.
+//!
+//! Any other argument prints usage and exits 2 before anything runs.
 
 use std::process::ExitCode;
 
 use varuna::manager::TimelineEvent;
 use varuna_bench::fig8::DowntimeComparison;
+use varuna_bench::util::smoke_flag;
 
 /// The CI bar: minimum relative drop in downtime fraction.
 const SMOKE_REDUCTION_BAR: f64 = 0.30;
@@ -45,7 +48,7 @@ fn print_comparison(cmp: &DowntimeComparison) {
 }
 
 fn main() -> ExitCode {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_flag("fig8_morphing [--smoke]", true);
 
     if smoke {
         let cmp = varuna_bench::fig8::downtime_comparison();

@@ -11,13 +11,15 @@
 //! determinism check — and, in the full run, if the mixed policy fails
 //! either headline comparison (cheaper per token than on-demand-only,
 //! more goodput than spot-only), so CI can gate on it.
+//!
+//! Any other argument prints usage and exits 2 before anything runs.
 
 use varuna_bench::fleet_sweep::{self, POLICIES};
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 use varuna_fleet::ProvisionPolicy;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_flag("fleet_sweep [--smoke]", true);
     let (jobs, hours, seed) = if smoke { (3, 6.0, 7) } else { (10, 72.0, 42) };
     println!(
         "Fleet sweep{}: {jobs} jobs, {hours}h shared market, seed {seed}\n",

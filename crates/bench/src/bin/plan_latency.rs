@@ -12,9 +12,11 @@
 //! above zero) and writes no report. Both modes exit nonzero when a warm
 //! repeat is less than 10x faster than its cold sweep or when the analytic
 //! and simulated searches pick different configurations.
+//!
+//! Any other argument prints usage and exits 2 before anything runs.
 
 use varuna_bench::plan_latency::{measure, report, run, Row};
-use varuna_bench::util::{f1, f3, print_table};
+use varuna_bench::util::{f1, f3, print_table, smoke_flag};
 use varuna_models::ModelZoo;
 
 fn table(rows: &[Row]) {
@@ -104,7 +106,7 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("--smoke") {
+    if smoke_flag("plan_latency [--smoke]", true) {
         smoke();
         return;
     }

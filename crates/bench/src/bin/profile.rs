@@ -7,11 +7,13 @@
 //!
 //! `--smoke` exits nonzero on any mismatch, so CI can gate on it. Always
 //! writes `BENCH_profile.json`.
+//!
+//! Any other argument prints usage and exits 2 before anything runs.
 
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_flag("profile [--smoke]", true);
     println!(
         "Profiler smoke: p={} n_micro={} (analytic bubble (p-1)/(m+p-1) = {:.4})\n",
         varuna_bench::profile::P,

@@ -13,12 +13,14 @@
 //! resident state grew past a small fraction of the stream, or if
 //! windowed streaming fell more than a constant factor below the
 //! sealed-once pass — the gates CI holds with `--smoke`.
+//!
+//! Any other argument prints usage and exits 2 before anything runs.
 
 use varuna_bench::profile_stream::{self, MAX_RESIDENT_RATIO, MAX_SLOWDOWN_VS_POSTHOC};
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_flag("profile_stream [--smoke]", true);
     let target = if smoke { 120_000 } else { 1_200_000 };
     println!(
         "Streaming profiler bench{}: target {target} events\n",

@@ -3,12 +3,12 @@
 
 use varuna_baselines::{GPipePolicy, OneF1BPolicy, PipeDreamPolicy};
 use varuna_exec::job::PlacedJob;
-use varuna_exec::pipeline::{simulate_minibatch, SimOptions};
+use varuna_exec::pipeline::{render_unit_schedule, simulate_minibatch, SimOptions};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
 use varuna_sched::policy::SchedulePolicy;
-use varuna_sched::schedule::{enumerate_policy, generate_schedule, StaticSchedule, VarunaPolicy};
+use varuna_sched::schedule::{generate_schedule, StaticSchedule, VarunaPolicy};
 
 /// The Figure 4 result.
 #[derive(Debug, Clone)]
@@ -27,7 +27,8 @@ pub struct Fig4 {
 /// Ethernet jitter (BERT-72, 4x16 micro-batches).
 pub fn run() -> Fig4 {
     let varuna = generate_schedule(4, 5, usize::MAX);
-    let gpipe = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
+    let gpipe = render_unit_schedule(4, 5, usize::MAX, true, &|_, _| Box::new(GPipePolicy))
+        .expect("gpipe renders at unit times");
 
     let graph = CutpointGraph::from_transformer(&ModelZoo::bert_72());
     let job = PlacedJob::uniform_from_graph(

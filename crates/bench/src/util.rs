@@ -90,15 +90,18 @@ pub struct SweepArgs {
     pub count: Option<u64>,
 }
 
-/// Parses a sweep binary's arguments (program name excluded).
+/// Parses a bench binary's arguments (program name excluded): `--smoke`
+/// where `accepts_smoke`, and at most one positive count where
+/// `takes_count`.
 ///
 /// # Errors
 ///
 /// Describes the first argument that is neither an accepted `--smoke`
-/// nor the first positive count.
+/// nor an accepted count.
 fn parse_sweep_args(
     args: impl IntoIterator<Item = String>,
     accepts_smoke: bool,
+    takes_count: bool,
 ) -> Result<SweepArgs, String> {
     let mut parsed = SweepArgs {
         smoke: false,
@@ -107,23 +110,36 @@ fn parse_sweep_args(
     for arg in args {
         match arg.parse::<u64>() {
             _ if accepts_smoke && arg == "--smoke" => parsed.smoke = true,
-            Ok(n) if n > 0 && parsed.count.is_none() => parsed.count = Some(n),
-            Ok(0) => return Err("the count must be positive".to_string()),
-            Ok(_) => return Err(format!("unexpected second count '{arg}'")),
-            Err(_) => return Err(format!("unexpected argument '{arg}'")),
+            Ok(n) if takes_count && n > 0 && parsed.count.is_none() => parsed.count = Some(n),
+            Ok(0) if takes_count => return Err("the count must be positive".to_string()),
+            Ok(_) if takes_count => return Err(format!("unexpected second count '{arg}'")),
+            _ => return Err(format!("unexpected argument '{arg}'")),
         }
     }
     Ok(parsed)
 }
 
-/// Parses the process's own arguments as [`SweepArgs`]. On error, prints
-/// the error and `usage` to stderr and exits with status 2, before the
-/// binary runs or writes anything.
-pub fn sweep_args(usage: &str, accepts_smoke: bool) -> SweepArgs {
-    parse_sweep_args(std::env::args().skip(1), accepts_smoke).unwrap_or_else(|e| {
+/// Parses the process's own arguments. On error, prints the error and
+/// `usage` to stderr and exits with status 2, before the binary runs or
+/// writes anything.
+fn args_or_exit(usage: &str, accepts_smoke: bool, takes_count: bool) -> SweepArgs {
+    parse_sweep_args(std::env::args().skip(1), accepts_smoke, takes_count).unwrap_or_else(|e| {
         eprintln!("error: {e}\nusage: {usage}");
         std::process::exit(2)
     })
+}
+
+/// Parses a sweep binary's own arguments as [`SweepArgs`], exiting with
+/// status 2 and `usage` on a bad argument.
+pub fn sweep_args(usage: &str, accepts_smoke: bool) -> SweepArgs {
+    args_or_exit(usage, accepts_smoke, true)
+}
+
+/// Parses the own arguments of a binary that takes no count: whether
+/// `--smoke` was given (where `accepts_smoke`). Any other argument exits
+/// with status 2 and `usage`.
+pub fn smoke_flag(usage: &str, accepts_smoke: bool) -> bool {
+    args_or_exit(usage, accepts_smoke, false).smoke
 }
 
 #[cfg(test)]
@@ -132,7 +148,7 @@ mod tests {
     use varuna_models::ModelZoo;
 
     fn parse(args: &[&str], accepts_smoke: bool) -> Result<SweepArgs, String> {
-        parse_sweep_args(args.iter().map(|a| a.to_string()), accepts_smoke)
+        parse_sweep_args(args.iter().map(|a| a.to_string()), accepts_smoke, true)
     }
 
     #[test]
@@ -152,6 +168,25 @@ mod tests {
             &["18446744073709551616"],
         ] {
             assert!(parse(bad, true).is_err(), "{bad:?}");
+        }
+        assert!(parse(&["--smoke"], false).is_err());
+    }
+
+    #[test]
+    fn flag_only_args_take_only_smoke() {
+        let parse = |args: &[&str], accepts_smoke| {
+            parse_sweep_args(args.iter().map(|a| a.to_string()), accepts_smoke, false)
+                .map(|a| a.smoke)
+        };
+        assert_eq!(parse(&[], true), Ok(false));
+        assert_eq!(parse(&["--smoke"], true), Ok(true));
+        assert_eq!(parse(&[], false), Ok(false));
+        for bad in [&["--smok"][..], &["4"], &["0"], &["--smoke", "x"], &["-s"]] {
+            assert_eq!(
+                parse(bad, true),
+                Err(format!("unexpected argument '{}'", bad[bad.len() - 1])),
+                "{bad:?}"
+            );
         }
         assert!(parse(&["--smoke"], false).is_err());
     }

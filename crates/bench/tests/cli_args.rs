@@ -1,6 +1,6 @@
-//! The seeded sweep binaries reject bad arguments with a usage error
-//! (exit 2) before any sweep runs, so a typo can never overwrite a
-//! committed `BENCH_*.json` with a vacuous report.
+//! The bench binaries reject bad arguments with a usage error (exit 2)
+//! before anything runs, so a typo can never overwrite a committed
+//! `BENCH_*.json` with a vacuous report.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -52,4 +52,22 @@ fn recovery_sweep_rejects_bad_arguments_before_writing() {
     ] {
         assert_eq!(run(bin, case, args), (Some(2), false), "{args:?}");
     }
+}
+
+#[test]
+fn flag_only_binaries_reject_a_typo_before_writing() {
+    for (name, bin) in [
+        ("fleet_sweep", env!("CARGO_BIN_EXE_fleet_sweep")),
+        ("fig8_morphing", env!("CARGO_BIN_EXE_fig8_morphing")),
+        ("profile_stream", env!("CARGO_BIN_EXE_profile_stream")),
+        ("profile", env!("CARGO_BIN_EXE_profile")),
+        ("plan_latency", env!("CARGO_BIN_EXE_plan_latency")),
+        ("fig4_schedule", env!("CARGO_BIN_EXE_fig4_schedule")),
+    ] {
+        let case = format!("{name}_typo");
+        assert_eq!(run(bin, &case, &["--smok"]), (Some(2), false), "{name}");
+    }
+    // Figure 4 has no smoke mode.
+    let bin = env!("CARGO_BIN_EXE_fig4_schedule");
+    assert_eq!(run(bin, "fig4_smoke", &["--smoke"]), (Some(2), false));
 }

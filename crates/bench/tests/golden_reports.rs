@@ -1,7 +1,8 @@
 //! Golden-file regression tests for the deterministic bench reports.
 //!
 //! `fig5_fig6` and `table3` simulate with a fixed seed, so their
-//! [`BenchReport`] JSON must reproduce byte-for-byte. Any intentional
+//! [`BenchReport`] JSON must reproduce byte-for-byte, and so must the
+//! `fig4_schedule` binary's printed schedules and timings. Any intentional
 //! change to the pipeline model, calibration, or schedule shows up here
 //! as a diff against the committed golden — regenerate the files by
 //! re-running the producing `report()` and review the numeric drift in
@@ -30,5 +31,18 @@ fn fig5_fig6_report_matches_the_golden_file() {
         rep.to_json(),
         include_str!("goldens/fig5_fig6.json"),
         "fig5/fig6 bench JSON drifted from the committed golden"
+    );
+}
+
+#[test]
+fn fig4_schedule_output_matches_the_golden_file() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig4_schedule"))
+        .output()
+        .expect("spawn fig4_schedule");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("goldens/fig4_schedule.txt"),
+        "fig4_schedule output drifted from the committed golden"
     );
 }

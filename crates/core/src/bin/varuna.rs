@@ -21,9 +21,10 @@ use varuna::manager::{Manager, TimelineEvent};
 use varuna::planner::Planner;
 use varuna::VarunaCluster;
 use varuna_cluster::trace::ClusterTrace;
+use varuna_exec::pipeline::render_unit_schedule;
 use varuna_models::{ModelZoo, TransformerConfig};
 use varuna_sched::policy::GPipePolicy;
-use varuna_sched::schedule::{enumerate_policy, generate_schedule};
+use varuna_sched::schedule::generate_schedule;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -241,7 +242,8 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
         "varuna" => ("Varuna", generate_schedule(p, n, usize::MAX)),
         "gpipe" => (
             "GPipe",
-            enumerate_policy(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy)),
+            render_unit_schedule(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy))
+                .map_err(|e| e.to_string())?,
         ),
         other => return Err(format!("unknown discipline {other}")),
     };

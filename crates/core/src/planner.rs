@@ -102,6 +102,23 @@ impl<'a> Planner<'a> {
         self.m_override.unwrap_or_else(|| self.calib.pick_m(0.05))
     }
 
+    /// The chosen micro-batch size, if calibration profiled it.
+    ///
+    /// # Errors
+    ///
+    /// An uncalibrated size cannot be scored: the error names the
+    /// calibrated sizes.
+    pub(crate) fn calibrated_m(&self) -> Result<usize, VarunaError> {
+        let m = self.chosen_m();
+        if self.calib.ms.contains(&m) {
+            return Ok(m);
+        }
+        Err(VarunaError::InvalidConfig(format!(
+            "micro-batch size {m} was not calibrated (calibrated sizes: {:?})",
+            self.calib.ms
+        )))
+    }
+
     /// The calibration this planner scores candidates against (the
     /// simulator-in-the-loop search needs it to build emulator jobs).
     pub fn calibration(&self) -> &'a Calibration {
@@ -121,7 +138,8 @@ impl<'a> Planner<'a> {
     ///
     /// # Errors
     ///
-    /// Fails when the shape is invalid or a stage cannot fit GPU memory.
+    /// Fails when the shape is invalid, the micro-batch size was not
+    /// calibrated, or a stage cannot fit GPU memory.
     pub(crate) fn candidate(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
         let k = self.calib.graph.len();
         if p == 0 || p > k {
@@ -130,7 +148,7 @@ impl<'a> Planner<'a> {
         if d == 0 {
             return Err(VarunaError::InvalidConfig("d=0".to_string()));
         }
-        let m = self.chosen_m();
+        let m = self.calibrated_m()?;
         if m * d > self.m_total {
             return Err(VarunaError::InvalidConfig(format!(
                 "m*d = {} exceeds M_total = {}",
@@ -274,6 +292,28 @@ mod tests {
         assert!(cfg.gpus_used() <= 36);
         assert_eq!(cfg.examples, 8192, "M_total preserved");
         assert!(cfg.est_minibatch_time > 0.0);
+    }
+
+    #[test]
+    fn an_uncalibrated_micro_batch_moves_down_the_ladder() {
+        // m = 32 was never profiled; candidates at that size fail with a
+        // typed error, so the ladder falls to the first calibrated rung.
+        let (model, calib) = planner_for(&ModelZoo::gpt2_8_3b(), 128);
+        let p = Planner::new(&model, &calib).batch_size(512).micro_batch(32);
+        let err = p.candidate(12, 2).unwrap_err().to_string();
+        assert!(
+            err.contains("micro-batch size 32 was not calibrated")
+                && err.contains("[1, 2, 3, 4, 6, 8, 12, 16]"),
+            "{err}"
+        );
+        assert!(matches!(
+            p.best_config(24),
+            Err(VarunaError::InvalidConfig(_))
+        ));
+        let (cfg, level) = p.best_config_with_fallback(24).unwrap();
+        assert_eq!(level, FallbackLevel::ReducedMicroBatch(16));
+        assert_eq!((cfg.m, cfg.examples), (16, 512));
+        assert!(cfg.gpus_used() <= 24);
     }
 
     #[test]

@@ -543,13 +543,17 @@ pub(crate) fn sweep(
 ///
 /// # Errors
 ///
-/// Fails when no rung has a feasible candidate for `g` GPUs.
+/// Fails when no rung has a feasible candidate for `g` GPUs, or, without
+/// the ladder, when the micro-batch size was not calibrated.
 pub(crate) fn plan(
     planner: &Planner<'_>,
     g: usize,
     search: Option<&SimSearch>,
     ladder: bool,
 ) -> Result<(Config, FallbackLevel, PlanMetrics), VarunaError> {
+    if !ladder {
+        planner.calibrated_m()?;
+    }
     let mut rungs = vec![(planner.clone(), FallbackLevel::None)];
     if ladder {
         let mut m = planner.chosen_m() / 2;
@@ -695,16 +699,17 @@ mod tests {
 
     #[test]
     fn fallback_ladder_matches_the_analytic_rungs() {
-        // 8.3B at m=8 on 24 GPUs forces the ladder down; the simulated
-        // ladder must land on the same rung as the analytic one.
+        // 8.3B at m=8 on 10 GPUs forces the ladder down to m=1; the
+        // simulated ladder must land on the same rung as the analytic one.
         let model = ModelZoo::gpt2_8_3b();
         let calib = Calibration::profile(&model, &VarunaCluster::commodity_1gpu(128));
         let planner = Planner::new(&model, &calib).batch_size(512).micro_batch(8);
-        let (_, ana_level) = planner.best_config_with_fallback(24).unwrap();
+        let (_, ana_level) = planner.best_config_with_fallback(10).unwrap();
+        assert_eq!(ana_level, FallbackLevel::ReducedMicroBatch(1));
         let search = SimSearch::new(PlanBudget::unlimited());
-        let (cfg, sim_level, metrics) = search.best_config_with_fallback(&planner, 24).unwrap();
+        let (cfg, sim_level, metrics) = search.best_config_with_fallback(&planner, 10).unwrap();
         assert_eq!(sim_level, ana_level);
-        assert!(cfg.gpus_used() <= 24);
+        assert!(cfg.gpus_used() <= 10);
         assert!(metrics.candidates > 0);
     }
 

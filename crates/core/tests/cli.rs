@@ -1,6 +1,6 @@
 //! Drives the `varuna` binary: a zero count flag is a usage error with a
-//! nonzero exit, never a panic, and `varuna schedule` prints Figure 4's
-//! schedules for both disciplines.
+//! nonzero exit, an uncalibrated micro-batch size is never a panic, and
+//! `varuna schedule` prints Figure 4's schedules for both disciplines.
 
 use std::process::{Command, Output};
 
@@ -41,6 +41,26 @@ fn zero_count_flags_are_rejected_without_a_panic() {
         );
         assert!(out.stdout.is_empty(), "`varuna {args}` printed a result");
     }
+}
+
+#[test]
+fn uncalibrated_micro_batch_sizes_do_not_panic() {
+    for args in [
+        "plan --model gpt2-2.5b --gpus 8 --micro 5",
+        "sweep --model gpt2-2.5b --gpus 8 --micro 32",
+    ] {
+        let out = varuna(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "`varuna {args}`: {stderr}");
+        assert!(!stderr.contains("panicked"), "`varuna {args}`: {stderr}");
+    }
+    let out = varuna("plan --model gpt2-2.5b --gpus 8 --micro 5");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: invalid configuration: micro-batch size 5 was not calibrated \
+         (calibrated sizes: [1, 2, 3, 4, 6, 8, 12, 16])\n"
+    );
 }
 
 #[test]

@@ -23,7 +23,8 @@
 //! - [`job`]: stage specifications and placed jobs.
 //! - [`placement`]: mapping (stage, replica) to GPUs/VMs.
 //! - [`policy`]: the schedule policy trait and the greedy reference policy.
-//! - [`pipeline`]: the mini-batch simulation driver.
+//! - [`pipeline`]: the mini-batch simulation driver, which also renders
+//!   any policy's unit-time schedule (paper Figure 4).
 //! - [`oom`]: activation-stash windows and out-of-memory detection.
 //! - [`gantt`]: ASCII Gantt charts (paper Figure 7).
 //! - [`metrics`]: throughput and TFLOP/s summaries.
@@ -46,8 +47,8 @@ pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
 pub use pipeline::{
-    simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule, simulate_schedule_on_bus,
-    MinibatchResult, SimOptions,
+    render_unit_schedule, simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule,
+    simulate_schedule_on_bus, MinibatchResult, SimOptions,
 };
 pub use placement::Placement;
 pub use varuna_sched::{GreedyPolicy, OpKind, PolicyFactory, SchedulePolicy, StageView};

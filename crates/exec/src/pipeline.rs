@@ -5,16 +5,20 @@
 //! gradient messages traverse the topology with latency/jitter and NIC
 //! contention, and the mini-batch ends with the per-stage data-parallel
 //! gradient allreduce plus the tied-parameter sync (the purple region at
-//! the right of the paper's Figure 7 Gantt chart).
+//! the right of the paper's Figure 7 Gantt chart). The same event loop,
+//! run on a unit-time job, renders a policy's offline schedule
+//! ([`render_unit_schedule`], paper Figure 4).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use varuna_net::collective::{allreduce_time, AllreduceSpec};
-use varuna_net::jitter::PreparedJitter;
+use varuna_net::jitter::{JitterModel, PreparedJitter};
 use varuna_net::transfer::fair_share;
+use varuna_net::{Link, Topology};
 use varuna_obs::{Event, EventBus, EventKind};
 
-use crate::job::PlacedJob;
+use crate::job::{PlacedJob, StageSpec};
+use crate::placement::Placement;
 use varuna_sched::op::{Op, OpKind};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy, StageView};
 use varuna_sched::queue::EventQueue;
@@ -241,6 +245,21 @@ impl Picker for Boxed {
     }
 }
 
+/// [`Boxed`] policies that record each stage's picks. The emulator starts
+/// every op its picker returns, so the record is each stage's op order.
+struct Recording<'o> {
+    policies: Boxed,
+    orders: &'o mut [Vec<Op>],
+}
+
+impl Picker for Recording<'_> {
+    fn pick(&mut self, i: usize, s: usize, view: &StageView<'_>) -> Option<Op> {
+        let op = self.policies.pick(i, s, view)?;
+        self.orders[s].push(op);
+        Some(op)
+    }
+}
+
 /// The built-in opportunistic Varuna policy, dispatched directly: every
 /// replica borrows its stage's order, and each slot's progress (its
 /// `executed` flags and cursor) lives in one arena.
@@ -362,6 +381,74 @@ pub fn simulate_schedule_on_bus(
     job.validate();
     let varuna = Varuna::new(schedule, job.p(), job.d);
     Emulator::new(job, varuna, opts, bus).run()
+}
+
+/// Renders the schedule `factory`'s policies produce for `p` stages and
+/// `n_micro` micro-batches at unit times (`F = R = 1`, `B = 2`, zero
+/// network latency, a stash window of `window` on every stage): the
+/// emulator run on a unit-time job of one replica, recording the order in
+/// which each stage starts its ops. The makespan is the last backward's
+/// completion. Pass `recompute = false` for disciplines that store
+/// activations instead of rematerializing them (PipeDream).
+///
+/// # Errors
+///
+/// Returns [`SimError::Deadlock`] if the policies wedge the pipeline.
+///
+/// # Panics
+///
+/// Panics if any size argument is zero or a policy picks an illegal op.
+pub fn render_unit_schedule(
+    p: usize,
+    n_micro: usize,
+    window: usize,
+    recompute: bool,
+    factory: &PolicyFactory<'_>,
+) -> Result<StaticSchedule, SimError> {
+    assert!(p >= 1 && n_micro >= 1 && window >= 1, "zero size argument");
+    let unit = StageSpec {
+        fwd_time: 1.0,
+        bwd_time: 2.0,
+        recompute_time: 1.0,
+        act_bytes: 0.0,
+        grad_bytes: 0.0,
+        params: 0,
+        layers: 0,
+        stash_window: window,
+    };
+    let ideal = Link {
+        bandwidth: f64::INFINITY,
+        latency: 0.0,
+        jitter: JitterModel::NONE,
+        ..Link::pcie()
+    };
+    let job = PlacedJob {
+        stages: vec![unit; p],
+        d: 1,
+        m: 1,
+        n_micro,
+        topology: Topology::new(p, 1, ideal, ideal, f64::INFINITY),
+        placement: Placement::one_stage_per_gpu(p, 1),
+        shared_sync_bytes: 0.0,
+        offload_bytes: None,
+        stutter: Vec::new(),
+    };
+    let opts = SimOptions {
+        recompute,
+        ..SimOptions::deterministic()
+    };
+    let mut per_stage = vec![Vec::new(); p];
+    let picker = Recording {
+        policies: Boxed((0..p).map(|s| factory(s, 0)).collect()),
+        orders: &mut per_stage,
+    };
+    let res = Emulator::new(&job, picker, &opts, &mut EventBus::new()).run()?;
+    Ok(StaticSchedule {
+        p,
+        n_micro,
+        per_stage,
+        makespan: res.stage_finish.iter().copied().fold(0.0, f64::max),
+    })
 }
 
 /// The event loop of one mini-batch.

@@ -98,31 +98,21 @@ pub fn boundary_drain_legal(schedule: &StaticSchedule, stage: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GPipePolicy;
-    use crate::schedule::{enumerate_policy, generate_schedule};
+    use crate::schedule::generate_schedule;
 
-    fn gpipe(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
-        enumerate_policy(p, n_micro, window, true, &|_, _| Box::new(GPipePolicy))
-    }
-
-    /// An offline schedule for `(p, n_micro, window)`.
-    type Offline = fn(usize, usize, usize) -> StaticSchedule;
-
-    /// Both offline disciplines: Varuna's rules and GPipe's policy.
-    const DISCIPLINES: [(&str, Offline); 2] = [("varuna", generate_schedule), ("gpipe", gpipe)];
+    // The same lemmas for GPipe's schedule, which the `varuna-exec`
+    // emulator renders, live in `varuna-exec`'s `unit_schedules` tests.
 
     #[test]
-    fn minibatch_boundaries_are_legal_for_every_stage_and_discipline() {
-        for (disc, offline) in DISCIPLINES {
-            for p in 1..5 {
-                for n_micro in 1..5 {
-                    let sched = offline(p, n_micro, n_micro.max(2));
-                    for stage in 0..p {
-                        assert!(
-                            boundary_drain_legal(&sched, stage),
-                            "{disc} p={p} m={n_micro} stage={stage}"
-                        );
-                    }
+    fn minibatch_boundaries_are_legal_for_every_stage() {
+        for p in 1..5 {
+            for n_micro in 1..5 {
+                let sched = generate_schedule(p, n_micro, n_micro.max(2));
+                for stage in 0..p {
+                    assert!(
+                        boundary_drain_legal(&sched, stage),
+                        "p={p} m={n_micro} stage={stage}"
+                    );
                 }
             }
         }
@@ -132,46 +122,33 @@ mod tests {
     fn a_finished_stage_may_drain_whatever_the_others_have_done() {
         // The drained stage has produced everything it ever will, so the
         // rest of the pipeline can always run to completion without it.
-        for (disc, offline) in DISCIPLINES {
-            let sched = offline(3, 4, 4);
-            for stage in 0..3 {
-                let mut completed = vec![0usize; 3];
-                completed[stage] = sched.per_stage[stage].len();
-                assert!(
-                    drain_in_place_legal(&sched, stage, &completed),
-                    "{disc} stage={stage}"
-                );
-            }
+        let sched = generate_schedule(3, 4, 4);
+        for stage in 0..3 {
+            let mut completed = vec![0usize; 3];
+            completed[stage] = sched.per_stage[stage].len();
+            assert!(
+                drain_in_place_legal(&sched, stage, &completed),
+                "stage={stage}"
+            );
         }
     }
 
     #[test]
     fn cutting_off_a_backward_the_upstream_stage_still_needs_is_illegal() {
-        for (disc, offline) in DISCIPLINES {
-            let sched = offline(2, 3, 3);
-            // Freeze stage 1 one op short: its last backward never lands,
-            // so stage 0's matching backward can never run.
-            let cut = sched.per_stage[1].len() - 1;
-            assert_eq!(sched.per_stage[1][cut].kind, OpKind::Backward);
-            let completed = vec![0, cut];
-            assert!(
-                !drain_in_place_legal(&sched, 1, &completed),
-                "{disc}: missing downstream backward must block the drain"
-            );
-        }
+        let sched = generate_schedule(2, 3, 3);
+        // Freeze stage 1 one op short: its last backward never lands, so
+        // stage 0's matching backward can never run.
+        let cut = sched.per_stage[1].len() - 1;
+        assert_eq!(sched.per_stage[1][cut].kind, OpKind::Backward);
+        assert!(!drain_in_place_legal(&sched, 1, &[0, cut]));
     }
 
     #[test]
     fn cutting_off_a_forward_the_downstream_stage_still_needs_is_illegal() {
-        for (disc, offline) in DISCIPLINES {
-            let sched = offline(2, 3, 3);
-            // Freeze stage 0 before any op: stage 1 never receives a
-            // single forward activation.
-            assert!(
-                !drain_in_place_legal(&sched, 0, &[0, 0]),
-                "{disc}: missing upstream forwards must block the drain"
-            );
-        }
+        // Freeze stage 0 before any op: stage 1 never receives a single
+        // forward activation.
+        let sched = generate_schedule(2, 3, 3);
+        assert!(!drain_in_place_legal(&sched, 0, &[0, 0]));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! - [`schedule`]: Varuna's schedule rules (paper §3.2), written once as
 //!   the event-driven kernel [`varuna_schedule`] — the planner runs it at
 //!   calibrated times, [`generate_schedule`] at unit times — plus the
-//!   unit-time [`enumerate_policy`] for any other policy, and the run-time
-//!   [`VarunaPolicy`] that follows a static order opportunistically.
+//!   run-time [`VarunaPolicy`] that follows a static order
+//!   opportunistically. Any other policy's unit-time schedule is rendered
+//!   by the `varuna-exec` emulator (`render_unit_schedule`).
 //! - [`queue`]: the deterministic `(time, seq)` [`EventQueue`] that orders
 //!   the kernel's events and the `varuna-exec` emulator's.
 //!
@@ -45,6 +46,4 @@ pub use drain::{boundary_drain_legal, drain_in_place_legal};
 pub use op::{Op, OpKind};
 pub use policy::{GPipePolicy, GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
 pub use queue::EventQueue;
-pub use schedule::{
-    enumerate_policy, generate_schedule, varuna_schedule, StageOrder, StaticSchedule, VarunaPolicy,
-};
+pub use schedule::{generate_schedule, varuna_schedule, StageOrder, StaticSchedule, VarunaPolicy};

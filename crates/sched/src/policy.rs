@@ -2,8 +2,8 @@
 //!
 //! A policy decides, whenever a stage's GPU goes idle, which legal
 //! operation to run next. The engine computes legality; the policy picks
-//! the discipline. GPipe (here, so the offline enumerator can render
-//! Figure 4 from it), 1F1B and PipeDream (in `varuna-baselines`) and
+//! the discipline. GPipe (here, beside the greedy reference policy),
+//! 1F1B and PipeDream (in `varuna-baselines`) and
 //! Varuna's static+opportunistic schedule ([`crate::schedule`]) all
 //! implement this trait, so they are compared on identical substrates.
 

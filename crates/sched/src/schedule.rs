@@ -17,9 +17,9 @@
 //! latency). Its events are ordered by the [`EventQueue`] in
 //! [`crate::queue`].
 //!
-//! [`enumerate_policy`] renders any other [`SchedulePolicy`] under that
-//! unit-time model with a time-stepped loop — GPipe's Figure 4 schedule
-//! is [`crate::policy::GPipePolicy`] run through it; GPipe's
+//! Any other [`SchedulePolicy`] is rendered under that unit-time model by
+//! the `varuna-exec` emulator (`render_unit_schedule`): GPipe's Figure 4
+//! schedule is [`crate::policy::GPipePolicy`] run there, since GPipe's
 //! reverse-order backwards do not fit the kernel's FIFO gradients.
 //!
 //! At run time each stage follows its static order, but when the
@@ -31,7 +31,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::op::{Op, OpKind};
-use crate::policy::{PolicyFactory, SchedulePolicy, StageView};
+use crate::policy::{SchedulePolicy, StageView};
 use crate::queue::EventQueue;
 
 /// An offline-enumerated schedule: one ordered op list per stage.
@@ -45,8 +45,8 @@ pub struct StaticSchedule {
     pub per_stage: Vec<Vec<Op>>,
     /// Makespan of the order, in the units of the times it was planned
     /// with: unit time (`F = R = 1`, `B = 2`) for [`generate_schedule`]
-    /// and [`enumerate_policy`], seconds for a schedule planned from
-    /// calibrated times (`varuna::simulator::plan_schedule`).
+    /// and the emulator's `render_unit_schedule`, seconds for a schedule
+    /// planned from calibrated times (`varuna::simulator::plan_schedule`).
     pub makespan: f64,
 }
 
@@ -308,190 +308,6 @@ impl Kernel<'_> {
     }
 }
 
-/// Enumerates the offline op order produced by an arbitrary
-/// [`SchedulePolicy`] under the unit-time model of [`generate_schedule`]
-/// (`F = R = 1`, `B = 2`, zero network latency): at each instant, every
-/// free stage in stage order runs the op its policy picks; time then
-/// advances to the next op completion.
-///
-/// One policy instance per stage is driven through the [`StageView`]
-/// legality interface — exactly as the emulator and the numeric trainer
-/// do — so any discipline (GPipe, 1F1B, PipeDream, greedy, …) can be
-/// rendered as a [`StaticSchedule`] without a second rule encoding. Pass
-/// `recompute_enabled = false` for disciplines that store activations
-/// instead of rematerializing them (PipeDream).
-///
-/// # Panics
-///
-/// Panics if any size argument is zero, if a policy returns an illegal op,
-/// or if the policies wedge (no stage can make progress and the schedule
-/// cannot terminate).
-pub fn enumerate_policy(
-    p: usize,
-    n_micro: usize,
-    window: usize,
-    recompute_enabled: bool,
-    factory: &PolicyFactory<'_>,
-) -> StaticSchedule {
-    assert!(p >= 1 && n_micro >= 1 && window >= 1);
-    const F: f64 = 1.0;
-    const R: f64 = 1.0;
-    const B: f64 = 2.0;
-
-    let mut policies: Vec<Box<dyn SchedulePolicy>> = (0..p).map(|s| factory(s, 0)).collect();
-    let mut pipe = Pipe {
-        stages: (0..p)
-            .map(|_| Stage {
-                free_at: 0.0,
-                fwd_done: 0,
-                fwd_end: vec![f64::INFINITY; n_micro],
-                bwd_done: vec![false; n_micro],
-                bwd_end: vec![f64::INFINITY; n_micro],
-                rec_done: vec![false; n_micro],
-                pending_rec: None,
-                live: None,
-                stash: 0,
-                order: Vec::with_capacity(3 * n_micro),
-            })
-            .collect(),
-        n_micro,
-        window,
-        now: 0.0,
-    };
-    let total_backwards = p * n_micro;
-    let mut done = 0usize;
-    // A guard against policy bugs (the schedule must terminate).
-    let mut guard = 0usize;
-    while done < total_backwards {
-        guard += 1;
-        assert!(
-            guard < 100 * total_backwards + 100,
-            "schedule enumeration diverged"
-        );
-        for (s, policy) in policies.iter_mut().enumerate() {
-            if pipe.stages[s].free_at > pipe.now {
-                continue;
-            }
-            let stage = &pipe.stages[s];
-            let grads_ready: Vec<bool> = (0..n_micro)
-                .map(|m| !stage.bwd_done[m] && pipe.grad_ready(s, m))
-                .collect();
-            let view = StageView {
-                stage: s,
-                p,
-                last_stage: s == p - 1,
-                n_micro,
-                forwards_done: stage.fwd_done,
-                next_forward_ready: pipe.forward_ready(s),
-                grads_ready: &grads_ready,
-                recomputes_done: &stage.rec_done,
-                backwards_done: &stage.bwd_done,
-                live_acts: stage.live,
-                pending_recompute: stage.pending_rec,
-                stash_len: stage.stash,
-                stash_window: window,
-                recompute_enabled,
-            };
-            let Some(op) = policy.pick(&view) else {
-                continue;
-            };
-            assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
-            let now = pipe.now;
-            let stage = &mut pipe.stages[s];
-            stage.order.push(op);
-            match op.kind {
-                OpKind::Forward => {
-                    stage.fwd_end[op.micro] = now + F;
-                    stage.fwd_done += 1;
-                    stage.stash += 1;
-                    stage.live = Some(op.micro);
-                    stage.free_at = now + F;
-                }
-                OpKind::Recompute => {
-                    stage.rec_done[op.micro] = true;
-                    stage.pending_rec = Some(op.micro);
-                    stage.live = Some(op.micro);
-                    stage.free_at = now + R;
-                }
-                OpKind::Backward => {
-                    stage.bwd_done[op.micro] = true;
-                    stage.bwd_end[op.micro] = now + B;
-                    stage.pending_rec = None;
-                    stage.live = None;
-                    stage.stash -= 1;
-                    stage.free_at = now + B;
-                    done += 1;
-                }
-            }
-        }
-        // Advance to the earliest completion strictly after `now`; when
-        // every stage idles, step one quantum and re-evaluate (the guard
-        // above catches true deadlock).
-        let now = pipe.now;
-        let next = pipe
-            .stages
-            .iter()
-            .map(|stage| stage.free_at)
-            .filter(|&t| t > now)
-            .fold(f64::INFINITY, f64::min);
-        pipe.now = if next.is_finite() { next } else { now + F };
-    }
-    let makespan = pipe
-        .stages
-        .iter()
-        .flat_map(|stage| stage.bwd_end.iter())
-        .fold(0.0f64, |a, &b| a.max(b));
-    StaticSchedule {
-        p,
-        n_micro,
-        per_stage: pipe.stages.into_iter().map(|stage| stage.order).collect(),
-        makespan,
-    }
-}
-
-/// One stage of [`enumerate_policy`]'s unit-time model.
-struct Stage {
-    free_at: f64,
-    fwd_done: usize,
-    fwd_end: Vec<f64>,
-    bwd_done: Vec<bool>,
-    bwd_end: Vec<f64>,
-    rec_done: Vec<bool>,
-    pending_rec: Option<usize>,
-    live: Option<usize>,
-    stash: usize,
-    order: Vec<Op>,
-}
-
-/// [`enumerate_policy`]'s unit-time model at instant `now`.
-struct Pipe {
-    stages: Vec<Stage>,
-    n_micro: usize,
-    window: usize,
-    now: f64,
-}
-
-impl Pipe {
-    /// Whether stage `s` holds the gradient for micro-batch `m`: stage
-    /// `s+1`'s backward has ended (zero latency) or, on the last stage, its
-    /// own forward has.
-    fn grad_ready(&self, s: usize, m: usize) -> bool {
-        match self.stages.get(s + 1) {
-            Some(next) => next.bwd_end[m] <= self.now,
-            None => self.stages[s].fwd_end[m] <= self.now,
-        }
-    }
-
-    /// Whether stage `s`'s next forward may start: micro-batches remain,
-    /// the stash has room, and the upstream forward has ended.
-    fn forward_ready(&self, s: usize) -> bool {
-        let stage = &self.stages[s];
-        stage.fwd_done < self.n_micro
-            && stage.stash < self.window
-            && (s == 0 || self.stages[s - 1].fwd_end[stage.fwd_done] <= self.now)
-    }
-}
-
 /// The run-time policy: follow the static order; when the designated op is
 /// blocked, opportunistically run a later forward from the list.
 #[derive(Debug, Clone)]
@@ -679,11 +495,6 @@ fn pick_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::GPipePolicy;
-
-    fn gpipe(p: usize, n_micro: usize, window: usize) -> StaticSchedule {
-        enumerate_policy(p, n_micro, window, true, &|_, _| Box::new(GPipePolicy))
-    }
 
     /// Asserts every stage forwards and backpropagates each micro-batch
     /// once and never holds more than `window` stashes.
@@ -703,20 +514,6 @@ mod tests {
                 assert!(outstanding <= window, "window violated in {ops:?}");
             }
         }
-    }
-
-    #[test]
-    fn figure4_varuna_beats_gpipe_makespan() {
-        // Figure 4: 4 stages, 5 micro-batches — Varuna's schedule is
-        // strictly shorter than GPipe's.
-        let v = generate_schedule(4, 5, usize::MAX);
-        let g = gpipe(4, 5, usize::MAX);
-        assert!(
-            v.makespan + 0.5 < g.makespan,
-            "varuna {} vs gpipe {}",
-            v.makespan,
-            g.makespan
-        );
     }
 
     #[test]
@@ -754,31 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn gpipe_backwards_are_reverse_order() {
-        let s = gpipe(3, 4, usize::MAX);
-        let order: Vec<usize> = s.per_stage[0]
-            .iter()
-            .filter(|o| o.kind == OpKind::Backward)
-            .map(|o| o.micro)
-            .collect();
-        assert_eq!(order, vec![3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn gpipe_drains_forwarded_microbatches_under_a_tight_stash_window() {
-        // With fewer stash slots than micro-batches, GPipe's phase 2 must
-        // drain the micro-batches it has forwarded to make room for the
-        // rest, not wait on one whose forward never ran.
-        for p in 1..=5 {
-            for n in 2..=9 {
-                for window in 1..n {
-                    assert_complete_within(&gpipe(p, n, window), window);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn makespan_scales_sublinearly_with_pipeline_depth() {
         // The bubble grows with P but amortizes over micro-batches.
         let n = 32;
@@ -798,33 +570,6 @@ mod tests {
         // With a window of 2, no stage's schedule may have more than 2
         // forwards not yet matched by backwards at any prefix.
         assert_complete_within(&generate_schedule(4, 12, 2), 2);
-    }
-
-    #[test]
-    fn policy_enumeration_runs_greedy_to_completion() {
-        use crate::policy::GreedyPolicy;
-        let s = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GreedyPolicy));
-        assert_complete_within(&s, usize::MAX);
-        assert!(s.makespan > 0.0);
-    }
-
-    #[test]
-    fn strict_varuna_policy_replays_its_static_schedule() {
-        // Driving the strict VarunaPolicy through the generic enumerator
-        // under the same unit-time model must reproduce the kernel's order
-        // on every shape — the policy and the kernel's rules are two views
-        // of one schedule.
-        for p in 1..=8 {
-            for n in 1..=16 {
-                for w in [1, 2, 3, 4, 8, usize::MAX] {
-                    let s = generate_schedule(p, n, w);
-                    let replayed = enumerate_policy(p, n, w, true, &|stage, _| {
-                        Box::new(VarunaPolicy::strict_for_stage(&s, stage))
-                    });
-                    assert_eq!(s.per_stage, replayed.per_stage, "p={p} n={n} w={w}");
-                }
-            }
-        }
     }
 
     #[test]

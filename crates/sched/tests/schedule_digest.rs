@@ -1,14 +1,13 @@
-//! Pins the unit-time schedules' output, bit for bit.
+//! Pins the unit-time Varuna schedules' output, bit for bit.
 //!
 //! An FNV-1a digest over `(p, n_micro, window, per_stage,
 //! makespan.to_bits())` of every Varuna schedule (the kernel at unit
-//! times) for `p ≤ 8`, `n ≤ 16` and six stash windows, and of every GPipe
-//! schedule (`enumerate_policy`'s unit-time loop) whose window holds all
-//! `n` micro-batches. A refactor of either that moves a single op or
-//! makespan bit changes a digest.
+//! times) for `p ≤ 8`, `n ≤ 16` and six stash windows. A refactor of the
+//! kernel that moves a single op or makespan bit changes the digest. The
+//! GPipe half, rendered by the emulator, is pinned in `varuna-exec`'s
+//! `unit_schedules` tests.
 
-use varuna_sched::policy::GPipePolicy;
-use varuna_sched::schedule::{enumerate_policy, generate_schedule, StaticSchedule};
+use varuna_sched::schedule::{generate_schedule, StaticSchedule};
 
 const WINDOWS: [usize; 6] = [1, 2, 3, 4, 8, usize::MAX];
 
@@ -36,20 +35,13 @@ fn fold(h: &mut u64, window: usize, s: &StaticSchedule) {
 #[test]
 fn offline_schedules_match_their_pinned_digests() {
     let mut varuna = (0usize, 0xcbf2_9ce4_8422_2325u64);
-    let mut gpipe = (0usize, 0xcbf2_9ce4_8422_2325u64);
     for p in 1..=8 {
         for n in 1..=16 {
             for w in WINDOWS {
                 fold(&mut varuna.1, w, &generate_schedule(p, n, w));
                 varuna.0 += 1;
-                if w >= n {
-                    let s = enumerate_policy(p, n, w, true, &|_, _| Box::new(GPipePolicy));
-                    fold(&mut gpipe.1, w, &s);
-                    gpipe.0 += 1;
-                }
             }
         }
     }
     assert_eq!(varuna, (768, 0xa711_159b_742a_32f0), "varuna digest moved");
-    assert_eq!(gpipe, (272, 0x966e_deb8_20ef_6607), "gpipe digest moved");
 }

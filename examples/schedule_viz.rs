@@ -6,8 +6,8 @@
 //! the gap widening under network jitter. Every chart is in `varuna-sched`
 //! unit time (`F = R = 1`, `B = 2`): Varuna's via [`generate_schedule`],
 //! the planner's schedule kernel at unit times, and GPipe, 1F1B and
-//! PipeDream via [`enumerate_policy`], which drives any
-//! [`SchedulePolicy`] through a unit-time loop.
+//! PipeDream via [`render_unit_schedule`], which runs any
+//! [`SchedulePolicy`] on the emulator at unit times.
 //!
 //! ```console
 //! $ cargo run --release --example schedule_viz
@@ -16,20 +16,22 @@
 use varuna_baselines::{GPipePolicy, OneF1BPolicy, PipeDreamPolicy};
 use varuna_exec::gantt::ascii_gantt;
 use varuna_exec::job::PlacedJob;
-use varuna_exec::pipeline::{simulate_minibatch_on_bus, MinibatchResult, SimOptions};
+use varuna_exec::pipeline::{
+    render_unit_schedule, simulate_minibatch_on_bus, MinibatchResult, SimOptions,
+};
 use varuna_exec::placement::Placement;
 use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
 use varuna_net::Topology;
 use varuna_obs::{profile::spans, EventBus, ProfileSpan, VecSink};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy};
-use varuna_sched::schedule::{enumerate_policy, generate_schedule, VarunaPolicy};
+use varuna_sched::schedule::{generate_schedule, StaticSchedule, VarunaPolicy};
 
 fn main() {
     // Offline unit-time schedules (F = R = 1, B = 2), as in Figure 4.
     let v = generate_schedule(4, 5, usize::MAX);
-    let g = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
-    let f = enumerate_policy(4, 5, usize::MAX, true, &|_, _| Box::new(OneF1BPolicy));
-    let d = enumerate_policy(4, 5, usize::MAX, false, &|_, _| Box::new(PipeDreamPolicy));
+    let g = render(true, &|_, _| Box::new(GPipePolicy));
+    let f = render(true, &|_, _| Box::new(OneF1BPolicy));
+    let d = render(false, &|_, _| Box::new(PipeDreamPolicy));
     println!("Varuna static schedule (makespan {} units):", v.makespan);
     print_ops(&v.per_stage);
     println!("\nGPipe schedule (makespan {} units):", g.makespan);
@@ -76,6 +78,11 @@ fn main() {
     println!("{}", ascii_gantt(&varuna_spans, 4, 0, cell));
     println!("GPipe execution:");
     println!("{}", ascii_gantt(&gpipe_spans, 4, 0, cell));
+}
+
+/// The Figure 4 shape's unit-time schedule under `policies`.
+fn render(recompute: bool, policies: &PolicyFactory<'_>) -> StaticSchedule {
+    render_unit_schedule(4, 5, usize::MAX, recompute, policies).unwrap()
 }
 
 /// Emulates one mini-batch and returns it with the per-op spans rebuilt

@@ -2,12 +2,13 @@
 
 use proptest::prelude::*;
 use varuna::partition::{bottleneck_cost, partition_costs};
+use varuna_exec::pipeline::render_unit_schedule;
 use varuna_models::{CutpointGraph, ModelZoo};
 use varuna_net::collective::{allreduce_time, AllreduceSpec};
 use varuna_net::Link;
 use varuna_sched::op::OpKind;
 use varuna_sched::policy::GPipePolicy;
-use varuna_sched::schedule::{enumerate_policy, generate_schedule};
+use varuna_sched::schedule::generate_schedule;
 use varuna_train::data::{Corpus, VOCAB};
 use varuna_train::model::ModelConfig;
 use varuna_train::pipeline::PipelineTrainer;
@@ -60,7 +61,8 @@ proptest! {
     #[test]
     fn varuna_never_loses_to_gpipe_offline(p in 2usize..7, n in 2usize..16) {
         let v = generate_schedule(p, n, usize::MAX);
-        let g = enumerate_policy(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy));
+        let g = render_unit_schedule(p, n, usize::MAX, true, &|_, _| Box::new(GPipePolicy))
+            .expect("gpipe completes");
         prop_assert!(
             v.makespan <= g.makespan + 1e-9,
             "varuna {} vs gpipe {} at p={} n={}", v.makespan, g.makespan, p, n

@@ -9,8 +9,9 @@
 //! rendered, or to which shapes wedge, moves a digest.
 
 use varuna_baselines::{GPipePolicy, OneF1BPolicy, PipeDreamPolicy};
+use varuna_exec::pipeline::{render_unit_schedule, SimError};
 use varuna_sched::policy::PolicyFactory;
-use varuna_sched::schedule::{enumerate_policy, StaticSchedule};
+use varuna_sched::schedule::StaticSchedule;
 
 const WINDOWS: [usize; 6] = [1, 2, 3, 4, 8, usize::MAX];
 
@@ -25,8 +26,9 @@ fn render(
     recompute: bool,
     factory: &PolicyFactory<'_>,
 ) -> Option<StaticSchedule> {
-    let run = std::panic::AssertUnwindSafe(|| enumerate_policy(p, n, w, recompute, factory));
-    std::panic::catch_unwind(run).ok()
+    render_unit_schedule(p, n, w, recompute, factory)
+        .map_err(|SimError::Deadlock { .. }| ())
+        .ok()
 }
 
 /// FNV-1a, folded one word at a time.
@@ -68,13 +70,9 @@ fn digest(recompute: bool, factory: &PolicyFactory<'_>) -> (usize, usize, u64) {
 
 #[test]
 fn baseline_unit_time_renders_are_pinned() {
-    // The wedged 1F1B shapes would otherwise print one panic each.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let gpipe = digest(true, &|_, _| Box::new(GPipePolicy));
     let onef1b = digest(true, &|_, _| Box::new(OneF1BPolicy));
     let pipedream = digest(false, &|_, _| Box::new(PipeDreamPolicy));
-    std::panic::set_hook(hook);
     assert_eq!(gpipe, (768, 0, 0x7b52_503a_fbd7_00fa), "gpipe");
     assert_eq!(onef1b, (768, 302, 0xd010_4cc9_14e0_4c98), "1f1b");
     assert_eq!(pipedream, (768, 0, 0x0c3b_e094_dfd0_5d60), "pipedream");
