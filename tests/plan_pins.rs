@@ -2,16 +2,18 @@
 //! search counters and the error text, for the analytic planner and for
 //! `SimSearch` under three budgets, on every rung of the recovery ladder
 //! (preferred micro-batch, reduced micro-batch, offload, nothing fits).
-//! Each outcome folds into an FNV-1a digest of
+//! Each outcome folds into FNV-1a digests. The pick digest covers
 //! `(p, d, m, n_micro, offload, est_minibatch_time bits)`, the
-//! `FallbackLevel`, the `PlanMetrics` counters (`plan_seconds` excluded:
-//! it is wall-clock time) and the `Display` text of each error. Any change
-//! to candidate generation, scoring, the budget, the memo, the ladder or
-//! the tie rule of the pick moves these digests.
+//! `FallbackLevel` and the `Display` text of each error; the counters
+//! digest covers the `PlanMetrics` counters (`plan_seconds` excluded: it
+//! is wall-clock time) and the memo size. Any change to candidate
+//! generation, scoring, the ladder or the tie rule of the pick moves the
+//! pick digests; a change to how the search spends its budget or fills
+//! its memo moves only the counters digests.
 
 use varuna::{
-    Calibration, Config, EvalPath, FallbackLevel, PlanBudget, PlanMetrics, Planner, SimSearch,
-    VarunaCluster, VarunaError,
+    Calibration, Config, FallbackLevel, PlanBudget, PlanMetrics, Planner, SimSearch, VarunaCluster,
+    VarunaError,
 };
 use varuna_models::config::TransformerConfig;
 use varuna_models::ModelZoo;
@@ -158,35 +160,36 @@ fn analytic_digest(case: &Case) -> u64 {
     h.0
 }
 
-/// Digest of `SimSearch` outcomes under `budget` for every GPU count of
+/// Digests of `SimSearch` outcomes under `budget` for every GPU count of
 /// `case`, on one search per GPU count so the memo carries between its
 /// events: the ladder twice (cold, then memo-warm), then no ladder.
-fn sim_digest(case: &Case, budget: PlanBudget) -> u64 {
+/// Returns the pick digest and the counters digest.
+fn sim_digest(case: &Case, budget: PlanBudget) -> (u64, u64) {
     let calib = case.calibration();
     let planner = case.planner(&calib);
-    let mut h = Fnv::new();
+    let (mut pick, mut counters) = (Fnv::new(), Fnv::new());
     for &g in case.gpus {
         let search = SimSearch::new(budget);
         for _ in 0..2 {
             match search.best_config_with_fallback(&planner, g) {
                 Ok((cfg, level, metrics)) => {
-                    h.config(&cfg);
-                    h.level(level);
-                    h.metrics(&metrics);
+                    pick.config(&cfg);
+                    pick.level(level);
+                    counters.metrics(&metrics);
                 }
-                Err(e) => h.error(&e),
+                Err(e) => pick.error(&e),
             }
         }
         match search.best_config(&planner, g) {
             Ok((cfg, metrics)) => {
-                h.config(&cfg);
-                h.metrics(&metrics);
+                pick.config(&cfg);
+                counters.metrics(&metrics);
             }
-            Err(e) => h.error(&e),
+            Err(e) => pick.error(&e),
         }
-        h.word(search.memo_len() as u64);
+        counters.word(search.memo_len() as u64);
     }
-    h.0
+    (pick.0, counters.0)
 }
 
 /// Digest of one scored sweep: every candidate with its evaluation path,
@@ -198,11 +201,7 @@ fn sweep_digest(case: &Case, budget: PlanBudget, g: usize) -> u64 {
     let mut h = Fnv::new();
     for (cfg, path) in &scored {
         h.config(cfg);
-        h.word(match path {
-            EvalPath::Analytic => 0,
-            EvalPath::Simulated => 1,
-            EvalPath::Memoized => 2,
-        });
+        h.word(*path as u64);
     }
     h.metrics(&metrics);
     h.0
@@ -215,22 +214,33 @@ const ANALYTIC: &[(&str, u64)] = &[
     ("infeasible", 0xde16_5e06_2678_8d25),
 ];
 
-const SIM_0: &[(&str, u64)] = &[
-    ("preferred", 0x5bfc_5649_1208_4ff4),
-    ("reduced", 0xce24_ba75_8810_a1a0),
-    ("offload", 0x4ff2_379c_c3d0_aad8),
-    ("infeasible", 0x3699_0dd7_9ca9_7523),
+/// `(case, pick digest, counters digest)` under a zero budget.
+const SIM_0: &[(&str, u64, u64)] = &[
+    ("preferred", 0x2e52_cfb6_fa8d_27b8, 0x0376_ae93_9c41_4825),
+    ("reduced", 0x25b0_2f75_1413_f239, 0x0db3_100e_3869_c604),
+    ("offload", 0xbc9a_3a54_156c_8d44, 0x4ecb_7f4d_9987_e965),
+    ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
 ];
 
-const SIM_3: &[(&str, u64)] = &[
-    ("preferred", 0xac9e_06cf_ff5c_0281),
-    ("reduced", 0xb80c_9a44_fa0c_f671),
-    ("offload", 0x8ff4_a825_8369_70b5),
-    ("infeasible", 0x3699_0dd7_9ca9_7523),
+/// `(case, pick digest, counters digest)` under a 3-simulation budget.
+const SIM_3: &[(&str, u64, u64)] = &[
+    ("preferred", 0xbf2e_ab3b_331d_3554, 0x159a_aaa4_89fb_92cc),
+    ("reduced", 0x8210_c7c6_0b20_eee1, 0x1695_5251_2ab7_b58d),
+    ("offload", 0xa7c1_4417_519a_bd94, 0x488a_61d9_e11f_7384),
+    ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
 ];
 
-/// `SimSearch` under an unlimited budget, GPT-2 2.5B at 24 GPUs only.
-const SIM_UNLIMITED_24: u64 = 0xc29b_2824_52ec_d4ad;
+/// `(case, pick digest, counters digest)` under an unlimited budget.
+const SIM_UNLIMITED: &[(&str, u64, u64)] = &[
+    ("preferred", 0x1907_b45a_b938_15f5, 0x2d79_5dbe_1ca3_79a3),
+    ("reduced", 0x6bd0_40a9_19a6_1642, 0xa82a_db68_d8ae_cf6a),
+    ("offload", 0xa7c1_4417_519a_bd94, 0x488a_61d9_e11f_7384),
+    ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
+];
+
+/// `SimSearch` under an unlimited budget, GPT-2 2.5B at 24 GPUs only:
+/// `(pick digest, counters digest)`.
+const SIM_UNLIMITED_24: (u64, u64) = (0x1c5e_f755_6706_513b, 0x3086_7d17_7739_a7b3);
 
 /// `sweep_scored` of GPT-2 2.5B at 24 GPUs under a 3-simulation budget.
 const SWEEP_3_AT_24: u64 = 0xd8b2_d1d7_c941_28ee;
@@ -253,22 +263,33 @@ fn analytic_plans_on_every_rung_are_pinned() {
     assert_eq!(got, ANALYTIC, "got {got:#x?}");
 }
 
+/// Every case's `(name, pick digest, counters digest)` under `budget`.
+fn sim_digests(budget: PlanBudget) -> Vec<(&'static str, u64, u64)> {
+    cases()
+        .iter()
+        .map(|(name, case)| {
+            let (pick, counters) = sim_digest(case, budget);
+            (*name, pick, counters)
+        })
+        .collect()
+}
+
 #[test]
 fn zero_budget_sim_plans_on_every_rung_are_pinned() {
-    let got: Vec<_> = cases()
-        .iter()
-        .map(|(name, case)| (*name, sim_digest(case, PlanBudget::simulations(0))))
-        .collect();
+    let got = sim_digests(PlanBudget::simulations(0));
     assert_eq!(got, SIM_0, "got {got:#x?}");
 }
 
 #[test]
 fn three_simulation_plans_on_every_rung_are_pinned() {
-    let got: Vec<_> = cases()
-        .iter()
-        .map(|(name, case)| (*name, sim_digest(case, PlanBudget::simulations(3))))
-        .collect();
+    let got = sim_digests(PlanBudget::simulations(3));
     assert_eq!(got, SIM_3, "got {got:#x?}");
+}
+
+#[test]
+fn unlimited_sim_plans_on_every_rung_are_pinned() {
+    let got = sim_digests(PlanBudget::unlimited());
+    assert_eq!(got, SIM_UNLIMITED, "got {got:#x?}");
 }
 
 #[test]
@@ -278,7 +299,7 @@ fn unlimited_sim_plan_at_24_gpus_is_pinned() {
         ..preferred()
     };
     let got = sim_digest(&case, PlanBudget::unlimited());
-    assert_eq!(got, SIM_UNLIMITED_24, "got {got:#018x}");
+    assert_eq!(got, SIM_UNLIMITED_24, "got {got:#x?}");
 }
 
 #[test]
