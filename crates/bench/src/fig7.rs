@@ -1,7 +1,7 @@
 //! Figure 7: Gantt chart of one Varuna mini-batch on the GPT-2 20B model
 //! (49 stages x 6 replicas).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use varuna::calibrate::Calibration;
 use varuna::job::TrainingJob;
@@ -44,7 +44,8 @@ struct Replica0Sink {
 
 impl Replica0Sink {
     fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("sink lock"))
+        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *events)
     }
 }
 
@@ -58,7 +59,8 @@ impl EventSink for Replica0Sink {
             _ => false,
         };
         if keep {
-            self.events.lock().expect("sink lock").push(event.clone());
+            let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+            events.push(event.clone());
         }
     }
 }

@@ -216,11 +216,19 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(m) = micro {
         planner = planner.micro_batch(m);
     }
+    let sweep = planner.sweep(gpus);
+    if sweep.is_empty() {
+        // Nothing is feasible: fail with the reason `varuna plan` gives.
+        return Err(planner.best_config(gpus).map_or_else(
+            |e| e.to_string(),
+            |_| "no feasible configuration".to_string(),
+        ));
+    }
     println!(
         "{:>4} {:>4} {:>6} {:>6} {:>12} {:>10} {:>12}",
         "P", "D", "GPUs", "N_m", "est (s)", "ex/s", "ex/s/GPU"
     );
-    for cfg in planner.sweep(gpus) {
+    for cfg in sweep {
         println!(
             "{:>4} {:>4} {:>6} {:>6} {:>12.1} {:>10.1} {:>12.3}",
             cfg.p,

@@ -76,6 +76,28 @@ impl TrainingJob {
         cluster: &VarunaCluster,
         config: Config,
     ) -> Result<Self, VarunaError> {
+        let job = TrainingJob::place(calib, cluster, &config)?;
+        let schedule = static_schedule(calib, &config)?;
+        Ok(TrainingJob {
+            config,
+            job,
+            schedule,
+            model: calib.model.clone(),
+        })
+    }
+
+    /// The placed job of [`TrainingJob::build`] alone, without the static
+    /// schedule: all a lower bound on the emulated time needs (see
+    /// [`varuna_exec::pipeline::lower_bound`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TrainingJob::build`].
+    pub fn place(
+        calib: &Calibration,
+        cluster: &VarunaCluster,
+        config: &Config,
+    ) -> Result<PlacedJob, VarunaError> {
         if cluster.gpus() < config.gpus_used() {
             return Err(VarunaError::InvalidConfig(format!(
                 "config needs {} GPUs, cluster has {}",
@@ -122,23 +144,7 @@ impl TrainingJob {
             stutter: Vec::new(),
         };
         job.try_validate().map_err(VarunaError::InvalidConfig)?;
-        // Enumerate the static schedule from the calibrated stage times
-        // (§3.2's offline tool): it accounts for the non-uniform stages a
-        // balanced partition produces, unlike a unit-time enumeration.
-        let schedule = plan_schedule(&SimInput {
-            calib,
-            assignment: &config.assignment,
-            d: config.d,
-            m: config.m,
-            n_micro: config.n_micro,
-            offload: config.offload,
-        })?;
-        Ok(TrainingJob {
-            config,
-            job,
-            schedule,
-            model: calib.model.clone(),
-        })
+        Ok(job)
     }
 
     /// Like [`TrainingJob::build`], but reports a memory rejection as an
@@ -302,6 +308,29 @@ impl TrainingJob {
         );
         Ok((res, tput))
     }
+}
+
+/// The offline-enumerated Varuna schedule of `config`: §3.2's offline
+/// tool, run on the calibrated stage times, so it accounts for the
+/// non-uniform stages a balanced partition produces, unlike a unit-time
+/// enumeration.
+///
+/// # Errors
+///
+/// Fails only on a stage that does not fit memory, which
+/// [`TrainingJob::place`] rules out for the same inputs.
+pub(crate) fn static_schedule(
+    calib: &Calibration,
+    config: &Config,
+) -> Result<StaticSchedule, VarunaError> {
+    plan_schedule(&SimInput {
+        calib,
+        assignment: &config.assignment,
+        d: config.d,
+        m: config.m,
+        n_micro: config.n_micro,
+        offload: config.offload,
+    })
 }
 
 #[cfg(test)]

@@ -141,6 +141,19 @@ impl<'a> Planner<'a> {
     /// Fails when the shape is invalid, the micro-batch size was not
     /// calibrated, or a stage cannot fit GPU memory.
     pub(crate) fn candidate(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
+        self.partitioned(self.shape(p, d)?)
+    }
+
+    /// The cheap half of [`Planner::candidate`]: every check but memory,
+    /// with `m` and `N_m` derived and the stage assignment still empty.
+    /// The shape fixes the candidate's memo key, so a memoized candidate
+    /// needs nothing more.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the shape is invalid or the micro-batch size was not
+    /// calibrated.
+    pub(crate) fn shape(&self, p: usize, d: usize) -> Result<Config, VarunaError> {
         let k = self.calib.graph.len();
         if p == 0 || p > k {
             return Err(VarunaError::InvalidConfig(format!("p={p} not in 1..={k}")));
@@ -161,20 +174,30 @@ impl<'a> Planner<'a> {
         // M_total, a few trailing micro-batches run short; their gradient
         // weighting is handled by the accumulation, as in `varuna-train`).
         let n_micro = self.m_total.div_ceil(m * d);
-        let assignment = balanced_partition(&self.calib.graph, p);
-        for &(lo, hi) in &assignment {
-            self.calib.window(lo, hi, m, self.offload)?;
-        }
         Ok(Config {
             p,
             d,
             m,
             n_micro,
-            assignment,
+            assignment: Vec::new(),
             offload: self.offload,
             est_minibatch_time: f64::NAN,
             examples: self.m_total,
         })
+    }
+
+    /// The expensive half of [`Planner::candidate`]: the balanced stage
+    /// assignment of a [`Planner::shape`] and its memory check.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a stage cannot fit GPU memory.
+    pub(crate) fn partitioned(&self, mut cfg: Config) -> Result<Config, VarunaError> {
+        cfg.assignment = balanced_partition(&self.calib.graph, cfg.p);
+        for &(lo, hi) in &cfg.assignment {
+            self.calib.window(lo, hi, cfg.m, cfg.offload)?;
+        }
+        Ok(cfg)
     }
 
     /// The scoring step: the closed-form mini-batch time of a candidate.
@@ -208,10 +231,16 @@ impl<'a> Planner<'a> {
     /// Every feasible pipeline depth for `g` GPUs as an unscored candidate
     /// (see [`Planner::candidate`]), in increasing `p`.
     pub(crate) fn candidates(&self, g: usize) -> Vec<Config> {
-        let k = self.calib.graph.len();
-        (1..=k.min(g))
-            .filter_map(|p| self.candidate(p, g / p).ok())
+        self.shapes(g)
+            .filter_map(|shape| self.partitioned(shape).ok())
             .collect()
+    }
+
+    /// The [`Planner::shape`] of every pipeline depth for `g` GPUs that
+    /// passes its checks, in increasing `p`.
+    pub(crate) fn shapes(&self, g: usize) -> impl Iterator<Item = Config> + '_ {
+        let k = self.calib.graph.len();
+        (1..=k.min(g)).filter_map(move |p| self.shape(p, g / p).ok())
     }
 
     /// Sweeps every feasible pipeline depth for `g` GPUs, returning all

@@ -3,21 +3,54 @@
 //! The analytic planner ranks `(p, d, m)` candidates with a closed-form
 //! estimate; the paper's job manager instead scores each candidate with
 //! its *simulator* before morphing. [`SimSearch`] reproduces that loop:
-//! it takes the same candidates as [`Planner::sweep`], unscored, and scores
-//! each one exactly once by running the `varuna-exec` discrete-event
-//! emulator at zero jitter, with
+//! it takes the same candidates as [`Planner::sweep`], unscored, and
+//! scores them by running the `varuna-exec` discrete-event emulator at
+//! zero jitter, with
 //!
-//! - a **scoped-thread fan-out** so candidates are emulated in parallel,
 //! - a **memo table** keyed on `(p, d, m, N_m, offload, fingerprint)` —
 //!   the fingerprint covers the model's cut-point graph and every
 //!   calibrated primitive, so repeated morph events during a preemption
-//!   burst reuse prior evaluations even when total capacity differs, and
+//!   burst reuse prior evaluations even when total capacity differs. The
+//!   key fixes the whole candidate, so a memo hit is served without
+//!   partitioning the model again;
 //! - a **plan budget** (simulation count and/or wall-clock deadline) so
 //!   manager re-planning stays bounded. The analytic estimate is computed
 //!   only for candidates the budget leaves unscored (budget exhausted,
 //!   deadline passed, or emulator error), degrading the search to the
 //!   paper's `O(G)` analytic ranking rather than failing; a warm revisit
 //!   served entirely from the memo runs no estimate at all.
+//!
+//! A pick ([`SimSearch::best_config`], the ladder, `Oracle::plan`) is an
+//! exact **branch-and-bound** over the memo misses:
+//!
+//! - *Bound.* Each miss's placed job is built without its static
+//!   schedule, and [`lower_bound`] gives a time no zero-jitter emulation
+//!   of it can beat: its slowest stage's serial forward and backward
+//!   compute plus that stage's sync tail.
+//! - *Order.* The incumbent starts as the fastest memo hit. Misses are
+//!   emulated best-first, in ascending bound (ties by sweep order).
+//! - *Prune.* A miss whose bound is past the incumbent's time (by more
+//!   than a throughput tie) becomes [`EvalPath::Pruned`]: no schedule, no
+//!   emulation, no memo entry and no budget used. It cannot be the pick,
+//!   so the pick — including the last-of-equal-maxima tie rule — is the
+//!   exhaustive sweep's.
+//! - *Cutoff.* A miss that is emulated runs under the incumbent's time as
+//!   a cutoff ([`simulate_schedule_within`]) and is abandoned, as
+//!   `Pruned`, once it provably cannot finish in time. Only a run that
+//!   finishes within the cutoff is `Simulated`, memoized and a candidate
+//!   for incumbent.
+//! - *Budget.* `max_simulations` counts emulator runs started, cut-off
+//!   runs included. Misses the budget or the deadline leaves unrun keep
+//!   their analytic estimate and compete on it, as before.
+//! - *Threads.* Workers may run misses ahead of their turn, under a
+//!   cutoff no tighter than theirs will be, but every outcome commits in
+//!   bound order under the sequential rule above; a speculative outcome
+//!   the rule would not keep is discarded, never memoized. Counters, the
+//!   budget and the memo are the same for any thread count.
+//!
+//! [`SimSearch::sweep_scored`] stays exhaustive: it scores every candidate
+//! (subject to the budget, in sweep order) and is what the Table 7 study
+//! and the emulator-cost benchmarks read.
 //!
 //! The planning loop itself (the sweep, the pick and the recovery ladder)
 //! lives here once. [`Planner`] runs it with the analytic estimate as the
@@ -29,11 +62,12 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use varuna_exec::pipeline::SimOptions;
+use varuna_exec::job::PlacedJob;
+use varuna_exec::pipeline::{lower_bound, simulate_schedule_within, SimOptions};
 
 use crate::calibrate::Calibration;
 use crate::error::VarunaError;
-use crate::job::TrainingJob;
+use crate::job::{static_schedule, TrainingJob};
 use crate::planner::{Config, FallbackLevel, Planner};
 use crate::VarunaCluster;
 
@@ -45,14 +79,15 @@ use crate::VarunaCluster;
 /// tests that need byte-identical output should use count-only budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlanBudget {
-    /// Maximum emulator runs per planning event (memo hits are free).
+    /// Maximum emulator runs started per planning event, cut-off runs
+    /// included (memo hits and pruned candidates are free).
     pub max_simulations: Option<usize>,
     /// Wall-clock deadline per planning event, seconds.
     pub deadline_seconds: Option<f64>,
 }
 
 impl PlanBudget {
-    /// No bounds: every candidate is simulated.
+    /// No bounds: every candidate is simulated or pruned.
     pub fn unlimited() -> Self {
         PlanBudget {
             max_simulations: None,
@@ -97,13 +132,19 @@ pub enum EvalPath {
     Simulated,
     /// A memo-table hit from a previous planning event.
     Memoized,
+    /// Proved unable to win a pick, by its lower bound or by a cut-off
+    /// emulation; it has no score. Never returned by
+    /// [`SimSearch::sweep_scored`], which scores every candidate.
+    Pruned,
 }
 
 /// Counters for one planning event, reported through `varuna-obs` and the
-/// plan-latency bench.
+/// plan-latency bench. `simulated + memo_hits + analytic_fallbacks ==
+/// candidates`; the sweep produced `candidates + pruned` candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct PlanMetrics {
-    /// Candidates the sweep produced.
+    /// Candidates scored (emulated, memoized or analytic); pruned ones
+    /// are counted in `pruned` instead.
     pub candidates: u64,
     /// Candidates scored by a fresh emulation.
     pub simulated: u64,
@@ -112,6 +153,9 @@ pub struct PlanMetrics {
     /// Candidates left on their analytic estimate (budget exhausted or
     /// emulator error).
     pub analytic_fallbacks: u64,
+    /// Candidates a pick proved unable to win, before or during their
+    /// emulation (see [`EvalPath::Pruned`]).
+    pub pruned: u64,
     /// Wall-clock planning time, seconds (not deterministic; never put
     /// this in an event stream that must be byte-identical across runs).
     pub plan_seconds: f64,
@@ -120,7 +164,7 @@ pub struct PlanMetrics {
 }
 
 impl PlanMetrics {
-    /// Fraction of candidates served from the memo table.
+    /// Fraction of scored candidates served from the memo table.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.candidates == 0 {
             0.0
@@ -135,6 +179,7 @@ impl PlanMetrics {
         self.simulated += other.simulated;
         self.memo_hits += other.memo_hits;
         self.analytic_fallbacks += other.analytic_fallbacks;
+        self.pruned += other.pruned;
         self.plan_seconds += other.plan_seconds;
         self.budget_exhausted |= other.budget_exhausted;
     }
@@ -239,13 +284,82 @@ fn search_fingerprint(calib: &Calibration) -> u64 {
     h
 }
 
+/// What one emulation under a cutoff returned.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// It finished in this many seconds.
+    Done(f64),
+    /// It was abandoned: it cannot finish by its cutoff.
+    CutOff,
+    /// The emulator rejected the candidate.
+    Failed,
+}
+
+/// Emulates a memo miss, given its placed job, under a cutoff in seconds.
+type Emulate<'a> = dyn Fn(&Config, &PlacedJob, f64) -> Run + Sync + 'a;
+
+/// The production [`Emulate`]: the static schedule, then the emulator at
+/// zero jitter.
+fn emulate_within(calib: &Calibration, cfg: &Config, job: &PlacedJob, cutoff: f64) -> Run {
+    let Ok(schedule) = static_schedule(calib, cfg) else {
+        return Run::Failed;
+    };
+    match simulate_schedule_within(job, &schedule, &SimOptions::deterministic(), cutoff) {
+        Ok(Some(res)) => Run::Done(res.total_time),
+        Ok(None) => Run::CutOff,
+        Err(_) => Run::Failed,
+    }
+}
+
+/// A memo miss waiting for the branch-and-bound: its place in the sweep,
+/// its placed job and a lower bound on its emulated time. A miss pruned by
+/// an earlier event comes with the bound that pruned it and no job yet.
+struct Miss {
+    idx: usize,
+    job: Option<PlacedJob>,
+    bound: f64,
+}
+
+/// What the search has learnt about candidates, by memo key.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// Every candidate emulated to the end, scored with its exact time.
+    exact: HashMap<MemoKey, Config>,
+    /// Every pruned candidate's proven lower bound on its emulated time,
+    /// so a later event prunes it again without partitioning the model.
+    slower: HashMap<MemoKey, f64>,
+}
+
+/// The latest mini-batch time whose throughput, at `examples` per
+/// mini-batch, still ties that of `best` seconds: a candidate slower than
+/// this cannot be the pick, wherever it sits in the sweep. Infinite (no
+/// cutoff) when there is no incumbent or the tie does not close within a
+/// few ulps.
+fn latest_tie(examples: usize, best: f64) -> f64 {
+    let ex = examples as f64;
+    let throughput = ex / best;
+    let mut t = best;
+    for _ in 0..64 {
+        let next = t.next_up();
+        if ex / next < throughput {
+            return t;
+        }
+        t = next;
+    }
+    f64::INFINITY
+}
+
+fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|dl| Instant::now() >= dl)
+}
+
 /// The simulator-in-the-loop search. Interior-mutable (the memo table is
 /// behind a mutex) so a `&SimSearch` can score sweeps from worker threads.
 #[derive(Debug)]
 pub struct SimSearch {
     budget: PlanBudget,
     threads: usize,
-    memo: Mutex<HashMap<MemoKey, f64>>,
+    memo: Mutex<Memo>,
 }
 
 impl Clone for SimSearch {
@@ -268,7 +382,7 @@ impl SimSearch {
         SimSearch {
             budget,
             threads,
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(Memo::default()),
         }
     }
 
@@ -284,14 +398,14 @@ impl SimSearch {
         self.budget
     }
 
-    /// Entries in the memo table.
+    /// Entries in the memo table: candidates emulated to the end.
     pub fn memo_len(&self) -> usize {
-        self.memo.lock().expect("memo poisoned").len()
+        self.memo.lock().expect("memo poisoned").exact.len()
     }
 
-    /// Drops every memoized evaluation.
+    /// Drops every memoized evaluation and every remembered bound.
     pub fn clear_memo(&self) {
-        self.memo.lock().expect("memo poisoned").clear();
+        *self.memo.lock().expect("memo poisoned") = Memo::default();
     }
 
     /// Emulates one candidate on a right-sized cluster of `template`'s
@@ -313,7 +427,7 @@ impl SimSearch {
 
     /// Sweeps `g` GPUs like [`Planner::sweep`], scoring every candidate
     /// with the emulator (subject to budget), and tags each with how its
-    /// score was obtained.
+    /// score was obtained. Nothing is pruned.
     pub fn sweep_scored(
         &self,
         planner: &Planner<'_>,
@@ -322,11 +436,56 @@ impl SimSearch {
         sweep(planner, g, Some(self))
     }
 
-    /// The emulation passes of a sweep over `scored`, every candidate
-    /// still on [`EvalPath::Analytic`]: a memo hit, else an emulation
-    /// through `simulate` while the simulation budget and the deadline
-    /// last. Returns whether a budget bound left a candidate unscored.
-    fn emulate(
+    /// `planner`'s candidates for `g` GPUs in increasing `p`: memo hits
+    /// served scored from the memo, on [`EvalPath::Memoized`], the rest
+    /// unscored on [`EvalPath::Analytic`]. A candidate an earlier event
+    /// pruned is known to be feasible and stays a bare
+    /// [`Planner::shape`], with no stage assignment yet (see
+    /// [`partition_all`]); every other miss is partitioned here.
+    fn candidates(&self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+        let fingerprint = search_fingerprint(planner.calibration());
+        let memo = self.memo.lock().expect("memo poisoned");
+        planner
+            .shapes(g)
+            .filter_map(|shape| {
+                let key = MemoKey::of(&shape, fingerprint);
+                if let Some(hit) = memo.exact.get(&key) {
+                    let cfg = Config {
+                        examples: shape.examples,
+                        ..hit.clone()
+                    };
+                    return Some((cfg, EvalPath::Memoized));
+                }
+                if memo.slower.contains_key(&key) {
+                    return Some((shape, EvalPath::Analytic));
+                }
+                let cfg = planner.partitioned(shape).ok()?;
+                Some((cfg, EvalPath::Analytic))
+            })
+            .collect()
+    }
+
+    /// Memoizes `cfg`, scored with its exact time.
+    fn remember(&self, cfg: &Config, fingerprint: u64) {
+        let key = MemoKey::of(cfg, fingerprint);
+        let mut memo = self.memo.lock().expect("memo poisoned");
+        memo.slower.remove(&key);
+        memo.exact.insert(key, cfg.clone());
+    }
+
+    /// Records that `cfg` takes at least `bound` seconds.
+    fn remember_slower(&self, cfg: &Config, fingerprint: u64, bound: f64) {
+        let key = MemoKey::of(cfg, fingerprint);
+        let mut memo = self.memo.lock().expect("memo poisoned");
+        let known = memo.slower.entry(key).or_insert(bound);
+        *known = known.max(bound);
+    }
+
+    /// The exhaustive emulation pass of a sweep over `scored`: every miss
+    /// (a candidate still on [`EvalPath::Analytic`]) is emulated through
+    /// `simulate`, in sweep order, while the simulation budget and the
+    /// deadline last. Returns whether a budget bound left a miss unscored.
+    fn emulate_all(
         &self,
         planner: &Planner<'_>,
         scored: &mut [(Config, EvalPath)],
@@ -335,20 +494,9 @@ impl SimSearch {
         simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
     ) -> bool {
         let fingerprint = search_fingerprint(planner.calibration());
-
-        // Memo pass: hits are free and never count against the budget.
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let memo = self.memo.lock().expect("memo poisoned");
-            for (i, (cfg, path)) in scored.iter_mut().enumerate() {
-                if let Some(&t) = memo.get(&MemoKey::of(cfg, fingerprint)) {
-                    cfg.est_minibatch_time = t;
-                    *path = EvalPath::Memoized;
-                } else {
-                    misses.push(i);
-                }
-            }
-        }
+        let mut misses: Vec<usize> = (0..scored.len())
+            .filter(|&i| scored[i].1 == EvalPath::Analytic)
+            .collect();
 
         // Budget pass: only the first `sims_left` misses get emulated; the
         // rest fall back to their analytic estimate.
@@ -358,30 +506,26 @@ impl SimSearch {
         // Parallel fan-out: scoped workers claim miss indices from a shared
         // cursor. Results land in per-slot cells, so the outcome is
         // independent of thread count and interleaving.
-        let miss_cfgs: Vec<Config> = misses.iter().map(|&i| scored[i].0.clone()).collect();
         let results: Vec<Mutex<Option<Result<f64, VarunaError>>>> =
-            miss_cfgs.iter().map(|_| Mutex::new(None)).collect();
+            misses.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let workers = self.threads.min(miss_cfgs.len());
+        let workers = self.threads.min(misses.len());
         if workers > 0 {
+            let scored = &*scored;
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| loop {
                         let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= miss_cfgs.len() {
+                        if k >= misses.len() || past(deadline) {
                             break;
                         }
-                        if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                            break;
-                        }
-                        let outcome = simulate(&miss_cfgs[k]);
+                        let outcome = simulate(&scored[misses[k]].0);
                         *results[k].lock().expect("result slot poisoned") = Some(outcome);
                     });
                 }
             });
         }
 
-        let mut memo = self.memo.lock().expect("memo poisoned");
         for (k, &idx) in misses.iter().enumerate() {
             match results[k].lock().expect("result slot poisoned").take() {
                 Some(Ok(t)) => {
@@ -389,7 +533,7 @@ impl SimSearch {
                     let (cfg, path) = &mut scored[idx];
                     cfg.est_minibatch_time = t;
                     *path = EvalPath::Simulated;
-                    memo.insert(MemoKey::of(cfg, fingerprint), t);
+                    self.remember(cfg, fingerprint);
                 }
                 // The planner accepted it but the emulator could not run
                 // it; it keeps its analytic score.
@@ -399,6 +543,173 @@ impl SimSearch {
             }
         }
         exhausted
+    }
+
+    /// The branch-and-bound pass of a pick over `scored` (see the module
+    /// docs): bounds every miss, then emulates or prunes them in
+    /// ascending bound against the incumbent. A miss whose job cannot be
+    /// placed keeps its analytic estimate and uses no budget. Returns
+    /// whether a budget bound left an unpruned miss unscored.
+    fn branch_and_bound(
+        &self,
+        planner: &Planner<'_>,
+        scored: &mut [(Config, EvalPath)],
+        deadline: Option<Instant>,
+        sims_left: &mut usize,
+        emulate: &Emulate<'_>,
+    ) -> bool {
+        let calib = planner.calibration();
+        let fingerprint = search_fingerprint(calib);
+        let template = ClusterTemplate::from_calibration(calib);
+        let place = |cfg: &Config| TrainingJob::place(calib, &template.build(cfg.gpus_used()), cfg);
+        let examples = planner.total_batch();
+        // The incumbent: the fastest exact time so far.
+        let mut best = f64::INFINITY;
+        let mut misses = Vec::new();
+        {
+            let memo = self.memo.lock().expect("memo poisoned");
+            for (idx, (cfg, path)) in scored.iter().enumerate() {
+                if *path == EvalPath::Memoized {
+                    best = best.min(cfg.est_minibatch_time);
+                } else if let Some(&bound) = memo.slower.get(&MemoKey::of(cfg, fingerprint)) {
+                    misses.push(Miss {
+                        idx,
+                        job: None,
+                        bound,
+                    });
+                } else if let Ok(job) = place(cfg) {
+                    let bound = lower_bound(&job);
+                    misses.push(Miss {
+                        idx,
+                        job: Some(job),
+                        bound,
+                    });
+                }
+            }
+        }
+        misses.sort_by(|a, b| a.bound.total_cmp(&b.bound).then(a.idx.cmp(&b.idx)));
+        let ahead = self.speculate(
+            &misses, scored, best, examples, deadline, *sims_left, emulate,
+        );
+
+        // The commit: the sequential rule, in bound order.
+        let mut exhausted = false;
+        for (miss, ahead) in misses.into_iter().zip(ahead) {
+            let limit = latest_tie(examples, best);
+            let (cfg, path) = &mut scored[miss.idx];
+            if miss.bound > limit {
+                *path = EvalPath::Pruned;
+                self.remember_slower(cfg, fingerprint, miss.bound);
+                continue;
+            }
+            // A miss pruned before is partitioned and placed once it has
+            // to be scored after all.
+            if cfg.assignment.is_empty() {
+                match planner.partitioned(cfg.clone()) {
+                    Ok(full) => *cfg = full,
+                    // Infeasible after all: `tally` drops it.
+                    Err(_) => continue,
+                }
+            }
+            if *sims_left == 0 {
+                exhausted = true;
+                continue;
+            }
+            // A finished run is the same under any cutoff. A run cut off
+            // under a cutoff no tighter than `limit` would be cut off
+            // under `limit` too, and one that failed under a cutoff no
+            // looser than `limit` would fail under it too. Anything else
+            // runs now.
+            let run = match ahead {
+                Some((_, Run::Done(t))) => Run::Done(t),
+                Some((used, Run::CutOff)) if used >= limit => Run::CutOff,
+                Some((used, Run::Failed)) if used <= limit => Run::Failed,
+                _ if past(deadline) => {
+                    exhausted = true;
+                    continue;
+                }
+                _ => match miss.job.map_or_else(|| place(cfg), Ok) {
+                    Ok(job) => emulate(cfg, &job, limit),
+                    // Not placeable after all: it keeps its analytic score.
+                    Err(_) => continue,
+                },
+            };
+            *sims_left -= 1;
+            match run {
+                Run::Done(t) if t <= limit => {
+                    cfg.est_minibatch_time = t;
+                    *path = EvalPath::Simulated;
+                    self.remember(cfg, fingerprint);
+                    best = best.min(t);
+                }
+                // It cannot finish by `limit`.
+                Run::Done(_) | Run::CutOff => {
+                    *path = EvalPath::Pruned;
+                    self.remember_slower(cfg, fingerprint, miss.bound.max(limit.next_up()));
+                }
+                // The emulator rejected it; it keeps its analytic score.
+                Run::Failed => {}
+            }
+        }
+        exhausted
+    }
+
+    /// Runs `misses` ahead of the commit on the search's worker threads
+    /// and returns, per miss, the cutoff it ran under and its outcome
+    /// (`None` when no worker ran it). A worker's cutoff comes from the
+    /// memo hits and the finished runs of earlier misses only, so it is
+    /// never tighter than the commit's; it skips a miss that bound is
+    /// already past or that has no placed job yet, and starts no more runs
+    /// than the budget allows. One thread runs nothing ahead: the commit
+    /// runs every miss in turn.
+    #[allow(clippy::too_many_arguments)]
+    fn speculate(
+        &self,
+        misses: &[Miss],
+        scored: &[(Config, EvalPath)],
+        best: f64,
+        examples: usize,
+        deadline: Option<Instant>,
+        sims_left: usize,
+        emulate: &Emulate<'_>,
+    ) -> Vec<Option<(f64, Run)>> {
+        let ahead: Vec<Mutex<Option<(f64, Run)>>> =
+            misses.iter().map(|_| Mutex::new(None)).collect();
+        let workers = self.threads.min(misses.len());
+        if workers > 1 {
+            let (cursor, started) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| loop {
+                        let k = cursor.fetch_add(1, Ordering::Relaxed);
+                        if k >= misses.len() || past(deadline) {
+                            break;
+                        }
+                        let best = ahead[..k]
+                            .iter()
+                            .filter_map(|slot| match *slot.lock().expect("run slot poisoned") {
+                                Some((_, Run::Done(t))) => Some(t),
+                                _ => None,
+                            })
+                            .fold(best, f64::min);
+                        let limit = latest_tie(examples, best);
+                        let Some(job) = misses[k].job.as_ref().filter(|_| misses[k].bound <= limit)
+                        else {
+                            continue;
+                        };
+                        if started.fetch_add(1, Ordering::Relaxed) >= sims_left {
+                            break;
+                        }
+                        let run = emulate(&scored[misses[k].idx].0, job, limit);
+                        *ahead[k].lock().expect("run slot poisoned") = Some((limit, run));
+                    });
+                }
+            });
+        }
+        ahead
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("run slot poisoned"))
+            .collect()
     }
 
     /// The best configuration for `g` GPUs by emulator-scored throughput.
@@ -466,23 +777,33 @@ impl<'s> PlanEvent<'s> {
         }
     }
 
+    /// `planner`'s candidates for `g` GPUs, through the search's memo when
+    /// there is one.
+    fn candidates(&self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+        match self.search {
+            Some(search) => search.candidates(planner, g),
+            None => planner
+                .candidates(g)
+                .into_iter()
+                .map(|c| (c, EvalPath::Analytic))
+                .collect(),
+        }
+    }
+
     /// Scores each of `planner`'s candidates for `g` GPUs exactly once:
-    /// through [`SimSearch::emulate`] on the simulated path, then the
+    /// through [`SimSearch::emulate_all`] on the simulated path, then the
     /// analytic estimate for whatever that left unscored (every candidate
-    /// on the analytic path). A candidate whose estimate fails is dropped.
+    /// on the analytic path).
     fn score(
         &mut self,
         planner: &Planner<'_>,
         g: usize,
         simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
     ) -> Vec<(Config, EvalPath)> {
-        let mut scored: Vec<(Config, EvalPath)> = planner
-            .candidates(g)
-            .into_iter()
-            .map(|c| (c, EvalPath::Analytic))
-            .collect();
+        let mut scored = self.candidates(planner, g);
+        partition_all(planner, &mut scored);
         let exhausted = self.search.is_some_and(|search| {
-            search.emulate(
+            search.emulate_all(
                 planner,
                 &mut scored,
                 self.deadline,
@@ -490,6 +811,53 @@ impl<'s> PlanEvent<'s> {
                 simulate,
             )
         });
+        self.tally(planner, scored, exhausted)
+    }
+
+    /// [`PlanEvent::score`] with the emulator as the simulator.
+    fn sweep(&mut self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+        let calib = planner.calibration();
+        let template = ClusterTemplate::from_calibration(calib);
+        self.score(planner, g, &|cfg: &Config| {
+            SimSearch::simulate_candidate(calib, template, cfg)
+        })
+    }
+
+    /// The candidates a pick chooses among: [`PlanEvent::sweep`], except
+    /// that a search runs [`SimSearch::branch_and_bound`] through
+    /// `emulate` and drops what it pruned.
+    fn contenders(
+        &mut self,
+        planner: &Planner<'_>,
+        g: usize,
+        emulate: &Emulate<'_>,
+    ) -> Vec<(Config, EvalPath)> {
+        let mut scored = self.candidates(planner, g);
+        let exhausted = self.search.is_some_and(|search| {
+            search.branch_and_bound(
+                planner,
+                &mut scored,
+                self.deadline,
+                &mut self.sims_left,
+                emulate,
+            )
+        });
+        self.tally(planner, scored, exhausted)
+    }
+
+    /// Gives every candidate still on [`EvalPath::Analytic`] its analytic
+    /// estimate (dropping one whose estimate fails), drops the pruned ones
+    /// and counts the rest.
+    fn tally(
+        &mut self,
+        planner: &Planner<'_>,
+        mut scored: Vec<(Config, EvalPath)>,
+        exhausted: bool,
+    ) -> Vec<(Config, EvalPath)> {
+        let before = scored.len();
+        scored.retain(|(_, path)| *path != EvalPath::Pruned);
+        let pruned = (before - scored.len()) as u64;
+        partition_all(planner, &mut scored);
         scored.retain_mut(|(cfg, path)| {
             *path != EvalPath::Analytic
                 || planner
@@ -503,25 +871,35 @@ impl<'s> PlanEvent<'s> {
             simulated: count(EvalPath::Simulated),
             memo_hits: count(EvalPath::Memoized),
             analytic_fallbacks: count(EvalPath::Analytic),
+            pruned,
             plan_seconds: 0.0,
             budget_exhausted: exhausted,
         });
         scored
     }
 
-    /// [`PlanEvent::score`] with the emulator as the simulator.
-    fn sweep(&mut self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
-        let calib = planner.calibration();
-        let template = ClusterTemplate::from_calibration(calib);
-        self.score(planner, g, &|cfg: &Config| {
-            SimSearch::simulate_candidate(calib, template, cfg)
-        })
-    }
-
     fn finish(mut self) -> PlanMetrics {
         self.metrics.plan_seconds = self.start.elapsed().as_secs_f64();
         self.metrics
     }
+}
+
+/// Gives every bare shape [`SimSearch::candidates`] left its stage
+/// assignment, dropping one that no longer fits memory (a calibration
+/// with the same fingerprint but other memory limits).
+fn partition_all(planner: &Planner<'_>, scored: &mut Vec<(Config, EvalPath)>) {
+    scored.retain_mut(|(cfg, _)| {
+        if !cfg.assignment.is_empty() {
+            return true;
+        }
+        match planner.partitioned(cfg.clone()) {
+            Ok(full) => {
+                *cfg = full;
+                true
+            }
+            Err(_) => false,
+        }
+    });
 }
 
 /// One rung's scored sweep as a planning event of its own.
@@ -537,7 +915,7 @@ pub(crate) fn sweep(
 
 /// The planning loop of paper §4.4, for both scorers. The rungs are the
 /// preferred micro-batch, then (with `ladder`) halving it down to 1, then
-/// CPU optimizer-state offload at `m = 1`. Each rung is swept under the
+/// CPU optimizer-state offload at `m = 1`. Each rung is searched under the
 /// one event's budget, and the first rung with a feasible candidate
 /// yields its highest-throughput one (the last of equal maxima).
 ///
@@ -550,6 +928,20 @@ pub(crate) fn plan(
     g: usize,
     search: Option<&SimSearch>,
     ladder: bool,
+) -> Result<(Config, FallbackLevel, PlanMetrics), VarunaError> {
+    let calib = planner.calibration();
+    plan_with(planner, g, search, ladder, &|cfg, job, cutoff| {
+        emulate_within(calib, cfg, job, cutoff)
+    })
+}
+
+/// [`plan`] with `emulate` running the misses.
+fn plan_with(
+    planner: &Planner<'_>,
+    g: usize,
+    search: Option<&SimSearch>,
+    ladder: bool,
+    emulate: &Emulate<'_>,
 ) -> Result<(Config, FallbackLevel, PlanMetrics), VarunaError> {
     if !ladder {
         planner.calibrated_m()?;
@@ -572,7 +964,7 @@ pub(crate) fn plan(
     let mut event = PlanEvent::start(search);
     for (rung, level) in rungs {
         let best = event
-            .sweep(&rung, g)
+            .contenders(&rung, g, emulate)
             .into_iter()
             .map(|(cfg, _)| cfg)
             .max_by(|a, b| a.throughput().total_cmp(&b.throughput()));
@@ -805,10 +1197,11 @@ mod tests {
             ..PlanMetrics::default()
         };
         let mut memo = search.memo.lock().unwrap();
+        let memo = &mut memo.exact;
         let mut misses = Vec::new();
         for (i, (cfg, path)) in scored.iter_mut().enumerate() {
-            if let Some(&t) = memo.get(&MemoKey::of(cfg, fingerprint)) {
-                cfg.est_minibatch_time = t;
+            if let Some(hit) = memo.get(&MemoKey::of(cfg, fingerprint)) {
+                cfg.est_minibatch_time = hit.est_minibatch_time;
                 *path = EvalPath::Memoized;
                 metrics.memo_hits += 1;
             } else {
@@ -828,7 +1221,7 @@ mod tests {
                     let (cfg, path) = &mut scored[idx];
                     cfg.est_minibatch_time = t;
                     *path = EvalPath::Simulated;
-                    memo.insert(MemoKey::of(cfg, fingerprint), t);
+                    memo.insert(MemoKey::of(cfg, fingerprint), cfg.clone());
                 }
                 Err(_) => {
                     *sims_left = sims_left.saturating_sub(1);
@@ -980,5 +1373,157 @@ mod tests {
         let other =
             Calibration::profile(&ModelZoo::bert_large(), &VarunaCluster::commodity_1gpu(16));
         assert_ne!(search_fingerprint(&a), search_fingerprint(&other));
+    }
+
+    #[test]
+    fn memo_served_candidates_equal_what_the_planner_builds() {
+        let calib = setup(100);
+        let a = Planner::new(&calib.model, &calib)
+            .batch_size(1024)
+            .micro_batch(4);
+        // Another `M_total` with the same `N_m` at some depths shares
+        // their memo keys.
+        let b = a.clone().batch_size(1020);
+        let sweeps = SimSearch::new(PlanBudget::unlimited());
+        let picks = SimSearch::new(PlanBudget::unlimited());
+        let (mut hits, mut bare) = (0, 0);
+        for g in [24, 36, 100] {
+            sweeps.sweep_scored(&a, g);
+            picks.best_config(&a, g).unwrap();
+            for planner in [&a, &b] {
+                let built = planner.candidates(g);
+                for search in [&sweeps, &picks] {
+                    let served = search.candidates(planner, g);
+                    assert_eq!(served.len(), built.len(), "at {g} GPUs");
+                    for ((cfg, path), want) in served.into_iter().zip(&built) {
+                        let mut cfg = match path {
+                            EvalPath::Memoized => {
+                                hits += 1;
+                                assert!(cfg.est_minibatch_time > 0.0);
+                                cfg
+                            }
+                            _ if cfg.assignment.is_empty() => {
+                                bare += 1;
+                                planner.partitioned(cfg).unwrap()
+                            }
+                            _ => cfg,
+                        };
+                        cfg.est_minibatch_time = want.est_minibatch_time;
+                        assert_eq!(format!("{cfg:?}"), format!("{want:?}"), "at {g} GPUs");
+                    }
+                }
+            }
+        }
+        assert!(
+            hits > 0 && bare > 0,
+            "{hits} hits, {bare} remembered bounds"
+        );
+    }
+
+    /// One branch-and-bound pick of 2.5B at 36 GPUs under `budget` on a
+    /// cold search: the contenders, the counters, the emulator runs
+    /// started and the runs that did not finish within their cutoff.
+    fn counted_pick(
+        calib: &Calibration,
+        budget: PlanBudget,
+    ) -> (Vec<(Config, EvalPath)>, PlanMetrics, usize, usize) {
+        let planner = Planner::new(&calib.model, calib)
+            .batch_size(1024)
+            .micro_batch(4);
+        let (started, cut) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let emulate = |cfg: &Config, job: &PlacedJob, cutoff: f64| {
+            started.fetch_add(1, Ordering::Relaxed);
+            let run = emulate_within(calib, cfg, job, cutoff);
+            if !matches!(run, Run::Done(t) if t <= cutoff) {
+                cut.fetch_add(1, Ordering::Relaxed);
+            }
+            run
+        };
+        let search = SimSearch::new(budget).threads(1);
+        let mut event = PlanEvent::start(Some(&search));
+        let scored = event.contenders(&planner, 36, &emulate);
+        assert_eq!(search.memo_len() as u64, event.metrics.simulated);
+        (
+            scored,
+            event.metrics,
+            started.into_inner(),
+            cut.into_inner(),
+        )
+    }
+
+    #[test]
+    fn a_finite_budget_counts_runs_started_and_prunes_for_free() {
+        let calib = setup(100);
+        let planner = Planner::new(&calib.model, &calib)
+            .batch_size(1024)
+            .micro_batch(4);
+        let sweep = planner.sweep(36);
+        let (all, full, runs, cut) = counted_pick(&calib, PlanBudget::unlimited());
+        assert_eq!(full.candidates + full.pruned, sweep.len() as u64);
+        assert!(
+            full.pruned > cut as u64,
+            "some candidates pruned before running"
+        );
+        assert_eq!(full.simulated + cut as u64, runs as u64);
+        for n in 0..=runs + 1 {
+            let (scored, m, started, cut) = counted_pick(&calib, PlanBudget::simulations(n));
+            // Runs started, cut-off ones included, are what the budget
+            // counts; they are a prefix of the unlimited pick's runs.
+            assert_eq!(started, n.min(runs), "budget {n}");
+            assert_eq!(m.simulated + cut as u64, started as u64, "budget {n}");
+            assert_eq!(m.candidates + m.pruned, sweep.len() as u64, "budget {n}");
+            assert_eq!(m.budget_exhausted, n < runs, "budget {n}");
+            assert_eq!(m.analytic_fallbacks > 0, n < runs, "budget {n}");
+            // Misses left unrun keep their analytic estimate.
+            for (cfg, path) in &scored {
+                if *path == EvalPath::Analytic {
+                    let analytic = planner.evaluate(cfg.p, cfg.d).unwrap();
+                    assert_eq!(cfg.est_minibatch_time, analytic.est_minibatch_time);
+                }
+            }
+            if n >= runs {
+                assert_eq!(scored, all, "budget {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_candidate_the_emulator_rejects_in_a_pick_keeps_its_analytic_estimate() {
+        let calib = setup(24);
+        let planner = Planner::new(&calib.model, &calib)
+            .batch_size(768)
+            .micro_batch(4);
+        let template = ClusterTemplate::from_calibration(&calib);
+        let bound = |cfg: &Config| {
+            let job = TrainingJob::place(&calib, &template.build(cfg.gpus_used()), cfg);
+            lower_bound(&job.unwrap())
+        };
+        // The first miss in bound order always runs.
+        let first = planner
+            .candidates(24)
+            .into_iter()
+            .min_by(|a, b| bound(a).total_cmp(&bound(b)))
+            .unwrap();
+        let flaky = |cfg: &Config, job: &PlacedJob, cutoff: f64| {
+            if cfg.p == first.p {
+                Run::Failed
+            } else {
+                emulate_within(&calib, cfg, job, cutoff)
+            }
+        };
+        for threads in [1, 3] {
+            let search = SimSearch::new(PlanBudget::unlimited()).threads(threads);
+            let mut event = PlanEvent::start(Some(&search));
+            let scored = event.contenders(&planner, 24, &flaky);
+            assert_eq!(event.metrics.analytic_fallbacks, 1);
+            let (cfg, path) = scored.iter().find(|(c, _)| c.p == first.p).unwrap();
+            assert_eq!(*path, EvalPath::Analytic);
+            let analytic = planner.evaluate(cfg.p, cfg.d).unwrap();
+            assert_eq!(
+                cfg.est_minibatch_time.to_bits(),
+                analytic.est_minibatch_time.to_bits()
+            );
+            assert_eq!(search.memo_len() as u64, event.metrics.simulated);
+        }
     }
 }

@@ -616,7 +616,8 @@ pub enum WalRecord {
     PlanSearch {
         /// Decision time, hours.
         t_hours: f64,
-        /// Candidates the sweep produced.
+        /// Candidates scored (`simulated + memo_hits +
+        /// analytic_fallbacks`); pruned candidates are not logged.
         candidates: u64,
         /// Candidates scored by fresh emulation.
         simulated: u64,

@@ -54,13 +54,33 @@ fn uncalibrated_micro_batch_sizes_do_not_panic() {
         assert_ne!(out.status.code(), Some(101), "`varuna {args}`: {stderr}");
         assert!(!stderr.contains("panicked"), "`varuna {args}`: {stderr}");
     }
-    let out = varuna("plan --model gpt2-2.5b --gpus 8 --micro 5");
-    assert_eq!(out.status.code(), Some(1));
+    // Neither command plans with an uncalibrated size: both exit 1 with
+    // the same reason, and the sweep prints no table.
+    for command in ["plan", "sweep"] {
+        for micro in [5, 32] {
+            let args = format!("{command} --model gpt2-2.5b --gpus 8 --micro {micro}");
+            let out = varuna(&args);
+            assert_eq!(out.status.code(), Some(1), "`varuna {args}`");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!(
+                    "error: invalid configuration: micro-batch size {micro} was not calibrated \
+                     (calibrated sizes: [1, 2, 3, 4, 6, 8, 12, 16])\n"
+                ),
+                "`varuna {args}`"
+            );
+            assert!(out.stdout.is_empty(), "`varuna {args}`");
+        }
+    }
+    // A feasible size that no depth fits fails the sweep like the plan.
+    let plan = varuna("plan --model gpt2-200b --gpus 8 --micro 1");
+    let sweep = varuna("sweep --model gpt2-200b --gpus 8 --micro 1");
     assert_eq!(
-        String::from_utf8_lossy(&out.stderr),
-        "error: invalid configuration: micro-batch size 5 was not calibrated \
-         (calibrated sizes: [1, 2, 3, 4, 6, 8, 12, 16])\n"
+        (plan.status.code(), sweep.status.code()),
+        (Some(1), Some(1))
     );
+    assert_eq!(plan.stderr, sweep.stderr);
+    assert!(String::from_utf8_lossy(&sweep.stderr).contains("gpt2-200b"));
 }
 
 #[test]

@@ -47,8 +47,9 @@ pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
 pub use pipeline::{
-    render_unit_schedule, simulate_minibatch, simulate_minibatch_on_bus, simulate_schedule,
-    simulate_schedule_on_bus, MinibatchResult, SimOptions,
+    lower_bound, render_unit_schedule, simulate_minibatch, simulate_minibatch_on_bus,
+    simulate_schedule, simulate_schedule_on_bus, simulate_schedule_within, MinibatchResult,
+    SimOptions,
 };
 pub use placement::Placement;
 pub use varuna_sched::{GreedyPolicy, OpKind, PolicyFactory, SchedulePolicy, StageView};

@@ -383,6 +383,130 @@ pub fn simulate_schedule_on_bus(
     Emulator::new(job, varuna, opts, bus).run()
 }
 
+/// [`simulate_schedule`] that gives up once the run provably cannot finish
+/// by `cutoff` seconds: `Ok(None)` when it was abandoned, else the same
+/// result as [`simulate_schedule`], bit for bit.
+///
+/// At each op completion the slot's remaining serial forward and backward
+/// compute, plus its stage's sync tail, is a lower bound on the mini-batch
+/// time (see [`lower_bound`]); the run is abandoned when that bound passes
+/// `cutoff`. A run that completes may still end after `cutoff`: only the
+/// bound is checked. The bound holds at zero compute jitter, so pass
+/// options with `compute_jitter = 0.0` (the planner's
+/// [`SimOptions::deterministic`]).
+///
+/// # Errors
+///
+/// Returns [`SimError::Deadlock`] if the schedule wedges the pipeline
+/// before the cutoff is reached.
+pub fn simulate_schedule_within(
+    job: &PlacedJob,
+    schedule: &StaticSchedule,
+    opts: &SimOptions,
+    cutoff: f64,
+) -> Result<Option<MinibatchResult>, SimError> {
+    job.validate();
+    let varuna = Varuna::new(schedule, job.p(), job.d);
+    Emulator::new(job, varuna, opts, &mut EventBus::new()).run_within(Some(cutoff))
+}
+
+/// A lower bound on the `total_time` of any zero-jitter run of `job`,
+/// whatever its schedule, computed before any event fires: each
+/// `(stage, replica)` runs its `N_m` forwards and backwards one after
+/// another at its stutter-scaled times, and its stage's sync tail
+/// (allreduce, tied-parameter sync, offload) follows its last backward.
+/// Recompute is left out (it is skipped while activations are live, and
+/// the last stage never runs it), as are network delays; both only add
+/// time.
+pub fn lower_bound(job: &PlacedJob) -> f64 {
+    let n = job.n_micro as f64;
+    sync_tails(job)
+        .iter()
+        .zip(&job.stages)
+        .enumerate()
+        .map(|(s, (tail, spec))| {
+            let stutter = (0..job.d).map(|r| job.stutter_of(s, r)).fold(0.0, f64::max);
+            stutter * n * (spec.fwd_time + spec.bwd_time) * ROUNDING_MARGIN + tail.total
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Shrinks a serial-compute bound so that it stays below the emulator's
+/// clock, which accumulates op durations one addition at a time: the
+/// relative rounding error of that sum is under `ops · 2^-53`, far below
+/// this margin for any mini-batch the emulator can hold.
+const ROUNDING_MARGIN: f64 = 1.0 - 1e-9;
+
+/// One stage's end-of-mini-batch sync after its last backward.
+#[derive(Debug, Clone, Copy)]
+struct SyncTail {
+    /// The data-parallel gradient allreduce, seconds.
+    allreduce: f64,
+    /// The allreduce plus the tied-parameter sync and the optimizer
+    /// offload, seconds.
+    total: f64,
+}
+
+/// Every stage's sync tail: a function of the job alone, so the bound,
+/// the cutoff and the end of a run share it.
+fn sync_tails(job: &PlacedJob) -> Vec<SyncTail> {
+    let (p, d) = (job.p(), job.d);
+    // How many job endpoints share each node (concurrent allreduce rings
+    // contending for one NIC).
+    let mut per_node = vec![0usize; job.topology.num_nodes()];
+    for r in 0..d {
+        for s in 0..p {
+            per_node[job.topology.node_of(job.placement.endpoint(s, r))] += 1;
+        }
+    }
+    (0..p)
+        .map(|s| {
+            let ring = job.placement.stage_ring(s);
+            let cross_node = ring.windows(2).any(|w| !job.topology.same_node(w[0], w[1]))
+                || (ring.len() > 1 && !job.topology.same_node(ring[0], *ring.last().unwrap()));
+            let link = if cross_node || ring.len() == 1 {
+                job.topology.inter_link()
+            } else {
+                job.topology.intra_link()
+            };
+            let in_flight = ring
+                .iter()
+                .map(|&e| per_node[job.topology.node_of(e)])
+                .max()
+                .unwrap_or(1);
+            let allreduce = allreduce_time(
+                AllreduceSpec {
+                    bytes: job.stages[s].grad_bytes,
+                    ring_size: d,
+                    in_flight,
+                },
+                link,
+            );
+            let mut total = allreduce;
+            // Tied-parameter sync between the first and last stage of each
+            // replica (ring of 2 over the inter-stage link).
+            if job.shared_sync_bytes > 0.0 && p > 1 && (s == 0 || s == p - 1) {
+                let e0 = job.placement.endpoint(0, 0);
+                let e1 = job.placement.endpoint(p - 1, 0);
+                let link01 = job.topology.link_between(e0, e1);
+                total += allreduce_time(
+                    AllreduceSpec {
+                        bytes: job.shared_sync_bytes,
+                        ring_size: 2,
+                        in_flight: 1,
+                    },
+                    link01,
+                );
+            }
+            if let Some(bytes) = job.offload_bytes {
+                // Gradients out, updated fp16 weights back, over PCIe.
+                total += bytes / 12.0e9;
+            }
+            SyncTail { allreduce, total }
+        })
+        .collect()
+}
+
 /// Renders the schedule `factory`'s policies produce for `p` stages and
 /// `n_micro` micro-batches at unit times (`F = R = 1`, `B = 2`, zero
 /// network latency, a stash window of `window` on every stage): the
@@ -722,8 +846,29 @@ impl<'a, P: Picker> Emulator<'a, P> {
         }
     }
 
-    fn run(mut self) -> Result<MinibatchResult, SimError> {
+    /// Whether slot `i`, whose op just finished at `now`, can no longer
+    /// end its stage's sync tail by `limit`: its remaining serial compute
+    /// (see [`lower_bound`]) already runs past it.
+    fn past(&self, i: usize, now: f64, limit: f64, tails: &[SyncTail]) -> bool {
+        let slot = &self.slots[i];
+        let spec = &self.job.stages[slot.stage];
+        let left = slot.stutter
+            * (self.n.saturating_sub(slot.forwards_done) as f64 * spec.fwd_time
+                + self.n.saturating_sub(slot.backwards_count) as f64 * spec.bwd_time);
+        (now + left) * ROUNDING_MARGIN + tails[slot.stage].total > limit
+    }
+
+    fn run(self) -> Result<MinibatchResult, SimError> {
+        Ok(self
+            .run_within(None)?
+            .expect("a run without a cutoff is never abandoned"))
+    }
+
+    /// Runs the mini-batch; with a `cutoff`, returns `Ok(None)` as soon as
+    /// an op completion shows it cannot finish by then.
+    fn run_within(mut self, cutoff: Option<f64>) -> Result<Option<MinibatchResult>, SimError> {
         let (job, p, d, n) = (self.job, self.p, self.job.d, self.n);
+        let tails = sync_tails(job);
         // Kick off all first-stage (and trivially-ready) dispatches.
         for i in 0..p * d {
             self.dispatch(i, 0.0);
@@ -732,7 +877,13 @@ impl<'a, P: Picker> Emulator<'a, P> {
         while let Some((now, ev)) = self.q.pop() {
             last_time = now;
             match ev {
-                Ev::OpDone(i) => self.op_done(i as usize, now),
+                Ev::OpDone(i) => {
+                    let i = i as usize;
+                    self.op_done(i, now);
+                    if cutoff.is_some_and(|limit| self.past(i, now, limit, &tails)) {
+                        return Ok(None);
+                    }
+                }
                 Ev::ActArrive(j) => {
                     let j = j as usize;
                     let from = self.slots[j - 1].to_next.as_ref();
@@ -784,39 +935,10 @@ impl<'a, P: Picker> Emulator<'a, P> {
         }
         let pipeline_time = last_time;
 
-        // How many job endpoints share each node (concurrent allreduce rings
-        // contending for one NIC).
-        let mut per_node = vec![0usize; job.topology.num_nodes()];
-        for r in 0..d {
-            for s in 0..p {
-                per_node[job.topology.node_of(job.placement.endpoint(s, r))] += 1;
-            }
-        }
-
         let mut allreduce = vec![0.0f64; p];
         let mut total_time: f64 = pipeline_time;
-        for s in 0..p {
-            let ring = job.placement.stage_ring(s);
-            let cross_node = ring.windows(2).any(|w| !job.topology.same_node(w[0], w[1]))
-                || (ring.len() > 1 && !job.topology.same_node(ring[0], *ring.last().unwrap()));
-            let link = if cross_node || ring.len() == 1 {
-                job.topology.inter_link()
-            } else {
-                job.topology.intra_link()
-            };
-            let in_flight = ring
-                .iter()
-                .map(|&e| per_node[job.topology.node_of(e)])
-                .max()
-                .unwrap_or(1);
-            let ar = allreduce_time(
-                AllreduceSpec {
-                    bytes: job.stages[s].grad_bytes,
-                    ring_size: d,
-                    in_flight,
-                },
-                link,
-            );
+        for (s, tail) in tails.iter().enumerate() {
+            let ar = tail.allreduce;
             allreduce[s] = ar;
             if d > 1 {
                 self.bus.emit_with(|| {
@@ -831,31 +953,11 @@ impl<'a, P: Picker> Emulator<'a, P> {
                     )
                 });
             }
-            let mut tail = ar;
-            // Tied-parameter sync between the first and last stage of each
-            // replica (ring of 2 over the inter-stage link).
-            if job.shared_sync_bytes > 0.0 && p > 1 && (s == 0 || s == p - 1) {
-                let e0 = job.placement.endpoint(0, 0);
-                let e1 = job.placement.endpoint(p - 1, 0);
-                let link01 = job.topology.link_between(e0, e1);
-                tail += allreduce_time(
-                    AllreduceSpec {
-                        bytes: job.shared_sync_bytes,
-                        ring_size: 2,
-                        in_flight: 1,
-                    },
-                    link01,
-                );
-            }
-            if let Some(bytes) = job.offload_bytes {
-                // Gradients out, updated fp16 weights back, over PCIe.
-                tail += bytes / 12.0e9;
-            }
-            total_time = total_time.max(stage_finish[s] + tail);
+            total_time = total_time.max(stage_finish[s] + tail.total);
         }
         let sync_tail = total_time - pipeline_time;
 
-        Ok(MinibatchResult {
+        Ok(Some(MinibatchResult {
             total_time,
             pipeline_time,
             sync_tail,
@@ -863,7 +965,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
             busy_time,
             stage_finish,
             allreduce,
-        })
+        }))
     }
 }
 

@@ -5,7 +5,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, EventKind};
@@ -99,6 +99,14 @@ impl EventSink for NullSink {
     }
 }
 
+/// Locks a sink's shared buffer. Every update under the lock is one push,
+/// pop or drain, so a writer that panicked while holding it left the
+/// buffer whole: the guard is recovered rather than the panic spread to
+/// every reader.
+fn lock<T>(buffer: &Mutex<T>) -> MutexGuard<'_, T> {
+    buffer.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Buffers every event in memory behind a shared handle: clone the sink
 /// before boxing it into the bus, then read the events back through the
 /// clone.
@@ -115,7 +123,7 @@ impl VecSink {
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("sink lock").len()
+        lock(&self.events).len()
     }
 
     /// Whether the buffer is empty.
@@ -125,18 +133,18 @@ impl VecSink {
 
     /// Drains and returns the buffered events.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().expect("sink lock"))
+        std::mem::take(&mut *lock(&self.events))
     }
 
     /// Clones the buffered events without draining.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.events.lock().expect("sink lock").clone()
+        lock(&self.events).clone()
     }
 }
 
 impl EventSink for VecSink {
     fn record(&mut self, event: &Event) {
-        self.events.lock().expect("sink lock").push(event.clone());
+        lock(&self.events).push(event.clone());
     }
 }
 
@@ -160,7 +168,7 @@ impl RingBufferSink {
 
     /// Number of buffered events (at most the capacity).
     pub fn len(&self) -> usize {
-        self.events.lock().expect("sink lock").len()
+        lock(&self.events).len()
     }
 
     /// Whether the ring is empty.
@@ -170,18 +178,13 @@ impl RingBufferSink {
 
     /// The surviving (newest) events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .expect("sink lock")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.events).iter().cloned().collect()
     }
 }
 
 impl EventSink for RingBufferSink {
     fn record(&mut self, event: &Event) {
-        let mut q = self.events.lock().expect("sink lock");
+        let mut q = lock(&self.events);
         if q.len() == self.capacity {
             q.pop_front();
         }
@@ -429,6 +432,39 @@ mod tests {
 
     fn ev(t: f64, vm: u64) -> Event {
         Event::cluster(t, EventKind::Preemption { vm })
+    }
+
+    /// Poisons `buffer` the way a writer that panics mid-record would.
+    fn poison<T: Send + 'static>(buffer: &Arc<Mutex<T>>) {
+        let held = Arc::clone(buffer);
+        let writer = std::thread::spawn(move || {
+            let _guard = held.lock().unwrap();
+            panic!("writer panicked holding the sink lock");
+        });
+        assert!(writer.join().is_err());
+        assert!(buffer.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_sink_still_reads_and_drains() {
+        let vec = VecSink::new();
+        let mut writer = vec.clone();
+        writer.record(&ev(1.0, 1));
+        poison(&vec.events);
+        writer.record(&ev(2.0, 2));
+        assert_eq!(vec.len(), 2);
+        assert_eq!(vec.snapshot(), vec![ev(1.0, 1), ev(2.0, 2)]);
+        assert_eq!(vec.take(), vec![ev(1.0, 1), ev(2.0, 2)]);
+        assert!(vec.is_empty());
+
+        let ring = RingBufferSink::new(2);
+        let mut writer = ring.clone();
+        writer.record(&ev(1.0, 1));
+        poison(&ring.events);
+        writer.record(&ev(2.0, 2));
+        writer.record(&ev(3.0, 3));
+        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.snapshot(), vec![ev(2.0, 2), ev(3.0, 3)]);
     }
 
     #[test]

@@ -271,7 +271,10 @@ pub enum EventKind {
     /// wall-clock latency lives in the metrics registry, never in the
     /// event stream, so same-seed replays stay byte-identical.
     PlanSearch {
-        /// Candidates the sweep produced.
+        /// Candidates scored (`simulated + memo_hits +
+        /// analytic_fallbacks`). Candidates the pick's branch-and-bound
+        /// proved unable to win are not counted here or anywhere in the
+        /// event.
         candidates: u64,
         /// Candidates scored by a fresh emulation.
         simulated: u64,

@@ -102,11 +102,6 @@ impl StageView<'_> {
     pub fn next_fifo_backward(&self) -> Option<usize> {
         (0..self.forwards_done).find(|&mb| !self.backwards_done[mb])
     }
-
-    /// True when every backward has completed.
-    pub fn all_done(&self) -> bool {
-        self.backwards_done.iter().take(self.n_micro).all(|&b| b)
-    }
 }
 
 /// A per-(stage, replica) schedule discipline.
@@ -307,13 +302,5 @@ mod tests {
         v.recompute_enabled = false;
         assert!(v.backward_ready(0));
         assert!(!v.recompute_ready(0));
-    }
-
-    #[test]
-    fn all_done_detects_completion() {
-        let mut st = ViewState::new(2);
-        st.bwds = vec![true, true];
-        let v = st.view(2, false);
-        assert!(v.all_done());
     }
 }

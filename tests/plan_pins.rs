@@ -9,7 +9,8 @@
 //! is wall-clock time) and the memo size. Any change to candidate
 //! generation, scoring, the ladder or the tie rule of the pick moves the
 //! pick digests; a change to how the search spends its budget or fills
-//! its memo moves only the counters digests.
+//! its memo moves only the counters digests, which also fold the pruned
+//! count of each pick.
 
 use varuna::{
     Calibration, Config, FallbackLevel, PlanBudget, PlanMetrics, Planner, SimSearch, VarunaCluster,
@@ -176,6 +177,7 @@ fn sim_digest(case: &Case, budget: PlanBudget) -> (u64, u64) {
                     pick.config(&cfg);
                     pick.level(level);
                     counters.metrics(&metrics);
+                    counters.word(metrics.pruned);
                 }
                 Err(e) => pick.error(&e),
             }
@@ -184,6 +186,7 @@ fn sim_digest(case: &Case, budget: PlanBudget) -> (u64, u64) {
             Ok((cfg, metrics)) => {
                 pick.config(&cfg);
                 counters.metrics(&metrics);
+                counters.word(metrics.pruned);
             }
             Err(e) => pick.error(&e),
         }
@@ -216,31 +219,31 @@ const ANALYTIC: &[(&str, u64)] = &[
 
 /// `(case, pick digest, counters digest)` under a zero budget.
 const SIM_0: &[(&str, u64, u64)] = &[
-    ("preferred", 0x2e52_cfb6_fa8d_27b8, 0x0376_ae93_9c41_4825),
-    ("reduced", 0x25b0_2f75_1413_f239, 0x0db3_100e_3869_c604),
-    ("offload", 0xbc9a_3a54_156c_8d44, 0x4ecb_7f4d_9987_e965),
+    ("preferred", 0x2e52_cfb6_fa8d_27b8, 0xbae8_9124_aa78_8be5),
+    ("reduced", 0x25b0_2f75_1413_f239, 0x738b_9c9b_8d80_54c4),
+    ("offload", 0xbc9a_3a54_156c_8d44, 0x8065_9716_83fd_5885),
     ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
 ];
 
 /// `(case, pick digest, counters digest)` under a 3-simulation budget.
 const SIM_3: &[(&str, u64, u64)] = &[
-    ("preferred", 0xbf2e_ab3b_331d_3554, 0x159a_aaa4_89fb_92cc),
-    ("reduced", 0x8210_c7c6_0b20_eee1, 0x1695_5251_2ab7_b58d),
-    ("offload", 0xa7c1_4417_519a_bd94, 0x488a_61d9_e11f_7384),
+    ("preferred", 0x4657_d3e5_203c_3328, 0x4416_cd8d_50d6_9edd),
+    ("reduced", 0x6bd0_40a9_19a6_1642, 0xf6a9_bb5b_dcc9_2845),
+    ("offload", 0xa7c1_4417_519a_bd94, 0x324b_02b1_f6c9_dcc4),
     ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
 ];
 
 /// `(case, pick digest, counters digest)` under an unlimited budget.
 const SIM_UNLIMITED: &[(&str, u64, u64)] = &[
-    ("preferred", 0x1907_b45a_b938_15f5, 0x2d79_5dbe_1ca3_79a3),
-    ("reduced", 0x6bd0_40a9_19a6_1642, 0xa82a_db68_d8ae_cf6a),
-    ("offload", 0xa7c1_4417_519a_bd94, 0x488a_61d9_e11f_7384),
+    ("preferred", 0x1907_b45a_b938_15f5, 0xb6f9_48af_80da_f1e1),
+    ("reduced", 0x6bd0_40a9_19a6_1642, 0x8cc9_af13_989a_4a8e),
+    ("offload", 0xa7c1_4417_519a_bd94, 0x324b_02b1_f6c9_dcc4),
     ("infeasible", 0xe812_91fd_2670_3ec3, 0xa8c7_f832_281a_39c5),
 ];
 
 /// `SimSearch` under an unlimited budget, GPT-2 2.5B at 24 GPUs only:
 /// `(pick digest, counters digest)`.
-const SIM_UNLIMITED_24: (u64, u64) = (0x1c5e_f755_6706_513b, 0x3086_7d17_7739_a7b3);
+const SIM_UNLIMITED_24: (u64, u64) = (0x1c5e_f755_6706_513b, 0x7017_a9cf_594c_a615);
 
 /// `sweep_scored` of GPT-2 2.5B at 24 GPUs under a 3-simulation budget.
 const SWEEP_3_AT_24: u64 = 0xd8b2_d1d7_c941_28ee;
