@@ -7,7 +7,10 @@
 //! gradient allreduce plus the tied-parameter sync (the purple region at
 //! the right of the paper's Figure 7 Gantt chart). The same event loop,
 //! run on a unit-time job, renders a policy's offline schedule
-//! ([`render_unit_schedule`], paper Figure 4).
+//! ([`render_unit_schedule`], paper Figure 4). For the planner's search,
+//! [`lower_bound`] prices a job before any event fires and
+//! [`simulate_schedule_within`] abandons a run that provably cannot
+//! finish by a cutoff.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
