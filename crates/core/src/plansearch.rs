@@ -675,7 +675,8 @@ impl SimSearch {
     ) -> Vec<Option<(f64, Run)>> {
         let ahead: Vec<Mutex<Option<(f64, Run)>>> =
             misses.iter().map(|_| Mutex::new(None)).collect();
-        let workers = self.threads.min(misses.len());
+        let placed = misses.iter().filter(|miss| miss.job.is_some()).count();
+        let workers = self.threads.min(placed);
         if workers > 1 {
             let (cursor, started) = (AtomicUsize::new(0), AtomicUsize::new(0));
             std::thread::scope(|s| {
