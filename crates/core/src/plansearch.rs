@@ -41,7 +41,8 @@
 //!   for incumbent.
 //! - *Budget.* `max_simulations` counts emulator runs started, cut-off
 //!   runs included. Misses the budget or the deadline leaves unrun keep
-//!   their analytic estimate and compete on it, as before.
+//!   their analytic estimate and compete on it, and so does a miss whose
+//!   job cannot be placed (it uses no budget).
 //! - *Threads.* Workers may run misses ahead of their turn, under a
 //!   cutoff no tighter than theirs will be, but every outcome commits in
 //!   bound order under the sequential rule above; a speculative outcome
