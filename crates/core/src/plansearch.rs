@@ -30,28 +30,26 @@
 //! - *Order.* The incumbent starts as the fastest memo hit. Misses are
 //!   emulated best-first, in ascending bound (ties by sweep order).
 //! - *Prune.* A miss whose bound is past the incumbent's time (by more
-//!   than a throughput tie) becomes [`EvalPath::Pruned`]: no schedule, no
-//!   emulation, no memo entry and no budget used. It cannot be the pick,
-//!   so the pick — including the last-of-equal-maxima tie rule — is the
-//!   exhaustive sweep's.
+//!   than a throughput tie) is pruned: no schedule, no emulation, no memo
+//!   entry and no budget used. It cannot be the pick, so it leaves the
+//!   contenders, and the pick — including the last-of-equal-maxima tie
+//!   rule — is the exhaustive sweep's.
 //! - *Cutoff.* A miss that is emulated runs under the incumbent's time as
-//!   a cutoff ([`simulate_schedule_within`]) and is abandoned, as
-//!   `Pruned`, once it provably cannot finish in time. Only a run that
-//!   finishes within the cutoff is `Simulated`, memoized and a candidate
-//!   for incumbent.
+//!   a cutoff ([`simulate_schedule_within`]) and is abandoned, and
+//!   pruned, once it provably cannot finish in time. Only a run that
+//!   finishes within the cutoff is [`EvalPath::Simulated`], memoized and
+//!   a candidate for incumbent.
 //! - *Budget.* `max_simulations` counts emulator runs started, cut-off
 //!   runs included. Misses the budget or the deadline leaves unrun keep
 //!   their analytic estimate and compete on it, and so does a miss whose
 //!   job cannot be placed (it uses no budget).
-//! - *Threads.* Workers may run misses ahead of their turn, under a
-//!   cutoff no tighter than theirs will be, but every outcome commits in
-//!   bound order under the sequential rule above; a speculative outcome
-//!   the rule would not keep is discarded, never memoized. Counters, the
-//!   budget and the memo are the same for any thread count.
 //!
+//! The pick runs its misses one after another, so its counters, budget
+//! and memo do not depend on the thread count.
 //! [`SimSearch::sweep_scored`] stays exhaustive: it scores every candidate
-//! (subject to the budget, in sweep order) and is what the Table 7 study
-//! and the emulator-cost benchmarks read.
+//! (subject to the budget, in sweep order, fanned out over the search's
+//! threads) and is what the Table 7 study and the emulator-cost
+//! benchmarks read.
 //!
 //! The planning loop itself (the sweep, the pick and the recovery ladder)
 //! lives here once. [`Planner`] runs it with the analytic estimate as the
@@ -133,10 +131,6 @@ pub enum EvalPath {
     Simulated,
     /// A memo-table hit from a previous planning event.
     Memoized,
-    /// Proved unable to win a pick, by its lower bound or by a cut-off
-    /// emulation; it has no score. Never returned by
-    /// [`SimSearch::sweep_scored`], which scores every candidate.
-    Pruned,
 }
 
 /// Counters for one planning event, reported through `varuna-obs` and the
@@ -154,8 +148,8 @@ pub struct PlanMetrics {
     /// Candidates left on their analytic estimate (budget exhausted or
     /// emulator error).
     pub analytic_fallbacks: u64,
-    /// Candidates a pick proved unable to win, before or during their
-    /// emulation (see [`EvalPath::Pruned`]).
+    /// Candidates a pick proved unable to win, by their lower bound or by
+    /// a cut-off emulation; they get no score.
     pub pruned: u64,
     /// Wall-clock planning time, seconds (not deterministic; never put
     /// this in an event stream that must be byte-identical across runs).
@@ -305,7 +299,7 @@ fn emulate_within(calib: &Calibration, cfg: &Config, job: &PlacedJob, cutoff: f6
     let Ok(schedule) = static_schedule(calib, cfg) else {
         return Run::Failed;
     };
-    match simulate_schedule_within(job, &schedule, &SimOptions::deterministic(), cutoff) {
+    match simulate_schedule_within(job, &schedule, cutoff) {
         Ok(Some(res)) => Run::Done(res.total_time),
         Ok(None) => Run::CutOff,
         Err(_) => Run::Failed,
@@ -387,8 +381,8 @@ impl SimSearch {
         }
     }
 
-    /// Overrides the fan-out width (results are identical for any width;
-    /// only wall-clock time changes).
+    /// Overrides the fan-out width of [`SimSearch::sweep_scored`] (results
+    /// are identical for any width; only wall-clock time changes).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -439,11 +433,17 @@ impl SimSearch {
 
     /// `planner`'s candidates for `g` GPUs in increasing `p`: memo hits
     /// served scored from the memo, on [`EvalPath::Memoized`], the rest
-    /// unscored on [`EvalPath::Analytic`]. A candidate an earlier event
-    /// pruned is known to be feasible and stays a bare
-    /// [`Planner::shape`], with no stage assignment yet (see
-    /// [`partition_all`]); every other miss is partitioned here.
-    fn candidates(&self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+    /// unscored on [`EvalPath::Analytic`]. With `bare_bounds`, a candidate
+    /// an earlier pick pruned is known to be feasible and stays a bare
+    /// [`Planner::shape`], with no stage assignment yet, for
+    /// [`SimSearch::branch_and_bound`] to prune again; every other miss is
+    /// partitioned here.
+    fn candidates(
+        &self,
+        planner: &Planner<'_>,
+        g: usize,
+        bare_bounds: bool,
+    ) -> Vec<(Config, EvalPath)> {
         let fingerprint = search_fingerprint(planner.calibration());
         let memo = self.memo.lock().expect("memo poisoned");
         planner
@@ -457,7 +457,7 @@ impl SimSearch {
                     };
                     return Some((cfg, EvalPath::Memoized));
                 }
-                if memo.slower.contains_key(&key) {
+                if bare_bounds && memo.slower.contains_key(&key) {
                     return Some((shape, EvalPath::Analytic));
                 }
                 let cfg = planner.partitioned(shape).ok()?;
@@ -547,18 +547,21 @@ impl SimSearch {
     }
 
     /// The branch-and-bound pass of a pick over `scored` (see the module
-    /// docs): bounds every miss, then emulates or prunes them in
-    /// ascending bound against the incumbent. A miss whose job cannot be
-    /// placed keeps its analytic estimate and uses no budget. Returns
-    /// whether a budget bound left an unpruned miss unscored.
+    /// docs): bounds every miss, then emulates or prunes them one by one
+    /// in ascending bound against the incumbent, and removes the pruned
+    /// ones from `scored`. A miss whose job cannot be placed keeps its
+    /// analytic estimate and uses no budget; a remembered shape that no
+    /// longer partitions is dropped, as the sweep drops it. Returns how
+    /// many misses it pruned and whether a budget bound left an unpruned
+    /// miss unscored.
     fn branch_and_bound(
         &self,
         planner: &Planner<'_>,
-        scored: &mut [(Config, EvalPath)],
+        scored: &mut Vec<(Config, EvalPath)>,
         deadline: Option<Instant>,
         sims_left: &mut usize,
         emulate: &Emulate<'_>,
-    ) -> bool {
+    ) -> (u64, bool) {
         let calib = planner.calibration();
         let fingerprint = search_fingerprint(calib);
         let template = ClusterTemplate::from_calibration(calib);
@@ -589,51 +592,37 @@ impl SimSearch {
             }
         }
         misses.sort_by(|a, b| a.bound.total_cmp(&b.bound).then(a.idx.cmp(&b.idx)));
-        let ahead = self.speculate(
-            &misses, scored, best, examples, deadline, *sims_left, emulate,
-        );
 
-        // The commit: the sequential rule, in bound order.
-        let mut exhausted = false;
-        for (miss, ahead) in misses.into_iter().zip(ahead) {
+        let mut keep = vec![true; scored.len()];
+        let (mut pruned, mut exhausted) = (0, false);
+        for miss in misses {
             let limit = latest_tie(examples, best);
             let (cfg, path) = &mut scored[miss.idx];
             if miss.bound > limit {
-                *path = EvalPath::Pruned;
+                keep[miss.idx] = false;
+                pruned += 1;
                 self.remember_slower(cfg, fingerprint, miss.bound);
                 continue;
             }
             // A miss pruned before is partitioned and placed once it has
             // to be scored after all.
-            if cfg.assignment.is_empty() {
+            if miss.job.is_none() {
                 match planner.partitioned(cfg.clone()) {
                     Ok(full) => *cfg = full,
-                    // Infeasible after all: `tally` drops it.
-                    Err(_) => continue,
+                    Err(_) => {
+                        keep[miss.idx] = false;
+                        continue;
+                    }
                 }
             }
-            if *sims_left == 0 {
+            if *sims_left == 0 || past(deadline) {
                 exhausted = true;
                 continue;
             }
-            // A finished run is the same under any cutoff. A run cut off
-            // under a cutoff no tighter than `limit` would be cut off
-            // under `limit` too, and one that failed under a cutoff no
-            // looser than `limit` would fail under it too. Anything else
-            // runs now.
-            let run = match ahead {
-                Some((_, Run::Done(t))) => Run::Done(t),
-                Some((used, Run::CutOff)) if used >= limit => Run::CutOff,
-                Some((used, Run::Failed)) if used <= limit => Run::Failed,
-                _ if past(deadline) => {
-                    exhausted = true;
-                    continue;
-                }
-                _ => match miss.job.map_or_else(|| place(cfg), Ok) {
-                    Ok(job) => emulate(cfg, &job, limit),
-                    // Not placeable after all: it keeps its analytic score.
-                    Err(_) => continue,
-                },
+            let run = match miss.job.map_or_else(|| place(cfg), Ok) {
+                Ok(job) => emulate(cfg, &job, limit),
+                // Not placeable after all: it keeps its analytic score.
+                Err(_) => continue,
             };
             *sims_left -= 1;
             match run {
@@ -645,73 +634,17 @@ impl SimSearch {
                 }
                 // It cannot finish by `limit`.
                 Run::Done(_) | Run::CutOff => {
-                    *path = EvalPath::Pruned;
+                    keep[miss.idx] = false;
+                    pruned += 1;
                     self.remember_slower(cfg, fingerprint, miss.bound.max(limit.next_up()));
                 }
                 // The emulator rejected it; it keeps its analytic score.
                 Run::Failed => {}
             }
         }
-        exhausted
-    }
-
-    /// Runs `misses` ahead of the commit on the search's worker threads
-    /// and returns, per miss, the cutoff it ran under and its outcome
-    /// (`None` when no worker ran it). A worker's cutoff comes from the
-    /// memo hits and the finished runs of earlier misses only, so it is
-    /// never tighter than the commit's; it skips a miss that bound is
-    /// already past or that has no placed job yet, and starts no more runs
-    /// than the budget allows. One thread runs nothing ahead: the commit
-    /// runs every miss in turn.
-    #[allow(clippy::too_many_arguments)]
-    fn speculate(
-        &self,
-        misses: &[Miss],
-        scored: &[(Config, EvalPath)],
-        best: f64,
-        examples: usize,
-        deadline: Option<Instant>,
-        sims_left: usize,
-        emulate: &Emulate<'_>,
-    ) -> Vec<Option<(f64, Run)>> {
-        let ahead: Vec<Mutex<Option<(f64, Run)>>> =
-            misses.iter().map(|_| Mutex::new(None)).collect();
-        let placed = misses.iter().filter(|miss| miss.job.is_some()).count();
-        let workers = self.threads.min(placed);
-        if workers > 1 {
-            let (cursor, started) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= misses.len() || past(deadline) {
-                            break;
-                        }
-                        let best = ahead[..k]
-                            .iter()
-                            .filter_map(|slot| match *slot.lock().expect("run slot poisoned") {
-                                Some((_, Run::Done(t))) => Some(t),
-                                _ => None,
-                            })
-                            .fold(best, f64::min);
-                        let limit = latest_tie(examples, best);
-                        let Some(job) = misses[k].job.as_ref().filter(|_| misses[k].bound <= limit)
-                        else {
-                            continue;
-                        };
-                        if started.fetch_add(1, Ordering::Relaxed) >= sims_left {
-                            break;
-                        }
-                        let run = emulate(&scored[misses[k].idx].0, job, limit);
-                        *ahead[k].lock().expect("run slot poisoned") = Some((limit, run));
-                    });
-                }
-            });
-        }
-        ahead
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("run slot poisoned"))
-            .collect()
+        let mut keep = keep.into_iter();
+        scored.retain(|_| keep.next() == Some(true));
+        (pruned, exhausted)
     }
 
     /// The best configuration for `g` GPUs by emulator-scored throughput.
@@ -780,10 +713,15 @@ impl<'s> PlanEvent<'s> {
     }
 
     /// `planner`'s candidates for `g` GPUs, through the search's memo when
-    /// there is one.
-    fn candidates(&self, planner: &Planner<'_>, g: usize) -> Vec<(Config, EvalPath)> {
+    /// there is one (see [`SimSearch::candidates`] for `bare_bounds`).
+    fn candidates(
+        &self,
+        planner: &Planner<'_>,
+        g: usize,
+        bare_bounds: bool,
+    ) -> Vec<(Config, EvalPath)> {
         match self.search {
-            Some(search) => search.candidates(planner, g),
+            Some(search) => search.candidates(planner, g, bare_bounds),
             None => planner
                 .candidates(g)
                 .into_iter()
@@ -802,8 +740,7 @@ impl<'s> PlanEvent<'s> {
         g: usize,
         simulate: &(dyn Fn(&Config) -> Result<f64, VarunaError> + Sync),
     ) -> Vec<(Config, EvalPath)> {
-        let mut scored = self.candidates(planner, g);
-        partition_all(planner, &mut scored);
+        let mut scored = self.candidates(planner, g, false);
         let exhausted = self.search.is_some_and(|search| {
             search.emulate_all(
                 planner,
@@ -813,7 +750,7 @@ impl<'s> PlanEvent<'s> {
                 simulate,
             )
         });
-        self.tally(planner, scored, exhausted)
+        self.tally(planner, scored, 0, exhausted)
     }
 
     /// [`PlanEvent::score`] with the emulator as the simulator.
@@ -827,39 +764,37 @@ impl<'s> PlanEvent<'s> {
 
     /// The candidates a pick chooses among: [`PlanEvent::sweep`], except
     /// that a search runs [`SimSearch::branch_and_bound`] through
-    /// `emulate` and drops what it pruned.
+    /// `emulate`, which removes what it pruned.
     fn contenders(
         &mut self,
         planner: &Planner<'_>,
         g: usize,
         emulate: &Emulate<'_>,
     ) -> Vec<(Config, EvalPath)> {
-        let mut scored = self.candidates(planner, g);
-        let exhausted = self.search.is_some_and(|search| {
-            search.branch_and_bound(
+        let mut scored = self.candidates(planner, g, true);
+        let (pruned, exhausted) = match self.search {
+            Some(search) => search.branch_and_bound(
                 planner,
                 &mut scored,
                 self.deadline,
                 &mut self.sims_left,
                 emulate,
-            )
-        });
-        self.tally(planner, scored, exhausted)
+            ),
+            None => (0, false),
+        };
+        self.tally(planner, scored, pruned, exhausted)
     }
 
     /// Gives every candidate still on [`EvalPath::Analytic`] its analytic
-    /// estimate (dropping one whose estimate fails), drops the pruned ones
-    /// and counts the rest.
+    /// estimate (dropping one whose estimate fails) and counts them, with
+    /// `pruned` more that the pick removed.
     fn tally(
         &mut self,
         planner: &Planner<'_>,
         mut scored: Vec<(Config, EvalPath)>,
+        pruned: u64,
         exhausted: bool,
     ) -> Vec<(Config, EvalPath)> {
-        let before = scored.len();
-        scored.retain(|(_, path)| *path != EvalPath::Pruned);
-        let pruned = (before - scored.len()) as u64;
-        partition_all(planner, &mut scored);
         scored.retain_mut(|(cfg, path)| {
             *path != EvalPath::Analytic
                 || planner
@@ -884,24 +819,6 @@ impl<'s> PlanEvent<'s> {
         self.metrics.plan_seconds = self.start.elapsed().as_secs_f64();
         self.metrics
     }
-}
-
-/// Gives every bare shape [`SimSearch::candidates`] left its stage
-/// assignment, dropping one that no longer fits memory (a calibration
-/// with the same fingerprint but other memory limits).
-fn partition_all(planner: &Planner<'_>, scored: &mut Vec<(Config, EvalPath)>) {
-    scored.retain_mut(|(cfg, _)| {
-        if !cfg.assignment.is_empty() {
-            return true;
-        }
-        match planner.partitioned(cfg.clone()) {
-            Ok(full) => {
-                *cfg = full;
-                true
-            }
-            Err(_) => false,
-        }
-    });
 }
 
 /// One rung's scored sweep as a planning event of its own.
@@ -1395,7 +1312,7 @@ mod tests {
             for planner in [&a, &b] {
                 let built = planner.candidates(g);
                 for search in [&sweeps, &picks] {
-                    let served = search.candidates(planner, g);
+                    let served = search.candidates(planner, g, true);
                     assert_eq!(served.len(), built.len(), "at {g} GPUs");
                     for ((cfg, path), want) in served.into_iter().zip(&built) {
                         let mut cfg = match path {
@@ -1423,11 +1340,13 @@ mod tests {
     }
 
     /// One branch-and-bound pick of 2.5B at 36 GPUs under `budget` on a
-    /// cold search: the contenders, the counters, the emulator runs
-    /// started and the runs that did not finish within their cutoff.
+    /// cold search `threads` wide: the contenders, the counters, the
+    /// emulator runs started and the runs that did not finish within their
+    /// cutoff.
     fn counted_pick(
         calib: &Calibration,
         budget: PlanBudget,
+        threads: usize,
     ) -> (Vec<(Config, EvalPath)>, PlanMetrics, usize, usize) {
         let planner = Planner::new(&calib.model, calib)
             .batch_size(1024)
@@ -1441,7 +1360,7 @@ mod tests {
             }
             run
         };
-        let search = SimSearch::new(budget).threads(1);
+        let search = SimSearch::new(budget).threads(threads);
         let mut event = PlanEvent::start(Some(&search));
         let scored = event.contenders(&planner, 36, &emulate);
         assert_eq!(search.memo_len() as u64, event.metrics.simulated);
@@ -1460,31 +1379,35 @@ mod tests {
             .batch_size(1024)
             .micro_batch(4);
         let sweep = planner.sweep(36);
-        let (all, full, runs, cut) = counted_pick(&calib, PlanBudget::unlimited());
+        let (all, full, runs, cut) = counted_pick(&calib, PlanBudget::unlimited(), 1);
         assert_eq!(full.candidates + full.pruned, sweep.len() as u64);
         assert!(
             full.pruned > cut as u64,
             "some candidates pruned before running"
         );
         assert_eq!(full.simulated + cut as u64, runs as u64);
-        for n in 0..=runs + 1 {
-            let (scored, m, started, cut) = counted_pick(&calib, PlanBudget::simulations(n));
-            // Runs started, cut-off ones included, are what the budget
-            // counts; they are a prefix of the unlimited pick's runs.
-            assert_eq!(started, n.min(runs), "budget {n}");
-            assert_eq!(m.simulated + cut as u64, started as u64, "budget {n}");
-            assert_eq!(m.candidates + m.pruned, sweep.len() as u64, "budget {n}");
-            assert_eq!(m.budget_exhausted, n < runs, "budget {n}");
-            assert_eq!(m.analytic_fallbacks > 0, n < runs, "budget {n}");
-            // Misses left unrun keep their analytic estimate.
-            for (cfg, path) in &scored {
-                if *path == EvalPath::Analytic {
-                    let analytic = planner.evaluate(cfg.p, cfg.d).unwrap();
-                    assert_eq!(cfg.est_minibatch_time, analytic.est_minibatch_time);
+        for threads in [1, 8] {
+            for n in 0..=runs + 1 {
+                let budget = PlanBudget::simulations(n);
+                let (scored, m, started, cut) = counted_pick(&calib, budget, threads);
+                let at = format!("budget {n}, {threads} threads");
+                // Runs started, cut-off ones included, are what the budget
+                // counts; they are a prefix of the unlimited pick's runs.
+                assert_eq!(started, n.min(runs), "{at}");
+                assert_eq!(m.simulated + cut as u64, started as u64, "{at}");
+                assert_eq!(m.candidates + m.pruned, sweep.len() as u64, "{at}");
+                assert_eq!(m.budget_exhausted, n < runs, "{at}");
+                assert_eq!(m.analytic_fallbacks > 0, n < runs, "{at}");
+                // Misses left unrun keep their analytic estimate.
+                for (cfg, path) in &scored {
+                    if *path == EvalPath::Analytic {
+                        let analytic = planner.evaluate(cfg.p, cfg.d).unwrap();
+                        assert_eq!(cfg.est_minibatch_time, analytic.est_minibatch_time);
+                    }
                 }
-            }
-            if n >= runs {
-                assert_eq!(scored, all, "budget {n}");
+                if n >= runs {
+                    assert_eq!(scored, all, "{at}");
+                }
             }
         }
     }

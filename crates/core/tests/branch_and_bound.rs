@@ -10,7 +10,7 @@ use varuna::{
     Calibration, ClusterTemplate, Config, FallbackLevel, PlanBudget, PlanMetrics, Planner,
     SimSearch, TrainingJob, VarunaCluster,
 };
-use varuna_exec::pipeline::{lower_bound, simulate_schedule_within, SimOptions};
+use varuna_exec::pipeline::{lower_bound, simulate_schedule_within};
 use varuna_models::config::TransformerConfig;
 use varuna_models::ModelZoo;
 
@@ -119,7 +119,6 @@ proptest! {
         let planner = scale.planner(&calib);
         let g = scale.gpus_at(k, 5);
         let template = ClusterTemplate::from_calibration(&calib);
-        let opts = SimOptions::deterministic();
         let sweep = planner.sweep(g);
         prop_assert!(!sweep.is_empty(), "no candidate at {g} GPUs");
         for cfg in sweep {
@@ -132,9 +131,9 @@ proptest! {
                 "{}x{} at {g} GPUs: bound {bound} vs emulated {exact}", cfg.p, cfg.d
             );
             let job = TrainingJob::build(&calib, &cluster, cfg.clone()).unwrap();
-            let within = simulate_schedule_within(&job.job, &job.schedule, &opts, exact).unwrap();
+            let within = simulate_schedule_within(&job.job, &job.schedule, exact).unwrap();
             prop_assert_eq!(within.map(|r| r.total_time.to_bits()), Some(exact.to_bits()));
-            let short = simulate_schedule_within(&job.job, &job.schedule, &opts, bound * 0.999);
+            let short = simulate_schedule_within(&job.job, &job.schedule, bound * 0.999);
             prop_assert!(short.unwrap().is_none(), "{}x{} ran past its cutoff", cfg.p, cfg.d);
         }
     }

@@ -394,9 +394,8 @@ pub fn simulate_schedule_on_bus(
 /// compute, plus its stage's sync tail, is a lower bound on the mini-batch
 /// time (see [`lower_bound`]); the run is abandoned when that bound passes
 /// `cutoff`. A run that completes may still end after `cutoff`: only the
-/// bound is checked. The bound holds at zero compute jitter, so pass
-/// options with `compute_jitter = 0.0` (the planner's
-/// [`SimOptions::deterministic`]).
+/// bound is checked. The bound holds only at zero compute jitter, so the
+/// run always uses [`SimOptions::deterministic`].
 ///
 /// # Errors
 ///
@@ -405,12 +404,12 @@ pub fn simulate_schedule_on_bus(
 pub fn simulate_schedule_within(
     job: &PlacedJob,
     schedule: &StaticSchedule,
-    opts: &SimOptions,
     cutoff: f64,
 ) -> Result<Option<MinibatchResult>, SimError> {
     job.validate();
     let varuna = Varuna::new(schedule, job.p(), job.d);
-    Emulator::new(job, varuna, opts, &mut EventBus::new()).run_within(Some(cutoff))
+    let opts = SimOptions::deterministic();
+    Emulator::new(job, varuna, &opts, &mut EventBus::new()).run_within(Some(cutoff))
 }
 
 /// A lower bound on the `total_time` of any zero-jitter run of `job`,
