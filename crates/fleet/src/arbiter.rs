@@ -86,29 +86,29 @@ pub fn fair_shares(capacity: usize, jobs: &[JobDemand]) -> Vec<usize> {
 
     // Pass 2: weighted max-min water-filling over the remainder. One GPU
     // per step to the unsaturated job with the smallest weighted
-    // allocation; O(capacity * jobs), exact on integers.
+    // allocation `alloc[i] / weight`; O(capacity * jobs), exact on
+    // integers. Each job's key is kept and recomputed only when the job
+    // receives a GPU, from the same expression, so the keys compared are
+    // the ones a fresh division would give.
+    let mut key: Vec<f64> = alloc
+        .iter()
+        .zip(jobs)
+        .map(|(&a, j)| a as f64 / j.weight)
+        .collect();
     while left > 0 {
         let mut best: Option<usize> = None;
         for (i, j) in jobs.iter().enumerate() {
             if alloc[i] >= j.demand {
                 continue;
             }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let wi = alloc[i] as f64 / jobs[i].weight;
-                    let wb = alloc[b] as f64 / jobs[b].weight;
-                    if wi < wb {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+            if best.is_none_or(|b| key[i] < key[b]) {
+                best = Some(i);
+            }
         }
         match best {
             Some(i) => {
                 alloc[i] += 1;
+                key[i] = alloc[i] as f64 / jobs[i].weight;
                 left -= 1;
             }
             // Every job is saturated; leftover capacity stays free.

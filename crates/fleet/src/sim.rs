@@ -18,12 +18,10 @@
 //! breaks ties by index, and no wall-clock value enters any event. Same
 //! config + same trace ⇒ byte-identical event streams and digests.
 
-use std::collections::BTreeMap;
-
 use varuna::{Calibration, Manager, ManagerState, Oracle, RecoveryReport, VarunaCluster};
 use varuna_chaos::{digest_control_events, digest_events};
 use varuna_cluster::trace::{ClusterEventKind, ClusterTrace};
-use varuna_cluster::{LeaseBook, VmSku};
+use varuna_cluster::{LeaseBook, LeaseEntry, VmSku};
 use varuna_obs::{profile, Event, EventBus, PartialReport, StreamConfig, StreamSink, VecSink};
 
 use crate::arbiter::{fair_shares, ArbiterConfig, JobDemand};
@@ -328,7 +326,6 @@ fn arbitrate_round(
     st: &mut [JobState],
     mgrs: &mut [Manager<'_>],
     book: &mut LeaseBook,
-    vm_gpus: &BTreeMap<u64, usize>,
     fleet_bus: &mut EventBus,
     job_buses: &mut [EventBus],
     counters: &mut Counters,
@@ -378,8 +375,7 @@ fn arbitrate_round(
         let mut vms = book.job_vms(job);
         while book.job_gpus(job) > targets[j] {
             let Some(vm) = vms.pop() else { break };
-            book.release(vm);
-            revoked += vm_gpus.get(&vm).copied().unwrap_or(1);
+            revoked += book.release(vm).map_or(0, |(_, gpus)| gpus);
         }
         if revoked > 0 {
             revocations.push((j, before, targets[j]));
@@ -513,7 +509,7 @@ fn arbitrate_round(
     }
 
     // Capacity invariants, every round.
-    if book.leased_gpus() > book.capacity_gpus() || book.check_conservation().is_err() {
+    if book.check_conservation().is_err() {
         counters.capacity_violations += 1;
     }
     Ok(())
@@ -616,7 +612,6 @@ pub fn run_fleet_walled(
 
     let mut st: Vec<JobState> = (0..n).map(|_| JobState::new()).collect();
     let mut book = LeaseBook::new();
-    let mut vm_gpus: BTreeMap<u64, usize> = BTreeMap::new();
     let mut counters = Counters::default();
 
     // A pending log means this run is a recovery: announce (and price)
@@ -631,7 +626,6 @@ pub fn run_fleet_walled(
         &mut st,
         &mut mgrs,
         &mut book,
-        &vm_gpus,
         &mut fleet_bus,
         &mut job_buses,
         &mut counters,
@@ -649,13 +643,18 @@ pub fn run_fleet_walled(
         while i < evs.len() && evs[i].time_hours == t {
             let e = &evs[i];
             match e.kind {
-                ClusterEventKind::Granted { gpus } if book.grant(e.vm, gpus).is_ok() => {
-                    vm_gpus.insert(e.vm, gpus);
+                ClusterEventKind::Granted { gpus } => {
+                    // A double or zero-GPU grant is not capacity the
+                    // fleet can lease; the book refuses it unchanged.
+                    let _ = book.grant(e.vm, gpus);
                 }
                 ClusterEventKind::Preempted => {
-                    if let Some(job) = book.preempt(e.vm) {
+                    if let Some(LeaseEntry {
+                        gpus: revoked,
+                        holder: Some(job),
+                    }) = book.preempt(e.vm)
+                    {
                         st[job as usize].preemptions += 1;
-                        let revoked = vm_gpus.get(&e.vm).copied().unwrap_or(1);
                         decide(
                             wal,
                             &mut fleet_bus,
@@ -669,7 +668,6 @@ pub fn run_fleet_walled(
                             },
                         )?;
                     }
-                    vm_gpus.remove(&e.vm);
                 }
                 // Per-VM health events (stutter, silence, storage) are
                 // single-job concerns; the fleet layer arbitrates raw
@@ -684,7 +682,6 @@ pub fn run_fleet_walled(
             &mut st,
             &mut mgrs,
             &mut book,
-            &vm_gpus,
             &mut fleet_bus,
             &mut job_buses,
             &mut counters,
