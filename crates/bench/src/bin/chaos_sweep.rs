@@ -5,15 +5,17 @@
 //! $ cargo run --release -p varuna-bench --bin chaos_sweep -- 50
 //! ```
 //!
-//! The optional argument is the number of seeds (positive, default 50);
+//! The optional argument is the number of seeds (positive, default 8);
 //! any other argument prints usage and exits 2 before anything runs.
-//! Exits nonzero if any seed panics or violates an invariant, so CI can
-//! use it as a smoke gate.
+//! Every run rewrites `BENCH_chaos_sweep.json`: the committed file is the
+//! 8-seed run, so a bare run (or `-- 8`) reproduces it byte for byte and
+//! any other count replaces it. Exits nonzero if any seed panics or
+//! violates an invariant, so CI can use it as a smoke gate.
 
 use varuna_bench::util::{print_table, sweep_args};
 
 fn main() {
-    let seeds = sweep_args("chaos_sweep [SEEDS]", false).count.unwrap_or(50);
+    let seeds = sweep_args("chaos_sweep [SEEDS]", false).count.unwrap_or(8);
     println!("Chaos sweep: {seeds} seeded fault schedules vs the manager\n");
     let s = varuna_bench::chaos_sweep::run(seeds);
 

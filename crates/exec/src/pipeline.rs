@@ -26,6 +26,7 @@ use varuna_sched::op::{Op, OpKind};
 use varuna_sched::policy::{PolicyFactory, SchedulePolicy, StageView};
 use varuna_sched::queue::EventQueue;
 use varuna_sched::schedule::{StageOrder, StaticSchedule};
+use varuna_sched::stage::StageState;
 
 /// Options controlling one simulation run.
 #[derive(Debug, Clone)]
@@ -205,19 +206,11 @@ impl Route {
 }
 
 /// One `(stage, replica)`'s run-time state: a slot of the emulator's arena.
-/// Its per-micro-batch flags live in [`Emulator::flags`].
 struct Slot {
     stage: usize,
     replica: usize,
+    state: StageState,
     busy: bool,
-    forwards_done: usize,
-    acts_arrived: usize,
-    backwards_count: usize,
-    live_acts: Option<usize>,
-    pending_recompute: Option<usize>,
-    stash_len: usize,
-    peak_stash: usize,
-    window: usize,
     last_bwd_end: f64,
     busy_time: f64,
     /// FIFO enforcement: last delivery time on the activation channel from
@@ -591,9 +584,6 @@ struct Emulator<'a, P> {
     p: usize,
     n: usize,
     slots: Vec<Slot>,
-    /// Per slot, `3n` flags: gradient ready, recompute done and backward
-    /// done, each indexed by micro-batch.
-    flags: Vec<bool>,
     q: EventQueue<Ev>,
     /// In-flight inter-node flows per node, for NIC fair sharing.
     inflight: Vec<usize>,
@@ -610,21 +600,15 @@ impl<'a, P: Picker> Emulator<'a, P> {
         let mut slots = Vec::with_capacity(p * d);
         for r in 0..d {
             for s in 0..p {
+                let window = opts
+                    .stash_window_override
+                    .unwrap_or(job.stages[s].stash_window)
+                    .max(1);
                 slots.push(Slot {
                     stage: s,
                     replica: r,
+                    state: StageState::new(s, p, n, window, opts.recompute),
                     busy: false,
-                    forwards_done: 0,
-                    acts_arrived: if s == 0 { n } else { 0 },
-                    backwards_count: 0,
-                    live_acts: None,
-                    pending_recompute: None,
-                    stash_len: 0,
-                    peak_stash: 0,
-                    window: opts
-                        .stash_window_override
-                        .unwrap_or(job.stages[s].stash_window)
-                        .max(1),
                     last_bwd_end: 0.0,
                     busy_time: 0.0,
                     chan_act_last: 0.0,
@@ -647,7 +631,6 @@ impl<'a, P: Picker> Emulator<'a, P> {
             p,
             n,
             slots,
-            flags: vec![false; 3 * n * p * d],
             q: EventQueue::new(),
             inflight: vec![0; job.topology.num_nodes()],
             rng: StdRng::seed_from_u64(opts.seed),
@@ -656,30 +639,12 @@ impl<'a, P: Picker> Emulator<'a, P> {
 
     /// Starts slot `i`'s next op, if it is idle and its policy picks one.
     fn dispatch(&mut self, i: usize, now: f64) {
-        let n = self.n;
         let slot = &self.slots[i];
         if slot.busy {
             return;
         }
         let (s, r) = (slot.stage, slot.replica);
-        let flags = &self.flags[3 * n * i..3 * n * (i + 1)];
-        let view = StageView {
-            stage: s,
-            p: self.p,
-            last_stage: s == self.p - 1,
-            n_micro: n,
-            forwards_done: slot.forwards_done,
-            next_forward_ready: slot.forwards_done < slot.acts_arrived
-                && slot.stash_len < slot.window,
-            grads_ready: &flags[..n],
-            recomputes_done: &flags[n..2 * n],
-            backwards_done: &flags[2 * n..],
-            live_acts: slot.live_acts,
-            pending_recompute: slot.pending_recompute,
-            stash_len: slot.stash_len,
-            stash_window: slot.window,
-            recompute_enabled: self.opts.recompute,
-        };
+        let view = slot.state.view();
         let Some(op) = self.picker.pick(i, s, &view) else {
             return;
         };
@@ -706,11 +671,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
                 OpKind::Recompute => spec.recompute_time,
                 OpKind::Backward => spec.bwd_time,
             };
-        // Starting any op invalidates live activations unless the op is
-        // the backward consuming them.
-        if !(op.kind == OpKind::Backward && slot.live_acts == Some(op.micro)) {
-            slot.live_acts = None;
-        }
+        slot.state.start(op);
         slot.busy = true;
         slot.busy_time += dur;
         slot.running = op;
@@ -791,7 +752,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
 
     /// Handles slot `i`'s finished op.
     fn op_done(&mut self, i: usize, now: f64) {
-        let (p, n) = (self.p, self.n);
+        let p = self.p;
         let slot = &self.slots[i];
         let (s, r, op, started) = (slot.stage, slot.replica, slot.running, slot.started);
         // One `OpEnd` per finished op, in completion order: the span list
@@ -808,40 +769,18 @@ impl<'a, P: Picker> Emulator<'a, P> {
                 },
             )
         });
-        let flags = 3 * n * i;
         let slot = &mut self.slots[i];
         slot.busy = false;
+        slot.state.complete(op);
         match op.kind {
-            OpKind::Forward => {
-                slot.forwards_done += 1;
-                slot.stash_len += 1;
-                slot.peak_stash = slot.peak_stash.max(slot.stash_len);
-                slot.live_acts = Some(op.micro);
-                if s == p - 1 {
-                    // Loss gradient is locally available.
-                    self.flags[flags + op.micro] = true;
-                } else {
-                    self.send(i, true, op.micro, now);
-                }
-            }
-            OpKind::Recompute => {
-                self.flags[flags + n + op.micro] = true;
-                slot.pending_recompute = Some(op.micro);
-                slot.live_acts = Some(op.micro);
-            }
+            OpKind::Forward if s + 1 < p => self.send(i, true, op.micro, now),
             OpKind::Backward => {
-                self.flags[flags + 2 * n + op.micro] = true;
-                slot.backwards_count += 1;
-                slot.stash_len = slot.stash_len.saturating_sub(1);
-                if slot.pending_recompute == Some(op.micro) {
-                    slot.pending_recompute = None;
-                }
-                slot.live_acts = None;
                 slot.last_bwd_end = now;
                 if s > 0 {
                     self.send(i, false, op.micro, now);
                 }
             }
+            _ => {}
         }
         if !self.slots[i].busy {
             self.dispatch(i, now);
@@ -854,9 +793,10 @@ impl<'a, P: Picker> Emulator<'a, P> {
     fn past(&self, i: usize, now: f64, limit: f64, tails: &[SyncTail]) -> bool {
         let slot = &self.slots[i];
         let spec = &self.job.stages[slot.stage];
+        let forwards_done = slot.state.view().forwards_done;
         let left = slot.stutter
-            * (self.n.saturating_sub(slot.forwards_done) as f64 * spec.fwd_time
-                + self.n.saturating_sub(slot.backwards_count) as f64 * spec.bwd_time);
+            * (self.n.saturating_sub(forwards_done) as f64 * spec.fwd_time
+                + self.n.saturating_sub(slot.state.backwards_done()) as f64 * spec.bwd_time);
         (now + left) * ROUNDING_MARGIN + tails[slot.stage].total > limit
     }
 
@@ -869,7 +809,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
     /// Runs the mini-batch; with a `cutoff`, returns `Ok(None)` as soon as
     /// an op completion shows it cannot finish by then.
     fn run_within(mut self, cutoff: Option<f64>) -> Result<Option<MinibatchResult>, SimError> {
-        let (job, p, d, n) = (self.job, self.p, self.job.d, self.n);
+        let (job, p, d) = (self.job, self.p, self.job.d);
         let tails = sync_tails(job);
         // Kick off all first-stage (and trivially-ready) dispatches.
         for i in 0..p * d {
@@ -891,7 +831,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
                     let from = self.slots[j - 1].to_next.as_ref();
                     from.expect("sent along a route")
                         .deliver(&mut self.inflight);
-                    self.slots[j].acts_arrived += 1;
+                    self.slots[j].state.act_arrived();
                     self.dispatch(j, now);
                 }
                 Ev::GradArrive(j, mb) => {
@@ -899,7 +839,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
                     let from = self.slots[j + 1].to_prev.as_ref();
                     from.expect("sent along a route")
                         .deliver(&mut self.inflight);
-                    self.flags[3 * n * j + mb as usize] = true;
+                    self.slots[j].state.grad_arrived(mb as usize);
                     self.dispatch(j, now);
                 }
                 Ev::SendDone(i) => {
@@ -912,9 +852,9 @@ impl<'a, P: Picker> Emulator<'a, P> {
         let st = &self.slots;
         let idx = |s: usize, r: usize| r * p + s;
 
-        if st.iter().any(|slot| slot.backwards_count != n) {
+        if st.iter().any(|slot| !slot.state.is_done()) {
             let unfinished: Vec<usize> = (0..p)
-                .filter(|&s| (0..d).any(|r| st[idx(s, r)].backwards_count < n))
+                .filter(|&s| (0..d).any(|r| !st[idx(s, r)].state.is_done()))
                 .collect();
             return Err(SimError::Deadlock {
                 unfinished_stages: unfinished,
@@ -930,7 +870,7 @@ impl<'a, P: Picker> Emulator<'a, P> {
             for r in 0..d {
                 let i = idx(s, r);
                 stage_finish[s] = stage_finish[s].max(st[i].last_bwd_end);
-                peak_stash[s] = peak_stash[s].max(st[i].peak_stash);
+                peak_stash[s] = peak_stash[s].max(st[i].state.peak_stash());
                 busy_time[s] += st[i].busy_time;
             }
             busy_time[s] /= d as f64;

@@ -17,16 +17,20 @@
 //!   run-time [`VarunaPolicy`] that follows a static order
 //!   opportunistically. Any other policy's unit-time schedule is rendered
 //!   by the `varuna-exec` emulator (`render_unit_schedule`).
+//! - [`stage`]: [`StageState`], the one state machine of a pipeline
+//!   stage — which inputs have arrived, how full the activation stash is,
+//!   which gradients are in hand, which activations are live, and whether
+//!   a finished recompute has committed the stage (paper constraint 2).
 //! - [`queue`]: the deterministic `(time, seq)` [`EventQueue`] that orders
 //!   the kernel's events and the `varuna-exec` emulator's.
 //!
 //! The contract splits responsibility in two:
 //!
-//! - the **engine** (the discrete-event emulator in `varuna-exec`, or the
-//!   real numeric trainer in `varuna-train`) owns *legality* — it knows
-//!   which inputs have arrived, how full the activation stash is, which
-//!   gradients are in hand, and whether a finished recompute has committed
-//!   the stage (paper constraint 2) — and exposes it as a [`StageView`];
+//! - the **engine** (the discrete-event emulator in `varuna-exec`, the
+//!   real numeric trainer in `varuna-train`, or the schedule kernel) owns
+//!   *timing*: it feeds each stage's [`StageState`] the arrivals and op
+//!   transitions it observes, and the state answers *legality* as a
+//!   [`StageView`];
 //! - the **policy** owns *discipline* — given the view, it picks which of
 //!   the legal ops to run, or idles.
 //!
@@ -41,9 +45,11 @@ pub mod op;
 pub mod policy;
 pub mod queue;
 pub mod schedule;
+pub mod stage;
 
 pub use drain::{boundary_drain_legal, drain_in_place_legal};
 pub use op::{Op, OpKind};
 pub use policy::{GPipePolicy, GreedyPolicy, PolicyFactory, SchedulePolicy, StageView};
 pub use queue::EventQueue;
 pub use schedule::{generate_schedule, varuna_schedule, StageOrder, StaticSchedule, VarunaPolicy};
+pub use stage::StageState;

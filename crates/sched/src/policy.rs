@@ -1,15 +1,17 @@
 //! The schedule policy interface and the greedy reference policy.
 //!
 //! A policy decides, whenever a stage's GPU goes idle, which legal
-//! operation to run next. The engine computes legality; the policy picks
-//! the discipline. GPipe (here, beside the greedy reference policy),
-//! 1F1B and PipeDream (in `varuna-baselines`) and
-//! Varuna's static+opportunistic schedule ([`crate::schedule`]) all
-//! implement this trait, so they are compared on identical substrates.
+//! operation to run next. The stage's [`crate::stage::StageState`]
+//! computes legality; the policy picks the discipline. GPipe (here,
+//! beside the greedy reference policy), 1F1B and PipeDream (in
+//! `varuna-baselines`) and Varuna's static+opportunistic schedule
+//! ([`crate::schedule`]) all implement this trait, so they are compared
+//! on identical substrates.
 
 use crate::op::{Op, OpKind};
 
-/// What a stage can see when choosing its next operation.
+/// What a stage can see when choosing its next operation, as
+/// [`crate::stage::StageState::view`] answers it.
 ///
 /// All per-micro-batch slices are indexed by micro-batch id `0..n_micro`.
 #[derive(Debug)]
@@ -86,8 +88,8 @@ impl StageView<'_> {
             && self.next_forward_ready
     }
 
-    /// Whether `op` is legal in this view (the engine asserts this on
-    /// every pick).
+    /// Whether `op` is legal in this view (the emulator and the trainer
+    /// assert this on every pick).
     #[inline]
     pub fn is_legal(&self, op: Op) -> bool {
         match op.kind {

@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::op::{Op, OpKind};
 use crate::policy::{SchedulePolicy, StageView};
 use crate::queue::EventQueue;
+use crate::stage::StageState;
 
 /// An offline-enumerated schedule: one ordered op list per stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,19 +101,10 @@ pub fn varuna_schedule(
         fwd,
         bwd,
         delay,
-        window,
-        n_micro,
         stages: (0..p)
             .map(|s| KernelStage {
-                fwd_done: 0,
-                acts_arrived: if s == 0 { n_micro } else { 0 },
-                grads_arrived: 0,
-                bwd_count: 0,
-                rec_done: vec![false; n_micro],
+                state: StageState::new(s, p, n_micro, window[s], true),
                 rec_open: vec![false; n_micro],
-                pending_rec: false,
-                live: None,
-                stash: 0,
                 running: None,
                 last_bwd: 0.0,
                 order: Vec::with_capacity(3 * n_micro),
@@ -124,7 +116,7 @@ pub fn varuna_schedule(
         kernel.q.push(0.0, Ev::Free(s));
     }
     kernel.run();
-    let done: usize = kernel.stages.iter().map(|s| s.bwd_count).sum();
+    let done: usize = kernel.stages.iter().map(|s| s.state.backwards_done()).sum();
     assert_eq!(
         done,
         p * n_micro,
@@ -154,24 +146,18 @@ enum Ev {
     Free(usize),
     /// The next forward input arrived at a stage.
     Act(usize),
-    /// The next FIFO gradient arrived at a stage.
-    Grad(usize),
+    /// Micro-batch `.1`'s gradient arrived at stage `.0`.
+    Grad(usize, usize),
     /// Constraint-1 window opened: stage `.0` may recompute micro-batch
     /// `.1`.
     RecWindow(usize, usize),
 }
 
-/// One stage of [`varuna_schedule`]'s loop.
+/// One stage of [`varuna_schedule`]'s loop: its [`StageState`] plus the
+/// kernel-only constraint-1 windows.
 struct KernelStage {
-    fwd_done: usize,
-    acts_arrived: usize,
-    grads_arrived: usize,
-    bwd_count: usize,
-    rec_done: Vec<bool>,
+    state: StageState,
     rec_open: Vec<bool>,
-    pending_rec: bool,
-    live: Option<usize>,
-    stash: usize,
     running: Option<Op>,
     last_bwd: f64,
     order: Vec<Op>,
@@ -182,8 +168,6 @@ struct Kernel<'a> {
     fwd: &'a [f64],
     bwd: &'a [f64],
     delay: &'a [f64],
-    window: &'a [usize],
-    n_micro: usize,
     stages: Vec<KernelStage>,
     q: EventQueue<Ev>,
 }
@@ -199,43 +183,29 @@ impl Kernel<'_> {
                     // pending `Free` per op it starts, plus the initial one.
                     let stage = &mut self.stages[s];
                     if let Some(op) = stage.running.take() {
+                        stage.state.complete(op);
                         match op.kind {
-                            OpKind::Forward => {
-                                stage.fwd_done += 1;
-                                stage.stash += 1;
-                                stage.live = Some(op.micro);
-                                if s + 1 < p {
-                                    self.q.push(now + self.delay[s], Ev::Act(s + 1));
-                                } else {
-                                    // Loss gradient is locally available.
-                                    stage.grads_arrived += 1;
-                                }
-                            }
-                            OpKind::Recompute => {
-                                stage.rec_done[op.micro] = true;
-                                stage.pending_rec = true;
-                                stage.live = Some(op.micro);
+                            OpKind::Forward if s + 1 < p => {
+                                self.q.push(now + self.delay[s], Ev::Act(s + 1));
                             }
                             OpKind::Backward => {
-                                stage.bwd_count += 1;
-                                stage.pending_rec = false;
-                                stage.live = None;
-                                stage.stash -= 1;
                                 stage.last_bwd = now;
                                 if s > 0 {
-                                    self.q.push(now + self.delay[s - 1], Ev::Grad(s - 1));
+                                    self.q
+                                        .push(now + self.delay[s - 1], Ev::Grad(s - 1, op.micro));
                                 }
                             }
+                            _ => {}
                         }
                     }
                     s
                 }
                 Ev::Act(s) => {
-                    self.stages[s].acts_arrived += 1;
+                    self.stages[s].state.act_arrived();
                     s
                 }
-                Ev::Grad(s) => {
-                    self.stages[s].grads_arrived += 1;
+                Ev::Grad(s, m) => {
+                    self.stages[s].state.grad_arrived(m);
                     s
                 }
                 Ev::RecWindow(s, m) => {
@@ -253,38 +223,31 @@ impl Kernel<'_> {
         if stage.running.is_some() {
             return;
         }
-        let last = s == self.stages.len() - 1;
-        let next_b = stage.bwd_count;
-        let grad_ready = next_b < stage.grads_arrived;
-        let fwd_ready = stage.fwd_done < self.n_micro
-            && stage.stash < self.window[s]
-            && stage.fwd_done < stage.acts_arrived;
-        let op = if stage.pending_rec {
-            // Constraint 2: a finished recompute commits the stage.
-            grad_ready.then_some(Op::new(OpKind::Backward, next_b))
-        } else if next_b < stage.fwd_done
-            && grad_ready
-            && (last || stage.rec_done[next_b] || stage.live == Some(next_b))
-        {
-            // Constraint 3: a ready backward always wins. The last stage
-            // never recomputes: its backward chases its forward.
+        let v = stage.state.view();
+        // Backwards run in FIFO order, so `next_b` is the only candidate.
+        let next_b = stage.state.backwards_done();
+        // False once every backward has run (`next_b == n_micro`).
+        let grad_ready = v.grads_ready.get(next_b) == Some(&true);
+        let op = if v.backward_ready(next_b) {
+            // Constraint 3: a ready backward always wins; under
+            // constraint 2 a finished recompute admits nothing else. The
+            // last stage never recomputes: its backward chases its
+            // forward while the activations are live.
             Some(Op::new(OpKind::Backward, next_b))
-        } else if fwd_ready && (!grad_ready || last) {
+        } else if v.forward_ready() && (v.last_stage || !grad_ready) {
             // Keep the pipe filled: run forwards ahead rather than
             // committing to a recompute whose gradient is not in hand
             // (constraint 2 would then idle the stage) — the same
             // preference the runtime policy's opportunistic deviation
             // expresses.
-            Some(Op::new(OpKind::Forward, stage.fwd_done))
-        } else if !last
-            && next_b < stage.fwd_done
-            && !stage.rec_done[next_b]
-            && stage.live != Some(next_b)
+            Some(Op::new(OpKind::Forward, v.forwards_done))
+        } else if !v.last_stage
+            && v.recompute_ready(next_b)
             && (stage.rec_open[next_b] || grad_ready)
         {
             Some(Op::new(OpKind::Recompute, next_b))
-        } else if fwd_ready {
-            Some(Op::new(OpKind::Forward, stage.fwd_done))
+        } else if v.forward_ready() {
+            Some(Op::new(OpKind::Forward, v.forwards_done))
         } else {
             None
         };
@@ -294,6 +257,7 @@ impl Kernel<'_> {
             OpKind::Backward => self.bwd[s],
         };
         let stage = &mut self.stages[s];
+        stage.state.start(op);
         stage.running = Some(op);
         stage.order.push(op);
         if op.kind == OpKind::Backward && s > 0 {

@@ -10,11 +10,13 @@
 //!
 //! Each stage thread is driven by a [`SchedulePolicy`] from `varuna-sched`
 //! — the same trait the discrete-event emulator executes — with the same
-//! split of responsibility: the thread computes *legality* (which inputs
-//! have arrived, stash-window headroom, which gradients are in hand,
-//! pending-recompute commitment) and exposes it as a [`StageView`]; the
-//! policy picks the *discipline*. Varuna, GPipe, 1F1B, PipeDream, and the
-//! greedy reference policy therefore all run on real numerics.
+//! split of responsibility: the thread feeds a [`StageState`] (the stage
+//! state machine the emulator and the schedule kernel share) the messages
+//! that arrive and the ops it runs, the state answers *legality* (which
+//! inputs have arrived, stash-window headroom, which gradients are in
+//! hand, pending-recompute commitment) as a [`varuna_sched::StageView`],
+//! and the policy picks the *discipline*. Varuna, GPipe, 1F1B, PipeDream,
+//! and the greedy reference policy therefore all run on real numerics.
 //!
 //! Per-micro-batch gradient contributions are reduced canonically (summed
 //! in micro-batch-index order, whatever order the backwards actually ran
@@ -22,9 +24,10 @@
 //! — the schedule-invariance the paper's correctness-preserving morphing
 //! depends on — verified by the equivalence tests below.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
 use varuna_obs::{Event, EventBus, EventKind};
-use varuna_sched::{GreedyPolicy, Op, OpKind, PolicyFactory, SchedulePolicy, StageView};
+use varuna_sched::{GreedyPolicy, Op, OpKind, PolicyFactory, SchedulePolicy, StageState};
 
 use crate::data::Corpus;
 use crate::layers::{Block, LayerNorm, Param};
@@ -402,12 +405,19 @@ impl PipelineTrainer {
     /// Runs one mini-batch with each (stage, replica) thread driven by a
     /// policy from `factory(stage, replica)`; returns the mean loss.
     ///
-    /// The thread computes legality — input arrival, stash-window
-    /// headroom, gradient availability, pending-recompute commitment — and
-    /// the policy chooses among the legal ops, exactly as in the
-    /// discrete-event emulator. Because per-micro-batch gradient deltas
-    /// are reduced in canonical (micro-batch-index) order, the resulting
-    /// weights are bit-identical for every discipline.
+    /// The thread feeds a [`StageState`], which computes legality — input
+    /// arrival, stash-window headroom, gradient availability,
+    /// pending-recompute commitment — and the policy chooses among the
+    /// legal ops, exactly as in the discrete-event emulator. Because
+    /// per-micro-batch gradient deltas are reduced in canonical
+    /// (micro-batch-index) order, the resulting weights are bit-identical
+    /// for every discipline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a policy picks an illegal op, or wedges a replica (every
+    /// unfinished stage idles waiting for a delivery, where the emulator
+    /// returns a deadlock); the message names the stage and replica.
     pub fn train_minibatch_with(&mut self, factory: &PolicyFactory<'_>) -> f32 {
         let seq = self.cfg.seq;
         let p = self.p();
@@ -423,60 +433,36 @@ impl PipelineTrainer {
             }
         }
 
-        // Policies are instantiated up front on this thread: the factory
-        // itself need not be `Sync`, but the boxed policies are `Send`.
-        let mut policies: Vec<Vec<Box<dyn SchedulePolicy>>> = (0..d)
-            .map(|r| (0..p).map(|s| factory(s, r)).collect())
-            .collect();
-
-        // Slice the mini-batch: replica r takes chunk r, split into
-        // micro-batches — the same examples the reference trainer sees.
         let mut total_loss = 0.0f32;
-        let window = self.window;
         let mut peaks = vec![0usize; p];
         let mut op_order = vec![Vec::new(); p];
+        let replicas: Vec<Replica> = (0..d)
+            .map(|_| Replica::new(p, n_micro, self.window, recompute))
+            .collect();
+        let batch = Batch {
+            tokens: &tokens,
+            targets: &targets,
+            n_micro,
+            micro,
+            seq,
+            recompute,
+        };
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (r, (replica, pols)) in self.parts.iter_mut().zip(&mut policies).enumerate() {
-                // One merged message channel per stage; each neighbor
-                // holds a sender clone (acts flow down, grads flow up).
-                let chans: Vec<(Sender<StageMsg>, Receiver<StageMsg>)> =
-                    (0..p).map(|_| unbounded()).collect();
-                let rep_lo = r * n_micro * micro * seq;
-                for (s, (part, policy)) in replica.iter_mut().zip(pols.drain(..)).enumerate() {
-                    let rx = chans[s].1.clone();
-                    let act_tx = (s + 1 < p).then(|| chans[s + 1].0.clone());
-                    let grad_tx = (s > 0).then(|| chans[s - 1].0.clone());
-                    let tokens = &tokens;
-                    let targets = &targets;
-                    handles.push((
-                        r,
-                        s,
-                        scope.spawn(move || {
-                            run_stage(StageRun {
-                                part,
-                                policy,
-                                rx,
-                                act_tx,
-                                grad_tx,
-                                n_micro,
-                                micro,
-                                seq,
-                                rep_lo,
-                                window,
-                                recompute,
-                                tokens,
-                                targets,
-                            })
-                        }),
-                    ));
+            for (r, (parts, replica)) in self.parts.iter_mut().zip(&replicas).enumerate() {
+                for (s, part) in parts.iter_mut().enumerate() {
+                    // Built on this thread: the factory need not be `Sync`,
+                    // but the boxed policies are `Send`.
+                    let policy = factory(s, r);
+                    let run = move || run_stage(part, policy, replica, r, batch);
+                    handles.push((r, s, scope.spawn(run)));
                 }
-                // `chans` drops here, leaving only the neighbor-held
-                // sender clones: a stage that idles with no live senders
-                // panics instead of hanging.
             }
             for (r, stage, h) in handles {
-                let (loss, peak, ops) = h.join().expect("stage thread panicked");
+                // A stage's own panic message, not a generic one.
+                let (loss, peak, ops) = h
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 total_loss += loss;
                 peaks[stage] = peaks[stage].max(peak);
                 if r == 0 {
@@ -597,221 +583,224 @@ impl PipelineTrainer {
     }
 }
 
-/// A message between adjacent stage threads, tagged with its micro-batch.
-enum StageMsg {
-    /// Boundary activations from the upstream stage.
-    Act(usize, Tensor),
-    /// Boundary gradient from the downstream stage.
-    Grad(usize, Tensor),
+/// One replica's pipeline, shared by its stage threads: every stage's
+/// [`StageState`] and the boundary tensors delivered to it but not yet
+/// consumed. A stage's output lands in its neighbour's state under the
+/// same lock, so nothing is ever in flight: the replica has wedged
+/// exactly when every unfinished stage sleeps waiting for a delivery.
+struct Replica {
+    post: Mutex<Post>,
+    /// Signalled on every delivery and on abort.
+    wake: Condvar,
 }
 
-/// Everything one stage thread needs for a mini-batch.
-struct StageRun<'a> {
-    part: &'a mut StagePart,
-    policy: Box<dyn SchedulePolicy>,
-    /// Merged inbox: acts from stage `s-1`, grads from stage `s+1`.
-    rx: Receiver<StageMsg>,
-    /// Sender into stage `s+1`'s inbox (interior stages).
-    act_tx: Option<Sender<StageMsg>>,
-    /// Sender into stage `s-1`'s inbox (non-first stages).
-    grad_tx: Option<Sender<StageMsg>>,
-    n_micro: usize,
-    micro: usize,
-    seq: usize,
-    rep_lo: usize,
-    window: usize,
-    recompute: bool,
+struct Post {
+    states: Vec<StageState>,
+    /// Per stage, by micro-batch: the boundary tensor delivered and not
+    /// yet consumed — the activation until the forward takes it, then the
+    /// gradient (which cannot arrive before that forward has run).
+    inbox: Vec<Vec<Option<Tensor>>>,
+    /// Per stage: sleeping until its next delivery.
+    asleep: Vec<bool>,
+    /// A stage thread panicked: the others stop.
+    aborted: bool,
+}
+
+impl Post {
+    /// Panics, naming the first unfinished stage of replica `r`, if every
+    /// unfinished stage sleeps: no delivery can ever wake them.
+    fn check_wedge(&self, r: usize) {
+        let mut unfinished = (0..self.states.len())
+            .filter(|&s| !self.states[s].is_done())
+            .peekable();
+        if let Some(&s) = unfinished.peek() {
+            assert!(
+                !unfinished.all(|u| self.asleep[u]),
+                "stage {s} replica {r}: the schedule policy wedged the pipeline \
+                 (every unfinished stage idles waiting for a delivery)"
+            );
+        }
+    }
+}
+
+impl Replica {
+    fn new(p: usize, n_micro: usize, window: usize, recompute: bool) -> Self {
+        Replica {
+            post: Mutex::new(Post {
+                states: (0..p)
+                    .map(|s| StageState::new(s, p, n_micro, window, recompute))
+                    .collect(),
+                inbox: vec![vec![None; n_micro]; p],
+                asleep: vec![false; p],
+                aborted: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Locks the replica. A stage that panics under the lock (an illegal
+    /// pick or a wedge) does so before any update, so a poisoned lock
+    /// still guards valid data; it only means the replica is aborting.
+    fn lock(&self) -> MutexGuard<'_, Post> {
+        self.post.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Aborts the replica if its stage thread unwinds (on a wedge or an
+/// illegal pick), so that no other stage sleeps forever.
+struct AbortOnPanic<'a>(&'a Replica);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// What every stage thread of a mini-batch reads.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
     tokens: &'a [usize],
     targets: &'a [usize],
+    n_micro: usize,
+    /// Sequences per micro-batch.
+    micro: usize,
+    seq: usize,
+    recompute: bool,
 }
 
 /// One stage thread's work for a mini-batch, driven by a
-/// [`SchedulePolicy`]. The thread owns *legality*: it tracks which inputs
-/// have arrived, bounds the input-activation stash by `window` so forwards
-/// exert backpressure exactly as on a memory-limited GPU, records which
-/// gradients are in hand, and enforces the pending-recompute commitment
-/// (paper constraint 2). The policy owns the *discipline* — which legal op
-/// runs next. Every pick is asserted legal against the [`StageView`].
+/// [`SchedulePolicy`]. The thread feeds its [`StageState`] the ops it
+/// runs, and its neighbours feed it the tensors they deliver; the state
+/// answers *legality* — input arrival, the stash window that gives
+/// forwards backpressure exactly as on a memory-limited GPU, gradients in
+/// hand, live activations and the pending-recompute commitment (paper
+/// constraint 2) — and the policy owns the *discipline*, which legal op
+/// runs next. Every pick is asserted legal against the
+/// [`varuna_sched::StageView`].
 ///
 /// Gradient contributions are kept as per-micro-batch deltas and reduced
 /// in micro-batch-index order after the loop, so the accumulated gradient
 /// (and therefore the weight update) is bit-identical regardless of the
 /// order the policy ran the backwards in.
 ///
-/// Returns `(summed loss, peak stash, executed op sequence)`.
-fn run_stage(run: StageRun<'_>) -> (f32, usize, Vec<Op>) {
-    let StageRun {
-        part,
-        mut policy,
-        rx,
-        act_tx,
-        grad_tx,
-        n_micro,
-        micro,
-        seq,
-        rep_lo,
-        window,
-        recompute,
-        tokens,
-        targets,
-    } = run;
-    let first = part.stage == 0;
+/// Returns `(summed loss, peak stash, executed op sequence)`, partial if
+/// another stage of the replica panicked.
+///
+/// # Panics
+///
+/// Panics if the policy picks an illegal op, or if the stage idles or
+/// finishes while every other unfinished stage of the replica sleeps
+/// (the policies wedged the pipeline).
+fn run_stage(
+    part: &mut StagePart,
+    mut policy: Box<dyn SchedulePolicy>,
+    replica: &Replica,
+    r: usize,
+    batch: Batch<'_>,
+) -> (f32, usize, Vec<Op>) {
+    let _abort_on_panic = AbortOnPanic(replica);
+    let s = part.stage;
+    let first = s == 0;
     let last = part.final_part.is_some();
-    let p = part.p;
 
-    // Stashed inputs of forwarded-but-not-backwarded micro-batches.
-    let mut stash: Vec<Option<StageInput>> = (0..n_micro).map(|_| None).collect();
-    let mut stash_len = 0usize;
-    let mut peak_stash = 0usize;
-    // Boundary activations that arrived but have not been forwarded yet.
-    let mut acts: Vec<Option<Tensor>> = vec![None; n_micro];
-    // Boundary gradients in hand (interior stages).
-    let mut grad_inbox: Vec<Option<Tensor>> = vec![None; n_micro];
-    let mut grads_ready = vec![false; n_micro];
-    let mut recomputes_done = vec![false; n_micro];
-    let mut backwards_done = vec![false; n_micro];
+    // Inputs of forwarded-but-not-backwarded micro-batches.
+    let mut inputs: Vec<Option<StageInput>> = (0..batch.n_micro).map(|_| None).collect();
     // Materialized caches (plus, on the last stage, the logits needed to
     // form the loss gradient). With recompute enabled at most one is held
     // — the live one; with it disabled every forward's cache is retained.
-    let mut caches: Vec<Option<StageCache>> = (0..n_micro).map(|_| None).collect();
-    let mut outs: Vec<Option<Tensor>> = vec![None; n_micro];
-    let mut live: Option<usize> = None;
-    let mut pending: Option<usize> = None;
+    let mut caches: Vec<Option<StageCache>> = (0..batch.n_micro).map(|_| None).collect();
+    let mut outs: Vec<Option<Tensor>> = vec![None; batch.n_micro];
     // Per-micro-batch gradient deltas, reduced canonically after the loop.
-    let mut deltas: Vec<Option<Vec<Tensor>>> = (0..n_micro).map(|_| None).collect();
-    let mut fwd_done = 0usize;
-    let mut done = 0usize;
+    let mut deltas: Vec<Option<Vec<Tensor>>> = (0..batch.n_micro).map(|_| None).collect();
     let mut loss_sum = 0.0f32;
-    let mut order: Vec<Op> = Vec::with_capacity(3 * n_micro);
+    let mut order: Vec<Op> = Vec::with_capacity(3 * batch.n_micro);
 
-    let slice_lo = |mb: usize| rep_lo + mb * micro * seq;
+    // Replica r takes chunk r of the mini-batch, split into micro-batches:
+    // the same examples the reference trainer sees.
+    let span = batch.micro * batch.seq;
+    let slice = |mb: usize| (r * batch.n_micro + mb) * span..(r * batch.n_micro + mb + 1) * span;
 
-    while done < n_micro {
-        // Drain everything that has already arrived (non-blocking).
-        while let Ok(msg) = rx.try_recv() {
-            match msg {
-                StageMsg::Act(mb, a) => acts[mb] = Some(a),
-                StageMsg::Grad(mb, g) => {
-                    grad_inbox[mb] = Some(g);
-                    grads_ready[mb] = true;
-                }
+    let peak_stash = loop {
+        let mut post = replica.lock();
+        let op = loop {
+            if post.aborted {
+                break None;
             }
-        }
-
-        let next_forward_ready =
-            fwd_done < n_micro && stash_len < window && (first || acts[fwd_done].is_some());
-        let view = StageView {
-            stage: part.stage,
-            p,
-            last_stage: last,
-            n_micro,
-            forwards_done: fwd_done,
-            next_forward_ready,
-            grads_ready: &grads_ready,
-            recomputes_done: &recomputes_done,
-            backwards_done: &backwards_done,
-            live_acts: live,
-            pending_recompute: pending,
-            stash_len,
-            stash_window: window,
-            recompute_enabled: recompute,
-        };
-        let Some(op) = policy.pick(&view) else {
-            // The policy idles: block until the next message. A policy
-            // that idles with no live senders left has wedged the stage —
-            // the expect turns that into a panic rather than a hang.
-            let msg = rx.recv().expect("policy idled with no inbound messages");
-            match msg {
-                StageMsg::Act(mb, a) => acts[mb] = Some(a),
-                StageMsg::Grad(mb, g) => {
-                    grad_inbox[mb] = Some(g);
-                    grads_ready[mb] = true;
-                }
+            if post.states[s].is_done() {
+                // A finished stage delivers nothing more.
+                post.check_wedge(r);
+                break None;
             }
-            continue;
+            let view = post.states[s].view();
+            if let Some(op) = policy.pick(&view) {
+                assert!(view.is_legal(op), "stage {s} picked illegal {op:?}");
+                break Some(op);
+            }
+            // The policy idles: sleep until a neighbour delivers.
+            post.asleep[s] = true;
+            post.check_wedge(r);
+            while post.asleep[s] && !post.aborted {
+                post = replica
+                    .wake
+                    .wait(post)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         };
-        assert!(
-            view.is_legal(op),
-            "stage {} picked illegal {op:?}",
-            part.stage
-        );
+        let Some(op) = op else {
+            break post.states[s].peak_stash();
+        };
         order.push(op);
-
-        // Starting any op other than the backward that consumes them
-        // invalidates live activations (same rule as the emulator); with
-        // recompute disabled all caches persist until their backward.
-        if recompute && !(op.kind == OpKind::Backward && live == Some(op.micro)) {
-            if let Some(m) = live.take() {
-                caches[m] = None;
-                outs[m] = None;
-            }
+        let mb = op.micro;
+        // With recompute disabled every cache persists until its backward.
+        if let Some(m) = post.states[s].start(op).filter(|_| batch.recompute) {
+            caches[m] = None;
+            outs[m] = None;
         }
+        let arrived = match op.kind {
+            OpKind::Recompute => None,
+            _ => post.inbox[s][mb].take(),
+        };
+        drop(post);
 
-        match op.kind {
+        let delivery = match op.kind {
             OpKind::Forward => {
-                let mb = op.micro;
                 let input = if first {
-                    let lo = slice_lo(mb);
-                    StageInput::Tokens(tokens[lo..lo + micro * seq].to_vec())
+                    StageInput::Tokens(batch.tokens[slice(mb)].to_vec())
                 } else {
-                    StageInput::Act(acts[mb].take().expect("forward legality implies arrival"))
+                    StageInput::Act(arrived.expect("forward legality implies arrival"))
                 };
-                let (out, cache) = part.forward(&input, micro);
-                stash[mb] = Some(input);
-                stash_len += 1;
-                peak_stash = peak_stash.max(stash_len);
-                fwd_done += 1;
-                if last {
-                    let lo = slice_lo(mb);
-                    let (loss, _) = cross_entropy(&out, &targets[lo..lo + micro * seq]);
-                    loss_sum += loss;
-                    // The loss gradient is locally available: the last
-                    // stage's "gradient arrival" is its own forward.
-                    grads_ready[mb] = true;
-                    outs[mb] = Some(out);
-                } else {
-                    act_tx
-                        .as_ref()
-                        .expect("interior stage has a downstream channel")
-                        .send(StageMsg::Act(mb, out))
-                        .expect("activation receiver dropped");
-                }
+                let (out, cache) = part.forward(&input, batch.micro);
+                inputs[mb] = Some(input);
                 caches[mb] = Some(cache);
-                live = Some(mb);
+                if last {
+                    loss_sum += cross_entropy(&out, &batch.targets[slice(mb)]).0;
+                    outs[mb] = Some(out);
+                    None
+                } else {
+                    Some(out)
+                }
             }
             OpKind::Recompute => {
-                let mb = op.micro;
-                let input = stash[mb].as_ref().expect("recompute reads the stash");
-                let (out, cache) = part.forward(input, micro);
+                let input = inputs[mb].as_ref().expect("recompute reads the stash");
+                let (out, cache) = part.forward(input, batch.micro);
                 caches[mb] = Some(cache);
                 if last {
                     outs[mb] = Some(out);
                 }
-                recomputes_done[mb] = true;
-                pending = Some(mb);
-                live = Some(mb);
+                None
             }
             OpKind::Backward => {
-                let mb = op.micro;
                 let cache = caches[mb].take().expect("backward needs a cache");
                 let dout = if last {
                     let out = outs[mb].take().expect("last stage retains logits");
-                    let lo = slice_lo(mb);
-                    let (_, dlogits) = cross_entropy(&out, &targets[lo..lo + micro * seq]);
-                    dlogits
+                    cross_entropy(&out, &batch.targets[slice(mb)]).1
                 } else {
-                    grad_inbox[mb]
-                        .take()
-                        .expect("backward legality implies grad")
+                    arrived.expect("backward legality implies grad")
                 };
                 let dinput = part.backward(&cache, &dout);
-                if let Some(dinput) = dinput {
-                    grad_tx
-                        .as_ref()
-                        .expect("non-first stage has an upstream channel")
-                        .send(StageMsg::Grad(mb, dinput))
-                        .expect("gradient receiver dropped");
-                }
                 // Extract this micro-batch's gradient delta and reset the
                 // accumulators for the next backward.
                 deltas[mb] = Some(
@@ -824,16 +813,30 @@ fn run_stage(run: StageRun<'_>) -> (f32, usize, Vec<Op>) {
                         })
                         .collect(),
                 );
-                stash[mb] = None;
-                stash_len -= 1;
-                backwards_done[mb] = true;
-                grads_ready[mb] = false;
-                pending = None;
-                live = None;
-                done += 1;
+                inputs[mb] = None;
+                dinput
             }
-        }
-    }
+        };
+
+        let mut post = replica.lock();
+        post.states[s].complete(op);
+        // Activations flow down, gradients up.
+        let to = match (op.kind, delivery) {
+            (OpKind::Forward, Some(out)) => {
+                post.states[s + 1].act_arrived();
+                post.inbox[s + 1][mb] = Some(out);
+                s + 1
+            }
+            (OpKind::Backward, Some(dinput)) => {
+                post.states[s - 1].grad_arrived(mb);
+                post.inbox[s - 1][mb] = Some(dinput);
+                s - 1
+            }
+            _ => continue,
+        };
+        post.asleep[to] = false;
+        replica.wake.notify_all();
+    };
 
     // Canonical reduction: sum the deltas in micro-batch-index order so
     // the accumulated gradient is independent of the execution order.
