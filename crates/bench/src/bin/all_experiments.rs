@@ -3,10 +3,14 @@
 //! ```console
 //! $ cargo run --release -p varuna-bench --bin all_experiments
 //! ```
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("all_experiments", false);
     banner("Table 1: feature matrix");
     for row in varuna_bench::tables_misc::table1() {
         println!(

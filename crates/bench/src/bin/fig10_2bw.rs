@@ -1,6 +1,12 @@
 //! Prints Figure 10: stale-update (PipeDream-2BW-style) destabilization.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
+
+use varuna_bench::util::smoke_flag;
 
 fn main() {
+    smoke_flag("fig10_2bw", false);
     let r = varuna_bench::fig9_fig10::run_fig10();
     println!("Figure 10 analog: synchronous vs 1-step-stale updates (same lr + momentum)\n");
     println!("{:>5} {:>12} {:>12}", "step", "sync loss", "stale loss");

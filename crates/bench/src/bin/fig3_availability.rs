@@ -1,8 +1,12 @@
 //! Prints Figure 3: spot availability of 1-GPU vs 4-GPU VMs over 16 hours.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("fig3_availability", false);
     let r = varuna_bench::fig3::run();
     let rows: Vec<Vec<String>> = r
         .series

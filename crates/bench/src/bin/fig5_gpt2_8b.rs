@@ -1,8 +1,12 @@
 //! Prints Figure 5: Varuna vs Megatron on GPT-2 8.3B.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("fig5_gpt2_8b", false);
     let fig = varuna_bench::fig5_fig6::run_fig5();
     let rows: Vec<Vec<String>> = fig
         .points

@@ -1,8 +1,12 @@
 //! Prints Figure 6: Varuna vs Megatron on GPT-2 2.5B.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("fig6_gpt2_2b", false);
     let fig = varuna_bench::fig5_fig6::run_fig6();
     let rows: Vec<Vec<String>> = fig
         .points

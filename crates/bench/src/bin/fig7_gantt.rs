@@ -1,11 +1,16 @@
 //! Prints Figure 7: Gantt chart of one Varuna mini-batch on the 20B model
 //! (49x6), writes the full span CSV to `fig7_gantt.csv`, and writes a
 //! Perfetto-loadable chrome trace of replica 0 to `fig7_trace.json`.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
+use varuna_bench::util::smoke_flag;
 use varuna_exec::gantt::{ascii_gantt, spans_csv};
 use varuna_obs::chrome_trace_json;
 
 fn main() {
+    smoke_flag("fig7_gantt", false);
     let (r, events) = varuna_bench::fig7::run_traced();
     println!(
         "Figure 7: GPT-2 20B, 49x6, one mini-batch\n\

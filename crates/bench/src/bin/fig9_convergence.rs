@@ -1,6 +1,12 @@
 //! Prints Figure 9: large-batch convergence on the real training engine.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
+
+use varuna_bench::util::smoke_flag;
 
 fn main() {
+    smoke_flag("fig9_convergence", false);
     let r = varuna_bench::fig9_fig10::run_fig9();
     println!("Figure 9 analog: small-batch vs 16x-batch training, equal examples\n");
     println!("large-batch (16x) loss curve:");

@@ -1,9 +1,13 @@
 //! Prints Table 2: the calibrated primitive parameters.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
 use varuna::calibrate::Calibration;
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table2_calibration", false);
     let c = varuna_bench::tables_misc::table2();
     println!(
         "Table 2: calibrated primitives for {} on NC6_v3 spot VMs\n",

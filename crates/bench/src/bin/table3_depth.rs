@@ -1,8 +1,12 @@
 //! Prints Table 3: sensitivity to pipeline depth (GPT-2 2.5B).
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table3_depth", false);
     let rows: Vec<Vec<String>> = varuna_bench::table3::run()
         .iter()
         .map(|r| {

@@ -1,9 +1,13 @@
 //! Prints Table 4: the 20B model — Varuna vs Megatron, low-priority vs
 //! hypercluster.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table4_20b", false);
     let rows: Vec<Vec<String>> = varuna_bench::table4::run()
         .iter()
         .map(|r| {

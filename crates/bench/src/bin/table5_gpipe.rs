@@ -1,8 +1,12 @@
 //! Prints Table 5: Varuna vs GPipe.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table5_gpipe", false);
     let rows: Vec<Vec<String>> = varuna_bench::table5::run()
         .iter()
         .map(|r| {

@@ -1,8 +1,12 @@
 //! Prints Table 6: Varuna vs DeepSpeed vs Megatron-1F1B vs PipeDream.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::{f3, print_table};
+use varuna_bench::util::{f3, print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table6_pipelines", false);
     let rows: Vec<Vec<String>> = varuna_bench::table6::run()
         .iter()
         .map(|r| {

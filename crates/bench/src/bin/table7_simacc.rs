@@ -1,8 +1,12 @@
 //! Prints Table 7: fast-simulator estimates vs emulated mini-batch times.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
 
-use varuna_bench::util::print_table;
+use varuna_bench::util::{print_table, smoke_flag};
 
 fn main() {
+    smoke_flag("table7_simacc", false);
     let rows_data = varuna_bench::table7::run();
     let rows: Vec<Vec<String>> = rows_data
         .iter()

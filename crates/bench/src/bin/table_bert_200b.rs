@@ -1,6 +1,12 @@
 //! Prints the §7.1.1 headline runs: BERT-large and the 200B model.
+//!
+//! Takes no arguments: any argument prints usage and exits 2 before
+//! anything runs.
+
+use varuna_bench::util::smoke_flag;
 
 fn main() {
+    smoke_flag("table_bert_200b", false);
     let (varuna, dp) = varuna_bench::tables_misc::bert_large();
     println!("BERT-large (340M), sequence 512, mini-batch 32K, 32 commodity GPUs:");
     println!("  Varuna 4x8:        {varuna:.0} ex/s  (paper: 710 ex/s, vs NVIDIA's 700 on DGX-1)");

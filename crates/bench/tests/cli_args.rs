@@ -71,3 +71,16 @@ fn flag_only_binaries_reject_a_typo_before_writing() {
     let bin = env!("CARGO_BIN_EXE_fig4_schedule");
     assert_eq!(run(bin, "fig4_smoke", &["--smoke"]), (Some(2), false));
 }
+
+#[test]
+fn table_and_figure_binaries_reject_any_argument_before_writing() {
+    for (name, bin) in [
+        ("table3_depth", env!("CARGO_BIN_EXE_table3_depth")),
+        ("fig7_gantt", env!("CARGO_BIN_EXE_fig7_gantt")),
+    ] {
+        for (case, args) in [("smoke", &["--smoke"][..]), ("stray", &["100"])] {
+            let case = format!("{name}_{case}");
+            assert_eq!(run(bin, &case, args), (Some(2), false), "{name} {args:?}");
+        }
+    }
+}

@@ -10,7 +10,9 @@
 //!
 //! Flags use simple `--key value` parsing; every subcommand prints
 //! human-readable tables. Clusters: `1gpu` (NC6_v3 spot, default), `4gpu`
-//! (NC24_v3 spot), `hyper` (DGX-2).
+//! (NC24_v3 spot), `hyper` (DGX-2). A subcommand rejects any flag it does
+//! not accept, a flag given twice and any stray argument, and `replay`
+//! takes `--hours` only in `(0, 8760]` (one year of trace).
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -32,17 +34,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
+    let rest = &args[1..];
     let result = match cmd.as_str() {
-        "plan" => cmd_plan(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "schedule" => cmd_schedule(&flags),
-        "calibrate" => cmd_calibrate(&flags),
-        "replay" => cmd_replay(&flags),
-        "models" => {
-            cmd_models();
-            Ok(())
-        }
+        "plan" => parse_flags(rest, PLAN_FLAGS).and_then(|f| cmd_plan(&f)),
+        "sweep" => parse_flags(rest, SWEEP_FLAGS).and_then(|f| cmd_sweep(&f)),
+        "schedule" => parse_flags(rest, SCHEDULE_FLAGS).and_then(|f| cmd_schedule(&f)),
+        "calibrate" => parse_flags(rest, CALIBRATE_FLAGS).and_then(|f| cmd_calibrate(&f)),
+        "replay" => parse_flags(rest, REPLAY_FLAGS).and_then(|f| cmd_replay(&f)),
+        "models" => parse_flags(rest, &[]).map(|_| cmd_models()),
         _ => {
             usage();
             Err(format!("unknown command {cmd}"))
@@ -65,28 +64,74 @@ fn usage() {
          varuna sweep     --model <name> --gpus <n> [--batch 8192] [--micro <m>]\n  \
          varuna schedule  --stages <p> --micro-batches <n> [--discipline varuna|gpipe]\n  \
          varuna calibrate --model <name> [--cluster 1gpu|4gpu|hyper]\n  \
-         varuna replay    --model <name> --hosts <h> --target <gpus> --hours <t> [--seed <s>]\n  \
-         varuna models"
+         varuna replay    --model <name> --hosts <h> --target <gpus> --hours <t> [--seed <s>] [--batch 8192] [--micro 4]\n  \
+         varuna models\n\n\
+         --hours is at most {MAX_REPLAY_HOURS}."
     );
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// A flag a subcommand accepts, and whether it takes a value.
+type Flag = (&'static str, bool);
+
+const PLAN_FLAGS: &[Flag] = &[
+    ("model", true),
+    ("gpus", true),
+    ("batch", true),
+    ("micro", true),
+    ("cluster", true),
+    ("offload", false),
+];
+const SWEEP_FLAGS: &[Flag] = &[
+    ("model", true),
+    ("gpus", true),
+    ("batch", true),
+    ("micro", true),
+];
+const SCHEDULE_FLAGS: &[Flag] = &[
+    ("stages", true),
+    ("micro-batches", true),
+    ("discipline", true),
+];
+const CALIBRATE_FLAGS: &[Flag] = &[("model", true), ("cluster", true)];
+const REPLAY_FLAGS: &[Flag] = &[
+    ("model", true),
+    ("hosts", true),
+    ("target", true),
+    ("hours", true),
+    ("seed", true),
+    ("batch", true),
+    ("micro", true),
+];
+
+/// The longest trace `replay` generates, hours: one year.
+const MAX_REPLAY_HOURS: f64 = 8760.0;
+
+/// Parses `--key value` pairs and bare `--switch`es against the flags a
+/// subcommand accepts. An unknown flag, a flag given twice, a value flag
+/// without its value and any stray argument are errors.
+fn parse_flags(args: &[String], accepted: &[Flag]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument `{arg}`"));
+        };
+        let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| *name == key) else {
+            return Err(format!("unknown flag --{key}"));
+        };
+        let value = if takes_value {
+            match rest.next() {
+                Some(v) if !v.starts_with("--") => v.clone(),
+                _ => return Err(format!("missing value for --{key}")),
             }
         } else {
-            i += 1;
+            "true".to_string()
+        };
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(format!("--{key} given twice"));
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<T, String> {
@@ -311,6 +356,11 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
     let hosts = get_count(flags, "hosts")?;
     let target = get_count(flags, "target")?;
     let hours: f64 = get(flags, "hours")?;
+    if !(hours > 0.0 && hours <= MAX_REPLAY_HOURS) {
+        return Err(format!(
+            "invalid value for --hours: {hours:?} is not in (0, {MAX_REPLAY_HOURS}]"
+        ));
+    }
     let seed: u64 = get_or(flags, "seed", 7u64)?;
     let batch = get_count_opt(flags, "batch")?.unwrap_or(8192);
     let micro = get_count_opt(flags, "micro")?.unwrap_or(4);

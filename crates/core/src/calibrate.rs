@@ -64,8 +64,8 @@ pub struct Calibration {
     /// Usable GPU memory, bytes.
     pub gpu_memory: f64,
     /// The links, retained for the simulator's collective model.
-    inter_link: Link,
-    intra_link: Link,
+    pub(crate) inter_link: Link,
+    pub(crate) intra_link: Link,
 }
 
 impl Calibration {

@@ -64,7 +64,7 @@ pub use cutfinder::{find_cutpoints, CutReport};
 pub use error::VarunaError;
 pub use job::TrainingJob;
 pub use manager::{GracePolicy, Manager, ManagerState, TimelinePoint};
-pub use morph::{MorphBackoff, MorphController};
+pub use morph::{MorphBackoff, MorphController, PlanCache};
 pub use oracle::Oracle;
 pub use partition::balanced_partition;
 pub use planner::{Config, FallbackLevel, Planner};

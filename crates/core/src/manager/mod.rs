@@ -68,7 +68,7 @@ use varuna_cluster::heartbeat::HeartbeatMonitor;
 
 use crate::calibrate::Calibration;
 use crate::checkpoint::CheckpointPolicy;
-use crate::morph::{MorphBackoff, MorphController};
+use crate::morph::{MorphBackoff, MorphController, PlanCache};
 
 /// The manager: heartbeat tracking plus morph orchestration and recovery.
 pub struct Manager<'a> {
@@ -168,6 +168,14 @@ impl<'a> Manager<'a> {
     /// best-configuration decisions come from.
     pub fn with_oracle(mut self, oracle: crate::oracle::Oracle) -> Self {
         self.morph = self.morph.with_oracle(oracle);
+        self
+    }
+
+    /// Plans through `cache`, shared with every manager holding a clone
+    /// of it (see [`PlanCache`]); otherwise the manager keeps a private
+    /// one. Only analytic plans go through it.
+    pub fn with_plan_cache(mut self, cache: PlanCache) -> Self {
+        self.morph = self.morph.with_plan_cache(cache);
         self
     }
 

@@ -7,6 +7,10 @@
 //! prices the transition (resume from the latest checkpoint plus lost
 //! work).
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::calibrate::Calibration;
@@ -14,7 +18,7 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::error::VarunaError;
 use crate::oracle::Oracle;
 use crate::planner::{Config, FallbackLevel, Planner};
-use crate::plansearch::{PlanBudget, PlanMetrics};
+use crate::plansearch::{search_fingerprint, PlanBudget, PlanMetrics};
 
 /// Exponential backoff between morph-retry attempts while planning keeps
 /// failing (e.g. capacity below the minimum memory-feasible fit). The
@@ -125,6 +129,50 @@ pub struct MorphDecision {
     pub fallback: FallbackLevel,
 }
 
+/// Every input an analytic plan depends on. Calibration is
+/// scale-invariant (paper §4.3), so a plan is a pure function of these
+/// five values: controllers with equal keys plan the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKey {
+    /// [`search_fingerprint`] of the calibration (model included).
+    calibration: u64,
+    m_total: usize,
+    micro_override: Option<usize>,
+    fallback: bool,
+    gpus: usize,
+}
+
+/// Analytic plans by every input they depend on. A handle: clones share
+/// one table. A controller starts with a private one; a fleet hands one
+/// handle to all its jobs, so a capacity level one job planned is a hit
+/// for every job with the same calibration and batch contract.
+#[derive(Debug, Clone, Default)]
+pub struct PlanCache(Rc<RefCell<HashMap<PlanKey, (Config, FallbackLevel)>>>);
+
+impl PlanCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+
+    fn get(&self, key: &PlanKey) -> Option<(Config, FallbackLevel)> {
+        self.0.borrow().get(key).cloned()
+    }
+
+    fn contains(&self, key: &PlanKey) -> bool {
+        self.0.borrow().contains_key(key)
+    }
+
+    fn insert(&self, key: PlanKey, planned: (Config, FallbackLevel)) {
+        self.0.borrow_mut().insert(key, planned);
+    }
+}
+
 /// Tracks the running configuration and re-plans on resource changes.
 #[derive(Debug, Clone)]
 pub struct MorphController<'a> {
@@ -142,17 +190,20 @@ pub struct MorphController<'a> {
     /// (reduced micro-batch, then offload) before giving up.
     fallback: bool,
     current: Option<Config>,
-    /// Plans are pure functions of the GPU count (m* and the calibration
-    /// are fixed), so repeats of a capacity level reuse the cached plan —
-    /// the same reuse the paper applies to `m*` across morphing decisions.
-    /// Invalidated whenever the micro-batch override changes.
-    plan_cache: std::collections::HashMap<usize, (Config, FallbackLevel)>,
+    /// [`search_fingerprint`] of `calib`, computed once.
+    fingerprint: u64,
+    /// Analytic plans keyed by every input they depend on, so repeats of
+    /// a capacity level reuse the cached plan — the same reuse the paper
+    /// applies to `m*` across morphing decisions — and no setting needs
+    /// to invalidate it. Shared with clones of this controller and with
+    /// any controller handed the same [`PlanCache`].
+    plan_cache: PlanCache,
     cache_hits: u64,
     cache_misses: u64,
     /// Where best-configuration decisions come from. Only the analytic
-    /// path feeds the outer capacity-keyed `plan_cache`; the simulated
-    /// path re-ranks every morph (its memo table provides the reuse) so
-    /// per-event plan metrics stay honest.
+    /// path reads or feeds `plan_cache`; the simulated path re-ranks
+    /// every morph (its memo table provides the reuse) so per-event plan
+    /// metrics stay honest.
     oracle: Oracle,
     last_plan: Option<PlanMetrics>,
 }
@@ -169,7 +220,8 @@ impl<'a> MorphController<'a> {
             migration_bandwidth: None,
             fallback: false,
             current: None,
-            plan_cache: std::collections::HashMap::new(),
+            fingerprint: search_fingerprint(calib),
+            plan_cache: PlanCache::new(),
             cache_hits: 0,
             cache_misses: 0,
             oracle: Oracle::Analytic,
@@ -191,7 +243,13 @@ impl<'a> MorphController<'a> {
     /// Enables the planner's recovery ladder on planning failure.
     pub fn with_fallback(mut self) -> Self {
         self.fallback = true;
-        self.plan_cache.clear();
+        self
+    }
+
+    /// Plans through `cache` instead of a private one: every controller
+    /// holding a clone of it serves each other's analytic plans.
+    pub fn with_plan_cache(mut self, cache: PlanCache) -> Self {
+        self.plan_cache = cache;
         self
     }
 
@@ -245,11 +303,9 @@ impl<'a> MorphController<'a> {
         self.with_oracle(Oracle::sim(budget))
     }
 
-    /// Replaces the plan oracle. Cached plans were computed by the
-    /// previous oracle and are discarded.
+    /// Replaces the plan oracle.
     pub fn with_oracle(mut self, oracle: Oracle) -> Self {
         self.oracle = oracle;
-        self.plan_cache.clear();
         self
     }
 
@@ -269,14 +325,9 @@ impl<'a> MorphController<'a> {
         self.last_plan.take()
     }
 
-    /// Changes (or clears) the micro-batch override in place. Cached plans
-    /// were computed for the previous micro-batch and are discarded — a
-    /// stale hit here would silently run the wrong configuration.
+    /// Changes (or clears) the micro-batch override in place.
     pub fn set_micro_batch(&mut self, m: Option<usize>) {
-        if self.micro_override != m {
-            self.micro_override = m;
-            self.plan_cache.clear();
-        }
+        self.micro_override = m;
     }
 
     /// The active configuration, if any.
@@ -301,12 +352,22 @@ impl<'a> MorphController<'a> {
         self.cache_misses
     }
 
+    fn key(&self, gpus: usize) -> PlanKey {
+        PlanKey {
+            calibration: self.fingerprint,
+            m_total: self.m_total,
+            micro_override: self.micro_override,
+            fallback: self.fallback,
+            gpus,
+        }
+    }
+
     fn plan(&mut self, gpus: usize) -> Result<(Config, FallbackLevel), VarunaError> {
         let cacheable = !self.oracle.is_sim();
         if cacheable {
-            if let Some(cached) = self.plan_cache.get(&gpus) {
+            if let Some(cached) = self.plan_cache.get(&self.key(gpus)) {
                 self.cache_hits += 1;
-                return Ok(cached.clone());
+                return Ok(cached);
             }
         }
         let mut planner = Planner::new(&self.calib.model, self.calib).batch_size(self.m_total);
@@ -318,25 +379,25 @@ impl<'a> MorphController<'a> {
         let planned = (config, level);
         if cacheable {
             self.cache_misses += 1;
-            self.plan_cache.insert(gpus, planned.clone());
+            self.plan_cache.insert(self.key(gpus), planned.clone());
         }
         Ok(planned)
     }
 
     /// Reinstates a previously committed morph decision without
     /// re-planning — the WAL recovery path. The decision's configuration
-    /// becomes current, and on the analytic oracle the
-    /// capacity-keyed plan cache is fed exactly as the live plan would
-    /// have fed it, so cache counters and later live plans match the
-    /// uninterrupted run.
+    /// becomes current, and on the analytic oracle the plan cache is fed
+    /// exactly as the live plan would have fed it, so cache counters and
+    /// later live plans match the uninterrupted run.
     pub fn restore_plan(&mut self, gpus: usize, decision: &MorphDecision) {
         if !self.oracle.is_sim() {
-            if self.plan_cache.contains_key(&gpus) {
+            let key = self.key(gpus);
+            if self.plan_cache.contains(&key) {
                 self.cache_hits += 1;
             } else {
                 self.cache_misses += 1;
                 self.plan_cache
-                    .insert(gpus, (decision.config.clone(), decision.fallback));
+                    .insert(key, (decision.config.clone(), decision.fallback));
             }
         }
         self.current = Some(decision.config.clone());
@@ -488,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn micro_batch_override_change_invalidates_cached_plans() {
+    fn micro_batch_override_is_part_of_the_plan_key() {
         let c = calib();
         let mut ctl = MorphController::new(&c, 8192).micro_batch(4);
         let at_m4 = ctl.on_resources_changed(72, 0).unwrap();
@@ -501,8 +562,178 @@ mod tests {
         ctl.set_micro_batch(Some(2));
         let again = ctl.on_resources_changed(72, 2).unwrap();
         assert_eq!(again.config, at_m2.config);
+        // Going back to m=4 finds the m=4 plan still cached.
+        ctl.set_micro_batch(Some(4));
+        let back = ctl.on_resources_changed(72, 3).unwrap();
+        assert_eq!(back.config, at_m4.config);
         assert_eq!(ctl.cache_misses(), 2);
-        assert_eq!(ctl.cache_hits(), 1);
+        assert_eq!(ctl.cache_hits(), 2);
+    }
+
+    /// Every decision (or error) a controller makes over `levels`.
+    fn walk(ctl: &mut MorphController<'_>, levels: &[usize]) -> Vec<Result<MorphDecision, String>> {
+        levels
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                ctl.on_resources_changed(g, i as u64)
+                    .map_err(|e| e.to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_shared_cache_plans_what_private_caches_plan() {
+        let gpt = calib();
+        let bert =
+            Calibration::profile(&ModelZoo::bert_large(), &VarunaCluster::commodity_1gpu(128));
+        // Controllers that differ in calibration, m_total, micro-batch or
+        // fallback: none may be served another's plan.
+        let variants = |cache: Option<&PlanCache>| {
+            let ctls = vec![
+                MorphController::new(&gpt, 8192).micro_batch(4),
+                MorphController::new(&bert, 8192).micro_batch(4),
+                MorphController::new(&gpt, 4096).micro_batch(4),
+                MorphController::new(&gpt, 8192).micro_batch(2),
+                MorphController::new(&gpt, 8192)
+                    .micro_batch(4)
+                    .with_fallback(),
+                MorphController::new(&gpt, 8192),
+            ];
+            ctls.into_iter()
+                .map(|ctl| match cache {
+                    Some(cache) => ctl.with_plan_cache(cache.clone()),
+                    None => ctl,
+                })
+                .collect::<Vec<_>>()
+        };
+        let cache = PlanCache::new();
+        let mut shared = variants(Some(&cache));
+        let mut private = variants(None);
+        let levels = [100usize, 36, 2, 64, 100, 36];
+        let mut distinct = 0;
+        for (s, p) in shared.iter_mut().zip(private.iter_mut()) {
+            let got = walk(s, &levels);
+            let want = walk(p, &levels);
+            assert_eq!(got, want);
+            for (g, w) in got.iter().zip(&want) {
+                if let (Ok(g), Ok(w)) = (g, w) {
+                    assert_eq!(
+                        g.config.est_minibatch_time.to_bits(),
+                        w.config.est_minibatch_time.to_bits()
+                    );
+                }
+            }
+            assert_eq!(s.cache_misses(), p.cache_misses());
+            assert_eq!(s.cache_hits(), p.cache_hits());
+            distinct += p.cache_misses() as usize;
+        }
+        assert_eq!(cache.len(), distinct, "one entry per controller and level");
+    }
+
+    #[test]
+    fn identical_controllers_plan_each_level_once() {
+        let c = calib();
+        let cache = PlanCache::new();
+        let mut a = MorphController::new(&c, 8192)
+            .micro_batch(4)
+            .with_plan_cache(cache.clone());
+        let mut b = MorphController::new(&c, 8192)
+            .micro_batch(4)
+            .with_plan_cache(cache.clone());
+        let levels = [100usize, 64, 36, 64, 100];
+        let first = walk(&mut a, &levels);
+        let second = walk(&mut b, &levels);
+        assert_eq!(first, second);
+        assert_eq!(a.cache_misses(), 3, "one planner run per distinct level");
+        assert_eq!(b.cache_misses(), 0, "every level was planned by the first");
+        assert_eq!(b.cache_hits(), levels.len() as u64);
+        assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn every_plan_input_changes_the_key() {
+        let base = calib();
+        let mut calibs: Vec<(&str, Calibration)> = Vec::new();
+        let mut perturb = |what: &'static str, f: &dyn Fn(&mut Calibration)| {
+            let mut c = base.clone();
+            f(&mut c);
+            calibs.push((what, c));
+        };
+        perturb("model name", &|c| c.model.name.push('x'));
+        perturb("model layers", &|c| c.model.layers += 1);
+        perturb("model hidden", &|c| c.model.hidden += 1);
+        perturb("model heads", &|c| c.model.heads += 1);
+        perturb("model seq_len", &|c| c.model.seq_len += 1);
+        perturb("model vocab", &|c| c.model.vocab += 1);
+        perturb("model tied_embeddings", &|c| {
+            c.model.tied_embeddings = !c.model.tied_embeddings
+        });
+        perturb("graph", &|c| c.graph.cutpoints[3].params += 1);
+        perturb("ms", &|c| c.ms[0] += 1);
+        perturb("fwd", &|c| c.fwd[2][1] *= 1.5);
+        perturb("bwd", &|c| c.bwd[2][1] *= 1.5);
+        perturb("act_intra", &|c| c.act_intra[1] *= 1.5);
+        perturb("act_inter", &|c| c.act_inter[1] *= 1.5);
+        perturb("inter_bw", &|c| c.inter_bw *= 1.5);
+        perturb("inter_lat", &|c| c.inter_lat *= 1.5);
+        perturb("ar_probe", &|c| c.ar_probe[1] *= 1.5);
+        perturb("ar_contention", &|c| c.ar_contention *= 1.5);
+        perturb("gpus_per_node", &|c| c.gpus_per_node += 1);
+        perturb("gpu_memory", &|c| c.gpu_memory *= 1.5);
+        perturb("inter_link class", &|c| {
+            c.inter_link.class = varuna_net::LinkClass::InfinibandInter
+        });
+        perturb("inter_link bandwidth", &|c| c.inter_link.bandwidth *= 1.5);
+        perturb("inter_link latency", &|c| c.inter_link.latency *= 1.5);
+        perturb("inter_link jitter mean", &|c| {
+            c.inter_link.jitter.mean += 1e-6
+        });
+        perturb("inter_link jitter sigma", &|c| {
+            c.inter_link.jitter.sigma += 0.1
+        });
+        perturb("intra_link bandwidth", &|c| c.intra_link.bandwidth *= 1.5);
+        perturb("intra_link latency", &|c| c.intra_link.latency *= 1.5);
+
+        let key = |ctl: MorphController<'_>| ctl.key(64);
+        let mut keys = vec![(
+            "base",
+            key(MorphController::new(&base, 8192).micro_batch(4)),
+        )];
+        for (what, c) in &calibs {
+            keys.push((what, key(MorphController::new(c, 8192).micro_batch(4))));
+        }
+        keys.push((
+            "m_total",
+            key(MorphController::new(&base, 4096).micro_batch(4)),
+        ));
+        keys.push((
+            "micro-batch",
+            key(MorphController::new(&base, 8192).micro_batch(2)),
+        ));
+        keys.push(("no micro-batch", key(MorphController::new(&base, 8192))));
+        keys.push((
+            "fallback",
+            key(MorphController::new(&base, 8192)
+                .micro_batch(4)
+                .with_fallback()),
+        ));
+        keys.push((
+            "gpus",
+            MorphController::new(&base, 8192).micro_batch(4).key(65),
+        ));
+        for (i, (a, ka)) in keys.iter().enumerate() {
+            for (b, kb) in &keys[i + 1..] {
+                assert_ne!(ka, kb, "{a} and {b} share a plan key");
+            }
+        }
+        // And the same inputs make the same key.
+        let again =
+            Calibration::profile(&ModelZoo::gpt2_2_5b(), &VarunaCluster::commodity_1gpu(16));
+        assert_eq!(
+            keys[0].1,
+            key(MorphController::new(&again, 8192).micro_batch(4))
+        );
     }
 
     #[test]

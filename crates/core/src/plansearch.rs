@@ -243,10 +243,12 @@ impl MemoKey {
     }
 }
 
-/// FNV-1a over the cut-point graph and every calibrated primitive the
-/// emulator reads — two calibrations with equal fingerprints produce
-/// identical emulations for any candidate.
-fn search_fingerprint(calib: &Calibration) -> u64 {
+/// FNV-1a over every field of a calibration: the model, the cut-point
+/// graph, every calibrated primitive and both links. Two calibrations
+/// with equal fingerprints produce identical emulations and identical
+/// analytic plans for any candidate, which keys both the search's memo
+/// and the morph controller's plan cache.
+pub(crate) fn search_fingerprint(calib: &Calibration) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     fn mix(h: &mut u64, v: u64) {
         for byte in v.to_le_bytes() {
@@ -255,6 +257,28 @@ fn search_fingerprint(calib: &Calibration) -> u64 {
         }
     }
     let mut h = calib.graph.fingerprint();
+    let model = &calib.model;
+    mix(&mut h, model.name.len() as u64);
+    for &byte in model.name.as_bytes() {
+        mix(&mut h, byte as u64);
+    }
+    for v in [
+        model.layers,
+        model.hidden,
+        model.heads,
+        model.seq_len,
+        model.vocab,
+        model.tied_embeddings as usize,
+    ] {
+        mix(&mut h, v as u64);
+    }
+    for link in [calib.inter_link, calib.intra_link] {
+        mix(&mut h, link.class as u64);
+        mix(&mut h, link.bandwidth.to_bits());
+        mix(&mut h, link.latency.to_bits());
+        mix(&mut h, link.jitter.mean.to_bits());
+        mix(&mut h, link.jitter.sigma.to_bits());
+    }
     mix(&mut h, calib.gpus_per_node as u64);
     mix(&mut h, calib.gpu_memory.to_bits());
     mix(&mut h, calib.inter_bw.to_bits());

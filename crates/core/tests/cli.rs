@@ -1,4 +1,5 @@
-//! Drives the `varuna` binary: a zero count flag is a usage error with a
+//! Drives the `varuna` binary: a zero count flag, an unknown flag, a
+//! stray argument and an out-of-range `--hours` are usage errors with a
 //! nonzero exit, an uncalibrated micro-batch size is never a panic, and
 //! `varuna schedule` prints Figure 4's schedules for both disciplines.
 
@@ -109,4 +110,91 @@ fn schedule_prints_figure_4_for_both_disciplines() {
         assert!(out.status.success(), "{discipline}: {out:?}");
         assert_eq!(String::from_utf8_lossy(&out.stdout), want);
     }
+}
+
+/// Runs `varuna args` and checks it fails with exactly `error` and prints
+/// nothing on stdout.
+fn assert_rejected(args: &str, error: &str) {
+    let out = varuna(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "`varuna {args}`: {stderr}");
+    assert_eq!(stderr, format!("error: {error}\n"), "`varuna {args}`");
+    assert!(out.stdout.is_empty(), "`varuna {args}` printed a result");
+}
+
+#[test]
+fn unknown_flags_and_stray_arguments_are_rejected() {
+    for (args, error) in [
+        (
+            "plan --model gpt2-355m --gpus 8 --micr 4 stray",
+            "unknown flag --micr",
+        ),
+        (
+            "plan --model gpt2-355m --gpus 8 --micro 4 stray",
+            "unexpected argument `stray`",
+        ),
+        (
+            "plan stray --model gpt2-355m --gpus 8",
+            "unexpected argument `stray`",
+        ),
+        (
+            "plan --model gpt2-355m --gpus 8 --gpus 16",
+            "--gpus given twice",
+        ),
+        ("plan --model gpt2-355m --gpus", "missing value for --gpus"),
+        ("plan --model --gpus 8", "missing value for --model"),
+        (
+            "sweep --model gpt2-355m --gpus 8 --offload",
+            "unknown flag --offload",
+        ),
+        (
+            "sweep --model gpt2-355m --gpus 8 --cluster 4gpu",
+            "unknown flag --cluster",
+        ),
+        (
+            "schedule --stages 4 --micro-batches 5 --window 2",
+            "unknown flag --window",
+        ),
+        (
+            "calibrate --model gpt2-355m --gpus 8",
+            "unknown flag --gpus",
+        ),
+        (
+            "replay --model gpt2-355m --hosts 2 --target 4 --hours 1 --cluster 1gpu",
+            "unknown flag --cluster",
+        ),
+        ("models --model gpt2-355m", "unknown flag --model"),
+        ("models extra", "unexpected argument `extra`"),
+    ] {
+        assert_rejected(args, error);
+    }
+}
+
+#[test]
+fn replay_hours_must_be_finite_positive_and_capped() {
+    // Each value fails before a trace is generated, so none of these
+    // starts a run (`inf` would otherwise never finish).
+    for hours in ["-1", "0", "NaN", "inf", "-inf", "8760.5", "1e300"] {
+        assert_rejected(
+            &format!("replay --model gpt2-355m --hosts 2 --target 4 --hours {hours}"),
+            &format!(
+                "invalid value for --hours: {:?} is not in (0, 8760]",
+                hours.parse::<f64>().unwrap()
+            ),
+        );
+    }
+    assert_rejected(
+        "replay --model gpt2-355m --hosts 2 --target 4 --hours soon",
+        "invalid value for --hours",
+    );
+}
+
+#[test]
+fn the_switch_and_optional_flags_are_accepted() {
+    let out = varuna("plan --model gpt2-355m --gpus 8 --micro 4 --cluster 4gpu --offload");
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("micro-batch m = 4"));
+    let out = varuna("replay --model gpt2-355m --hosts 2 --target 4 --hours 1 --micro 2");
+    assert!(out.status.success(), "{out:?}");
+    assert!(varuna("models").status.success());
 }

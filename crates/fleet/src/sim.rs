@@ -18,7 +18,9 @@
 //! breaks ties by index, and no wall-clock value enters any event. Same
 //! config + same trace ⇒ byte-identical event streams and digests.
 
-use varuna::{Calibration, Manager, ManagerState, Oracle, RecoveryReport, VarunaCluster};
+use varuna::{
+    Calibration, Manager, ManagerState, Oracle, PlanCache, RecoveryReport, VarunaCluster,
+};
 use varuna_chaos::{digest_control_events, digest_events};
 use varuna_cluster::trace::{ClusterEventKind, ClusterTrace};
 use varuna_cluster::{LeaseBook, LeaseEntry, VmSku};
@@ -582,6 +584,10 @@ pub fn run_fleet_walled(
         .iter()
         .map(|j| Calibration::profile(&j.model, &VarunaCluster::commodity_1gpu(j.demand_gpus)))
         .collect();
+    // One analytic plan cache for the whole fleet: its key covers every
+    // plan input, so a level one job planned is a hit for every job with
+    // the same calibration and batch contract.
+    let plans = PlanCache::new();
     let mut mgrs: Vec<Manager<'_>> = calibs
         .iter()
         .zip(cfg.jobs.iter())
@@ -589,6 +595,7 @@ pub fn run_fleet_walled(
             Manager::new(c, j.m_total, j.micro)
                 .with_fallback()
                 .with_oracle(cfg.oracle.clone())
+                .with_plan_cache(plans.clone())
         })
         .collect();
 
