@@ -7,7 +7,7 @@
 //! prices the transition (resume from the latest checkpoint plus lost
 //! work).
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -190,8 +190,10 @@ pub struct MorphController<'a> {
     /// (reduced micro-batch, then offload) before giving up.
     fallback: bool,
     current: Option<Config>,
-    /// [`search_fingerprint`] of `calib`, computed once.
-    fingerprint: u64,
+    /// [`search_fingerprint`] of `calib`, computed once, on the first
+    /// analytic plan or restore: the simulated path never needs it, and
+    /// it costs more than building the rest of the controller.
+    fingerprint: OnceCell<u64>,
     /// Analytic plans keyed by every input they depend on, so repeats of
     /// a capacity level reuse the cached plan — the same reuse the paper
     /// applies to `m*` across morphing decisions — and no setting needs
@@ -220,7 +222,7 @@ impl<'a> MorphController<'a> {
             migration_bandwidth: None,
             fallback: false,
             current: None,
-            fingerprint: search_fingerprint(calib),
+            fingerprint: OnceCell::new(),
             plan_cache: PlanCache::new(),
             cache_hits: 0,
             cache_misses: 0,
@@ -354,7 +356,9 @@ impl<'a> MorphController<'a> {
 
     fn key(&self, gpus: usize) -> PlanKey {
         PlanKey {
-            calibration: self.fingerprint,
+            calibration: *self
+                .fingerprint
+                .get_or_init(|| search_fingerprint(self.calib)),
             m_total: self.m_total,
             micro_override: self.micro_override,
             fallback: self.fallback,
