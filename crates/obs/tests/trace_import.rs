@@ -387,6 +387,21 @@ fn jsonl_round_trips_every_kind() {
     assert_eq!(events_from_jsonl(&jsonl(&events)).unwrap(), events);
 }
 
+/// The JSONL bytes of one event of every kind, pinned: the compact
+/// writer must not move a byte of any line.
+#[test]
+fn jsonl_bytes_of_every_kind_are_pinned() {
+    let text = jsonl(&every_kind());
+    let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (text.len(), fnv),
+        (3114, 0x5532_afec_80b6_4ead),
+        "JSONL bytes moved"
+    );
+}
+
 #[test]
 fn a_stage_beyond_max_stage_is_an_error() {
     for stage in [MAX_STAGE + 1, 1 << 40] {
