@@ -336,14 +336,19 @@ impl<R> Wal<R> {
 }
 
 impl<R: Serialize> Wal<R> {
+    /// Appends one frame: the header with its length and checksum left
+    /// zero, the JSON payload written in place after it, then the two
+    /// patched in over the payload just written.
     fn frame(seq: u64, record: &R, out: &mut Vec<u8>) {
-        let payload = serde_json::to_string(record)
-            .expect("wal records serialize infallibly")
-            .into_bytes();
+        let start = out.len();
         out.extend_from_slice(&seq.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; FRAME_HEADER_BYTES - 8]);
+        serde_json::to_writer(&mut *out, record).expect("wal records serialize infallibly");
+        let payload = &out[start + FRAME_HEADER_BYTES..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let sum = fnv1a(payload).to_le_bytes();
+        out[start + 8..start + 12].copy_from_slice(&len);
+        out[start + 12..start + FRAME_HEADER_BYTES].copy_from_slice(&sum);
     }
 
     /// Serializes every record as a checksummed frame.
