@@ -1,14 +1,18 @@
 //! Hostile write-ahead-log bytes. Real `ManagerWal` and `FleetWal` images
 //! are flipped, truncated and spliced, and frames are re-checksummed over
 //! mutated JSON payloads so the record decoder itself is reached. Every
-//! input must load to `Ok` or a typed `WalError`, never a panic; and a
+//! input must load to `Ok` or a typed `WalError`, never a panic; the
+//! direct reader (`serde_json::from_str`) must agree with the `Value`
+//! tree (`from_value` of `parse_value`) on every mutated payload; and a
 //! spliced log of real records that loads must recover to `Ok` or
 //! `WalError::Diverged`, never another error and never a panic.
 
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use serde::Deserialize;
 use varuna::manager::Manager;
 use varuna::wal::{fnv1a, Wal, FRAME_HEADER_BYTES};
 use varuna::{Calibration, ManagerWal, VarunaCluster, VarunaError, WalError, WalRecord};
@@ -113,6 +117,7 @@ fn mutate(bytes: &[u8], op: usize, at: usize, from: usize, len: usize, mask: u8)
 /// Mutates the JSON payload of frame `frame` (modulo the frame count) of
 /// a well-formed image and re-frames it with a matching length and
 /// checksum, so the loader gets past its framing checks to the decoder.
+/// Returns the image and the mutated payload.
 fn mutate_payload(
     image: &[u8],
     frame: usize,
@@ -121,7 +126,7 @@ fn mutate_payload(
     from: usize,
     len: usize,
     mask: u8,
-) -> Vec<u8> {
+) -> (Vec<u8>, Vec<u8>) {
     let mut frames = Vec::new();
     let mut pos = 0;
     while pos < image.len() {
@@ -144,7 +149,25 @@ fn mutate_payload(
     out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&image[target.end..]);
-    out
+    (out, payload)
+}
+
+/// Whether the direct reader and the `Value` tree decode `payload` alike
+/// as an `R`: both `Ok` with equal records, or both `Err`. Payloads that
+/// are not UTF-8 never reach either reader.
+fn readers_agree<R: Deserialize + PartialEq + Debug>(payload: &[u8]) -> Result<(), String> {
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return Ok(());
+    };
+    let direct = serde_json::from_str::<R>(text);
+    let tree = serde_json::parse_value(text)
+        .map_err(|e| e.to_string())
+        .and_then(|v| R::from_value(&v).map_err(|e| e.to_string()));
+    match (&direct, &tree) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Err(_), Err(_)) => Ok(()),
+        _ => Err(format!("{text:?}: direct {direct:?}, tree {tree:?}")),
+    }
 }
 
 /// Whether loading `bytes` as both log kinds returns without a panic.
@@ -190,12 +213,15 @@ proptest! {
         };
         let bytes = mutate(&image, op, at, from, len, mask);
         prop_assert!(loads_without_panic(&bytes), "loader panicked on {bytes:?}");
-        let bytes = mutate_payload(&image, frame, op, at, from, len, mask);
+        let (bytes, payload) = mutate_payload(&image, frame, op, at, from, len, mask);
         prop_assert!(
             loads_without_panic(&bytes),
             "decoder panicked on {:?}",
             String::from_utf8_lossy(&bytes)
         );
+        let agree = readers_agree::<WalRecord>(&payload)
+            .and_then(|()| readers_agree::<FleetWalRecord>(&payload));
+        prop_assert!(agree.is_ok(), "readers disagree on {}", agree.unwrap_err());
     }
 }
 
