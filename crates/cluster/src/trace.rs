@@ -104,6 +104,10 @@ impl ClusterTrace {
     /// This is the workload of the paper's Figure 8: the manager
     /// "periodically keeps trying to grow the cluster" while the market
     /// preempts VMs as background demand rises.
+    ///
+    /// The trace is empty (covering `hours`) when the pool has no hosts or
+    /// when `hours / poll_minutes` is not a finite number of polls: an
+    /// infinite horizon, or a zero or NaN poll interval.
     pub fn generate_spot_1gpu(
         hosts: usize,
         target_gpus: usize,
@@ -111,20 +115,26 @@ impl ClusterTrace {
         poll_minutes: f64,
         seed: u64,
     ) -> Self {
-        // A zero-host pool can neither grant nor preempt: the honest trace
-        // is an empty one, which downstream replay handles gracefully.
-        let Ok(mut market) = SpotMarket::new(hosts, seed) else {
-            return ClusterTrace {
-                events: Vec::new(),
-                duration_hours: hours,
-            };
+        let dt = poll_minutes / 60.0;
+        let steps = (hours / dt).ceil();
+        // A zero-host pool can neither grant nor preempt, and a step count
+        // that is not finite cannot be walked (as a `usize` it would
+        // saturate to `usize::MAX` polls): the honest trace for both is an
+        // empty one, which downstream replay handles gracefully.
+        let mut market = match SpotMarket::new(hosts, seed) {
+            Ok(market) if steps.is_finite() => market,
+            _ => {
+                return ClusterTrace {
+                    events: Vec::new(),
+                    duration_hours: hours,
+                }
+            }
         };
+        let steps = steps as usize;
         let mut events = Vec::new();
         let mut next_vm: u64 = 0;
         // Host -> list of (vm id) we hold there, to map preemptions back.
         let mut held: Vec<Vec<u64>> = vec![Vec::new(); hosts];
-        let dt = poll_minutes / 60.0;
-        let steps = (hours / dt).ceil() as usize;
         // Fail-stutter injection: a held VM goes ~30% slow for a while.
         use rand::{Rng, SeedableRng};
         let mut stutter_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x57A7);
@@ -448,6 +458,23 @@ mod tests {
         assert!(t.events.is_empty());
         assert_eq!(t.duration_hours, 4.0);
         assert_eq!(t.gpus_at(2.0), 0);
+    }
+
+    /// Each of these once asked for `usize::MAX` polls (or, for NaN, none
+    /// by accident); all must return at once.
+    #[test]
+    fn a_step_count_that_is_not_finite_yields_an_empty_trace() {
+        for (hours, poll_minutes) in [
+            (f64::INFINITY, 10.0),
+            (4.0, 0.0),
+            (4.0, f64::NAN),
+            (f64::NAN, 10.0),
+            (0.0, 0.0),
+        ] {
+            let t = ClusterTrace::generate_spot_1gpu(8, 8, hours, poll_minutes, 3);
+            assert!(t.events.is_empty(), "{hours} h every {poll_minutes} min");
+            assert!(t.duration_hours.total_cmp(&hours).is_eq());
+        }
     }
 
     #[test]
