@@ -14,9 +14,10 @@
 //! replay.
 //!
 //! Everything is deterministic: the loop iterates jobs in index order,
-//! the lease book and all aggregation maps are `BTreeMap`s, the arbiter
-//! breaks ties by index, and no wall-clock value enters any event. Same
-//! config + same trace ⇒ byte-identical event streams and digests.
+//! the lease book keeps every list sorted by VM or job id and is walked
+//! in that order, the arbiter breaks ties by index, and no wall-clock
+//! value enters any event. Same config + same trace ⇒ byte-identical
+//! event streams and digests.
 
 use varuna::{
     Calibration, Manager, ManagerState, Oracle, PlanCache, RecoveryReport, VarunaCluster,
@@ -374,10 +375,14 @@ fn arbitrate_round(
             continue;
         }
         let mut revoked = 0usize;
-        let mut vms = book.job_vms(job);
         while book.job_gpus(job) > targets[j] {
-            let Some(vm) = vms.pop() else { break };
-            revoked += book.release(vm).map_or(0, |(_, gpus)| gpus);
+            let Some(&vm) = book.job_vms(job).last() else {
+                break;
+            };
+            let Some((_, gpus)) = book.release(vm) else {
+                break;
+            };
+            revoked += gpus;
         }
         if revoked > 0 {
             revocations.push((j, before, targets[j]));
@@ -409,20 +414,28 @@ fn arbitrate_round(
         .count();
 
     // Reconcile leases up: free VMs (ascending id) to jobs below their
-    // entitlement, never leasing past it.
-    let free = book.free_vms();
-    let mut fi = 0usize;
+    // entitlement, never leasing past it. A lease takes its VM off the
+    // free list; a VM still on it afterwards (its lease failed) is
+    // skipped for the rest of the round, so the first `skipped` free VMs
+    // are the ones already offered.
+    let mut skipped = 0usize;
     for (j, &target) in targets.iter().enumerate() {
         let job = j as u64;
-        while book.job_gpus(job) < target && fi < free.len() {
-            let (vm, gpus) = free[fi];
+        while book.job_gpus(job) < target {
+            let Some(&(vm, gpus)) = book.free_vms().get(skipped) else {
+                break;
+            };
             if book.job_gpus(job) + gpus > target {
                 break;
             }
             if book.lease(vm, job).is_err() {
                 counters.capacity_violations += 1;
             }
-            fi += 1;
+            // Checked on the book rather than on the result, so a VM that
+            // stays free for any reason cannot stall the loop.
+            if book.free_vms().get(skipped).is_some_and(|&(v, _)| v == vm) {
+                skipped += 1;
+            }
         }
         if book.job_gpus(job) > target {
             counters.fairness_violations += 1;
